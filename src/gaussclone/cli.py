@@ -13,8 +13,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .certificate import (
     weights_from_profile,
 )
 from .circuits import (
-    FeedforwardCircuit,
     build_interferometer,
     channel_from_amplifier,
     feedforward_output_state,
@@ -116,8 +117,22 @@ def design_hash(doc: dict) -> str:
 # -- circuit documents -------------------------------------------------------
 
 
-def circuit_document(profile: NoiseProfile, scheme: str) -> dict:
-    base = {
+def circuit_parameters(profile: NoiseProfile, scheme: str, circ) -> dict:
+    """Parameters of `circ`, the `scheme` circuit of `profile`, with its
+    matrices flattened as in the circuit document."""
+    if scheme == "amplifier":
+        return {"t": circ.t, "g": circ.g, "V": circ.V.ravel(), "kappa": circ.kappa.ravel()}
+    return {
+        "r_tap": circ.r_tap,
+        "gains": circ.gains,
+        "reflectances": circ.reflectances,
+        "phase_convention": simulate.calibrate_phase_convention(profile, circ),
+    }
+
+
+def circuit_document(profile: NoiseProfile, scheme: str, circ) -> dict:
+    params = circuit_parameters(profile, scheme, circ)
+    return {
         "schema_version": SCHEMA_VERSION,
         "scheme": scheme,
         "design": {
@@ -126,26 +141,10 @@ def circuit_document(profile: NoiseProfile, scheme: str) -> dict:
             "noises": list(map(float, profile.noises)),
         },
         "provenance": {"design_sha256": design_hash(design_document(profile))},
+        "parameters": {
+            k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in params.items()
+        },
     }
-    if scheme == "amplifier":
-        circ = build_interferometer(profile)
-        base["parameters"] = {
-            "t": circ.t,
-            "g": circ.g,
-            "V": [float(v) for v in circ.V.ravel()],
-            "kappa": [float(v) for v in circ.kappa.ravel()],
-        }
-    elif scheme == "feedforward":
-        circ = feedforward_params(profile)
-        base["parameters"] = {
-            "r_tap": circ.r_tap,
-            "gains": list(map(float, circ.gains)),
-            "reflectances": list(map(float, circ.reflectances)),
-            "phase_convention": simulate.calibrate_phase_convention(profile),
-        }
-    else:
-        raise CliError(f"unknown scheme {scheme!r}")
-    return base
 
 
 def load_circuit(path: str):
@@ -161,8 +160,40 @@ def load_circuit(path: str):
 # -- invariant summaries -----------------------------------------------------
 
 
-def amplifier_invariants(profile: NoiseProfile, tol: float) -> dict:
-    circ = build_interferometer(profile)
+def stored_parameter_check(doc: dict, profile: NoiseProfile, circ, tol: float) -> dict:
+    """Compare a circuit document's parameters and design hash with the ones
+    rebuilt from its embedded design, whose circuit is `circ`.  The parameter
+    residual is inf when a key, a shape or a label differs or a value is NaN."""
+    stored = doc["parameters"]
+    rebuilt = circuit_parameters(profile, doc["scheme"], circ)
+    resid = 0.0 if stored.keys() == rebuilt.keys() else math.inf
+    for key, want in rebuilt.items():
+        if isinstance(want, str):
+            diff = 0.0 if stored.get(key) == want else math.inf
+        else:
+            got = np.asarray(stored.get(key), dtype=float)
+            diff = float(np.max(np.abs(got - want))) if got.shape == np.shape(want) else math.inf
+        resid = max(resid, math.inf if math.isnan(diff) else diff)
+    hash_ok = doc.get("provenance") == {"design_sha256": design_hash(design_document(profile))}
+    return {
+        "parameter_residual": resid,
+        "design_hash_matches": hash_ok,
+        "parameters_match": bool(resid < 100 * tol and hash_ok),
+    }
+
+
+def checked_circuit(profile: NoiseProfile, scheme: str, tol: float):
+    """Build the `scheme` circuit of `profile` and check its invariants."""
+    if scheme == "amplifier":
+        circ = build_interferometer(profile)
+        return circ, amplifier_invariants(profile, circ, tol)
+    if scheme == "feedforward":
+        circ = feedforward_params(profile)
+        return circ, feedforward_invariants(profile, circ, tol)
+    raise CliError(f"unknown scheme {scheme!r}")
+
+
+def amplifier_invariants(profile: NoiseProfile, circ, tol: float) -> dict:
     m, n = profile.m_out, profile.n_in
     unitarity = float(np.max(np.abs(circ.V.T @ circ.V - np.eye(m))))
     target = np.eye(m) - np.ones((m, m)) / n + noise_gram_matrix(profile)
@@ -186,8 +217,7 @@ def amplifier_invariants(profile: NoiseProfile, tol: float) -> dict:
     }
 
 
-def feedforward_invariants(profile: NoiseProfile, tol: float) -> dict:
-    circ = feedforward_params(profile)
+def feedforward_invariants(profile: NoiseProfile, circ, tol: float) -> dict:
     in_range = bool(
         np.all(circ.reflectances >= 0.0)
         and np.all(circ.reflectances <= 1.0)
@@ -236,29 +266,20 @@ def cmd_solve(args) -> int:
 
 def cmd_synth(args) -> int:
     profile, _ = load_design(args.design)
-    doc = circuit_document(profile, args.scheme)
-    tol = algebraic_tol()
-    if args.scheme == "amplifier":
-        checks = amplifier_invariants(profile, tol)
-    else:
-        checks = feedforward_invariants(profile, tol)
-    if not checks["passed"]:
-        failing = [k for k, v in checks.items() if k != "passed"]
-        raise CliError(f"circuit invariants failed: {json.dumps(checks)}; see {failing}")
-    print(_dump_json(doc, args.out))
+    circ, checks = checked_circuit(profile, args.scheme, algebraic_tol())
+    if checks["passed"]:
+        print(_dump_json(circuit_document(profile, args.scheme, circ), args.out))
     print(json.dumps({"invariants": checks}, indent=2), file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if checks["passed"] else EXIT_FAILED
 
 
 def cmd_verify(args) -> int:
     doc, profile = load_circuit(args.circuit)
     tol = algebraic_tol()
-    if doc["scheme"] == "amplifier":
-        report = amplifier_invariants(profile, tol)
-    else:
-        report = feedforward_invariants(profile, tol)
-    text = _dump_json({"scheme": doc["scheme"], **report}, args.out)
-    print(text)
+    circ, report = checked_circuit(profile, doc["scheme"], tol)
+    stored = stored_parameter_check(doc, profile, circ, tol)
+    report["passed"] = report["passed"] and stored["parameters_match"]
+    print(_dump_json({"scheme": doc["scheme"], **report, **stored}, args.out))
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
@@ -281,13 +302,13 @@ def cmd_simulate(args) -> int:
     doc, profile = load_circuit(args.circuit)
     if doc["scheme"] != "feedforward":
         raise CliError("simulation requires a feedforward circuit document")
-    p = doc["parameters"]
-    circ = FeedforwardCircuit(
-        r_tap=p["r_tap"],
-        gains=np.array(p["gains"], dtype=float),
-        reflectances=np.array(p["reflectances"], dtype=float),
-        phase_convention=p["phase_convention"],
-    )
+    circ = feedforward_params(profile)
+    stored = stored_parameter_check(doc, profile, circ, algebraic_tol())
+    if not stored["parameters_match"]:
+        print(f"error: circuit does not match its design: {json.dumps(stored)}", file=sys.stderr)
+        return EXIT_FAILED
+    # the stored parameters match these to within the tolerance
+    circ = replace(circ, phase_convention=doc["parameters"]["phase_convention"])
     re, im = (float(v) for v in args.alpha.split(","))
     config = simulate.SimConfig(
         profile=profile,

@@ -41,8 +41,8 @@ class NoiseProfile:
             raise ValueError("output count M must satisfy M >= N")
         if noises.shape != (self.m_out,):
             raise ValueError(f"expected {self.m_out} noises, got shape {noises.shape}")
-        if np.any(noises < 0):
-            raise ValueError("thermal noises must be non-negative")
+        if not np.all(np.isfinite(noises) & (noises >= 0)):
+            raise ValueError("thermal noises must be finite and non-negative")
         object.__setattr__(self, "noises", noises)
         noises.setflags(write=False)
 

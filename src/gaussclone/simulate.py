@@ -6,6 +6,12 @@ the transmitted coherent beam over the output array, and displaces every
 clone by its electronic gain times the shared outcome.  Sample statistics
 converge to clone means alpha and covariance I + 2F.
 
+A shot is a row z of 2M + 2 standard normals whose clone noise quadratures
+are z B, B a fixed (2M + 2) x 2M matrix, so only the sufficient statistics
+sum(z) and z^T z are accumulated; the mean and scatter follow as (sum z) B
+and B^T (z^T z) B.  Rows are drawn and written in chunks of CHUNK_VALUES
+numbers, so memory does not grow with the shot count.
+
 Shots are partitioned deterministically into shards with independent
 counter-derived substreams; results depend on (seed, shots, shards) only,
 never on execution order.
@@ -13,9 +19,9 @@ never on execution order.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +48,8 @@ class SimConfig:
             raise ValueError("need at least one shot")
         if self.shards < 1:
             raise ValueError("need at least one shard")
+        if not np.isfinite(self.alpha):
+            raise ValueError("input amplitude must be finite")
         if abs(residual(self.profile)) > 1e-8:
             raise ValueError("profile must lie on the optimal surface")
 
@@ -55,30 +63,32 @@ class SimResult:
     shots_used: int
 
 
-def calibrate_phase_convention(profile: NoiseProfile) -> str:
+def calibrate_phase_convention(
+    profile: NoiseProfile, circ: FeedforwardCircuit | None = None
+) -> str:
     """Select the displacement phase convention that reproduces clone means
-    equal to the input amplitude, by exact mean propagation.
+    equal to the input amplitude, by exact mean propagation; `circ` is
+    `feedforward_params(profile)` when the caller has built it already.
 
     The tie at zero electronic gain is broken toward the plain-outcome
     convention.
     """
-    circ = feedforward_params(profile)
+    circ = feedforward_params(profile) if circ is None else circ
     alpha = 1.0 + 0.5j
     target = coherent_state([alpha] * profile.m_out).mean
     passing = []
     for conv in ("outcome", "conjugate"):
-        trial = FeedforwardCircuit(
-            r_tap=circ.r_tap,
-            gains=circ.gains,
-            reflectances=circ.reflectances,
-            phase_convention=conv,
-        )
-        st = feedforward_output_state(trial, profile.n_in, alpha)
+        st = feedforward_output_state(replace(circ, phase_convention=conv), profile.n_in, alpha)
         if np.max(np.abs(st.mean - target)) < 1e-9:
             passing.append(conv)
     if not passing:
         raise RuntimeError("no displacement convention reproduces the input amplitude")
     return passing[0]
+
+
+# normals drawn per chunk of shot rows; bounds memory whatever the shot count and M
+CHUNK_VALUES = 1 << 18
+_CSV_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g\r\n"
 
 
 def _shard_sizes(shots: int, shards: int) -> list[int]:
@@ -95,18 +105,14 @@ def run(
     statistics.
 
     If `samples_path` is given, every per-shot sample is streamed to CSV with
-    columns (shot, clone, x, p, o_re, o_im).
+    columns (shot, clone, x, p, o_re, o_im), one CRLF-terminated row per
+    shot and clone.
     """
     profile = config.profile
     m = profile.m_out
     if circuit is None:
         circuit = feedforward_params(profile)
-        circuit = FeedforwardCircuit(
-            r_tap=circuit.r_tap,
-            gains=circuit.gains,
-            reflectances=circuit.reflectances,
-            phase_convention=calibrate_phase_convention(profile),
-        )
+        circuit = replace(circuit, phase_convention=calibrate_phase_convention(profile, circuit))
     conj = circuit.phase_convention == "conjugate"
     amp_in = math.sqrt(profile.n_in) * config.alpha
     t_tap = math.sqrt(1.0 - circuit.r_tap**2)
@@ -120,59 +126,46 @@ def run(
     det_x = np.sqrt(2) * det_amp.real
     det_p = np.sqrt(2) * det_amp.imag
 
-    writer = None
-    csv_file = None
-    if samples_path is not None:
-        csv_file = open(samples_path, "w", newline="")
-        writer = csv.writer(csv_file)
-        writer.writerow(["shot", "clone", "x", "p", "o_re", "o_im"])
-
+    # shot row z = (o_x, o_p, vacuum x, vacuum p) maps to noise quads z B:
+    # the outcome, in quadrature units with sd 1, times the gains, plus
+    # vacuum of variance 1/2 per quadrature
+    width = 2 * m + 2
+    basis = np.zeros((width, 2 * m))
+    basis[0, :m] = gains
+    basis[1, m:] = -gains if conj else gains
+    basis[2:] = math.sqrt(0.5) * np.eye(2 * m)
+    buf = np.empty((max(1, CHUNK_VALUES // width), width))
+    z_sum = np.zeros(width)
+    gram = np.zeros((width, width))
     count = 0
-    total = np.zeros(2 * m)
-    scatter = np.zeros((2 * m, 2 * m))
-    shot_offset = 0
-    try:
-        for shard, size in enumerate(_shard_sizes(config.shots, config.shards)):
-            if size == 0:
-                continue
-            rng = np.random.default_rng([config.seed, shard])
-            z = rng.standard_normal((size, 2 * m + 2))
-            # heterodyne outcome noise, quadrature units: sd 1 per quadrature
-            o_x = z[:, 0]
-            o_p = z[:, 1]
-            o_p_used = -o_p if conj else o_p
-            vac = z[:, 2:] * math.sqrt(0.5)
-            x = vac[:, :m] + np.outer(o_x, gains)
-            p = vac[:, m:] + np.outer(o_p_used, gains)
-            quads = np.hstack([x, p])
-            count += size
-            total += quads.sum(axis=0)
-            scatter += quads.T @ quads
-            if writer is not None:
-                o_re = o_x / np.sqrt(2) + o_mean.real
-                o_im = o_p / np.sqrt(2) + o_mean.imag
-                x = x + det_x
-                p = p + det_p
-                for i in range(size):
-                    for j in range(m):
-                        writer.writerow(
-                            [
-                                shot_offset + i,
-                                j,
-                                f"{x[i, j]:.17g}",
-                                f"{p[i, j]:.17g}",
-                                f"{o_re[i]:.17g}",
-                                f"{o_im[i]:.17g}",
-                            ]
-                        )
-            shot_offset += size
-    finally:
+    sink = nullcontext() if samples_path is None else open(samples_path, "w", newline="")
+    with sink as csv_file:
         if csv_file is not None:
-            csv_file.close()
+            csv_file.write("shot,clone,x,p,o_re,o_im\r\n")
+        for shard, size in enumerate(_shard_sizes(config.shots, config.shards)):
+            rng = np.random.default_rng([config.seed, shard])
+            for start in range(0, size, len(buf)):
+                z = rng.standard_normal(out=buf[: size - start])
+                z_sum += z.sum(axis=0)
+                gram += z.T @ z
+                if csv_file is not None:
+                    # operations in this order keep the digits of the per-row writer
+                    table = np.empty((len(z), m, 6))
+                    table[:, :, 0] = np.arange(count, count + len(z))[:, None]
+                    table[:, :, 1] = np.arange(m)
+                    vac = z[:, 2:] * math.sqrt(0.5)
+                    table[:, :, 2] = vac[:, :m] + np.outer(z[:, 0], basis[0, :m]) + det_x
+                    table[:, :, 3] = vac[:, m:] + np.outer(z[:, 1], basis[1, m:]) + det_p
+                    table[:, :, 4] = (z[:, 0] / np.sqrt(2) + o_mean.real)[:, None]
+                    table[:, :, 5] = (z[:, 1] / np.sqrt(2) + o_mean.imag)[:, None]
+                    rows = _CSV_ROW * (len(z) * m)
+                    csv_file.write(rows % tuple(table.ravel().tolist()))
+                count += len(z)
 
-    noise_mean = total / count
+    noise_mean = z_sum @ basis / count
     if count > 1:
-        m2 = scatter - count * np.outer(noise_mean, noise_mean)
+        scatter = basis.T @ gram @ basis
+        m2 = 0.5 * (scatter + scatter.T) - count * np.outer(noise_mean, noise_mean)
         raw_cov = m2 / (count - 1)
     else:
         raw_cov = np.zeros((2 * m, 2 * m))

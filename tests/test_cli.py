@@ -112,6 +112,99 @@ def test_verify_fails_on_tampered_circuit(capsys, tmp_path):
     assert code == 2  # precondition failure: profile off-surface
 
 
+def make_circuit(capsys, tmp_path, scheme):
+    design = tmp_path / "design.json"
+    circuit = tmp_path / f"{scheme}.json"
+    argv = ["design", "--weights", "1,2,5", "--n-in", "1", "--m-out", "3", "--out", str(design)]
+    run_cli(capsys, *argv)
+    code, _, _ = run_cli(
+        capsys, "synth", "--design", str(design), "--scheme", scheme, "--out", str(circuit)
+    )
+    assert code == 0
+    return circuit
+
+
+def test_verify_reports_stored_parameter_margins(capsys, tmp_path):
+    for scheme in ("amplifier", "feedforward"):
+        circuit = make_circuit(capsys, tmp_path, scheme)
+        code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+        report = json.loads(stdout)
+        assert code == 0 and report["passed"]
+        assert report["parameter_residual"] == 0.0
+        assert report["design_hash_matches"] and report["parameters_match"]
+
+
+def edit_gains_and_tap(doc):
+    doc["parameters"]["gains"] = [9.0] * len(doc["parameters"]["gains"])
+    doc["parameters"]["r_tap"] = 0.01
+
+
+def edit_hash(doc):
+    doc["provenance"]["design_sha256"] = "0" * 64
+
+
+def edit_convention(doc):
+    doc["parameters"]["phase_convention"] = "conjugate"
+
+
+def drop_reflectance(doc):
+    doc["parameters"]["reflectances"] = doc["parameters"]["reflectances"][:-1]
+
+
+@pytest.mark.parametrize("edit", [edit_gains_and_tap, edit_hash, edit_convention, drop_reflectance])
+def test_verify_and_simulate_reject_edited_feedforward_circuit(capsys, tmp_path, edit):
+    circuit = make_circuit(capsys, tmp_path, "feedforward")
+    doc = json.loads(circuit.read_text())
+    edit(doc)
+    circuit.write_text(json.dumps(doc))
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+    report = json.loads(stdout)
+    assert code == 3
+    assert not report["passed"] and not report["parameters_match"]
+    code, stdout, stderr = run_cli(
+        capsys, "simulate", "--circuit", str(circuit), "--shots", "10", "--seed", "0"
+    )
+    assert code == 3
+    assert stdout == "" and "does not match its design" in stderr
+
+
+def test_verify_rejects_edited_amplifier_circuit(capsys, tmp_path):
+    circuit = make_circuit(capsys, tmp_path, "amplifier")
+    doc = json.loads(circuit.read_text())
+    doc["parameters"]["g"] *= 1.0 + 1e-6
+    circuit.write_text(json.dumps(doc))
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+    report = json.loads(stdout)
+    assert code == 3
+    assert report["parameter_residual"] > 1e-7 and report["design_hash_matches"]
+
+
+def test_synth_failed_invariant_exits_3_with_report(capsys, tmp_path, monkeypatch):
+    design = tmp_path / "design.json"
+    circuit = tmp_path / "circ.json"
+    run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2", "--out", str(design))
+    monkeypatch.setattr(
+        "gaussclone.cli.scheme_equivalence_check",
+        lambda profile: {"discrepancy": 1.0, "passed": False},
+    )
+    code, stdout, stderr = run_cli(
+        capsys, "synth", "--design", str(design), "--scheme", "feedforward", "--out", str(circuit)
+    )
+    assert code == 3
+    assert json.loads(stderr)["invariants"]["scheme_discrepancy"] == 1.0
+    assert stdout == "" and not circuit.exists()
+
+
+def test_simulate_rejects_non_finite_alpha(capsys, tmp_path):
+    circuit = make_circuit(capsys, tmp_path, "feedforward")
+    for alpha in ("nan,0", "0,inf"):
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--circuit", str(circuit), "--alpha", alpha, "--shots", "10"
+        )
+        assert code == 2
+        assert stdout == "" and "finite" in stderr
+
+
 def test_certify_command(capsys, tmp_path):
     design = tmp_path / "design.json"
     run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2", "--out", str(design))

@@ -30,6 +30,12 @@ def test_residual_rejects_negative_noise():
         NoiseProfile(1, 2, np.array([-0.1, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_profile_rejects_non_finite_noise(bad):
+    with pytest.raises(ValueError, match="finite"):
+        NoiseProfile(1, 2, np.array([bad, 0.5]))
+
+
 def test_solve_last_noise_examples():
     assert solve_last_noise([0.5], 1, 2) == pytest.approx(0.5, abs=1e-12)
     assert solve_last_noise([1.0], 1, 2) == pytest.approx(0.25, abs=1e-12)

@@ -1,4 +1,7 @@
 import csv
+import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +15,9 @@ from gaussclone import (
     run,
     symmetric_profile,
 )
-from gaussclone.circuits import FeedforwardCircuit, feedforward_params
-from gaussclone.simulate import _shard_sizes
+from gaussclone import simulate
+from gaussclone.circuits import FeedforwardCircuit, feedforward_params, splitting_amplitudes
+from gaussclone.simulate import SimResult, _shard_sizes
 
 from conftest import random_optimal_profile
 
@@ -60,6 +64,9 @@ def test_config_validation():
     profile = symmetric_profile(1, 2)
     with pytest.raises(ValueError):
         SimConfig(profile=profile, alpha=0.0, shots=0, seed=0)
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(profile=profile, alpha=bad, shots=10, seed=0)
     with pytest.raises(ValueError):
         SimConfig(profile=NoiseProfile(1, 2, np.array([0.5, 1.0])), alpha=0.0, shots=10, seed=0)
 
@@ -160,3 +167,145 @@ def test_standard_errors_positive():
     result = run(SimConfig(profile=symmetric_profile(1, 2), alpha=1.0, shots=1000, seed=0))
     assert np.all(result.mean_se > 0)
     assert np.all(np.diag(result.cov_se) > 0)
+
+
+# -- dense per-shard accumulation and per-row CSV writer, kept as oracles ----
+
+
+def dense_run(config, circuit, samples_path=None):
+    """Each shard drawn in one block, clone quadratures formed per shot and
+    summed directly, every sample written by csv.writer."""
+    profile = config.profile
+    m = profile.m_out
+    conj = circuit.phase_convention == "conjugate"
+    amp_in = math.sqrt(profile.n_in) * config.alpha
+    t_tap = math.sqrt(1.0 - circuit.r_tap**2)
+    d = splitting_amplitudes(circuit)
+    gains = circuit.gains
+    o_mean = circuit.r_tap * amp_in
+    o_mean_used = np.conj(o_mean) if conj else o_mean
+    det_amp = d * t_tap * amp_in + gains * o_mean_used
+    det_x = np.sqrt(2) * det_amp.real
+    det_p = np.sqrt(2) * det_amp.imag
+
+    writer = None
+    csv_file = None
+    if samples_path is not None:
+        csv_file = open(samples_path, "w", newline="")
+        writer = csv.writer(csv_file)
+        writer.writerow(["shot", "clone", "x", "p", "o_re", "o_im"])
+    count = 0
+    total = np.zeros(2 * m)
+    scatter = np.zeros((2 * m, 2 * m))
+    try:
+        for shard, size in enumerate(_shard_sizes(config.shots, config.shards)):
+            if size == 0:
+                continue
+            rng = np.random.default_rng([config.seed, shard])
+            z = rng.standard_normal((size, 2 * m + 2))
+            o_x = z[:, 0]
+            o_p = z[:, 1]
+            o_p_used = -o_p if conj else o_p
+            vac = z[:, 2:] * math.sqrt(0.5)
+            x = vac[:, :m] + np.outer(o_x, gains)
+            p = vac[:, m:] + np.outer(o_p_used, gains)
+            quads = np.hstack([x, p])
+            total += quads.sum(axis=0)
+            scatter += quads.T @ quads
+            if writer is not None:
+                o_re = o_x / np.sqrt(2) + o_mean.real
+                o_im = o_p / np.sqrt(2) + o_mean.imag
+                x = x + det_x
+                p = p + det_p
+                for i in range(size):
+                    for j in range(m):
+                        writer.writerow(
+                            [
+                                count + i,
+                                j,
+                                f"{x[i, j]:.17g}",
+                                f"{p[i, j]:.17g}",
+                                f"{o_re[i]:.17g}",
+                                f"{o_im[i]:.17g}",
+                            ]
+                        )
+            count += size
+    finally:
+        if csv_file is not None:
+            csv_file.close()
+
+    noise_mean = total / count
+    if count > 1:
+        raw_cov = (scatter - count * np.outer(noise_mean, noise_mean)) / (count - 1)
+    else:
+        raw_cov = np.zeros((2 * m, 2 * m))
+    clone_cov = 2.0 * raw_cov
+    mean = noise_mean + np.concatenate([det_x, det_p])
+    cov_se = np.sqrt(
+        np.outer(np.diag(clone_cov), np.diag(clone_cov)) + clone_cov**2
+    ) / math.sqrt(max(count - 1, 1))
+    return SimResult(
+        clone_means=(mean[:m] + 1j * mean[m:]) / np.sqrt(2),
+        clone_cov=clone_cov,
+        mean_se=np.sqrt(np.maximum(np.diag(raw_cov), 0.0) / count),
+        cov_se=cov_se,
+        shots_used=count,
+    )
+
+
+def calibrated_circuit(profile, convention=None):
+    circ = feedforward_params(profile)
+    return replace(circ, phase_convention=convention or calibrate_phase_convention(profile))
+
+
+def assert_results_close(result, reference, tol=1e-12):
+    assert result.shots_used == reference.shots_used
+    for name in ("clone_means", "clone_cov", "mean_se", "cov_se"):
+        assert np.max(np.abs(getattr(result, name) - getattr(reference, name))) <= tol, name
+
+
+ORACLE_CASES = [
+    (symmetric_profile(1, 2), 1.0 - 0.5j, None),
+    (NoiseProfile(1, 2, np.array([0.25, 1.0])), 0.3 + 0.8j, "conjugate"),
+    (symmetric_profile(2, 5), -0.4 + 0.2j, None),
+]
+
+
+@pytest.mark.parametrize("profile, alpha, convention", ORACLE_CASES)
+def test_chunked_run_matches_dense_oracle(tmp_path, monkeypatch, profile, alpha, convention):
+    width = 2 * profile.m_out + 2
+    monkeypatch.setattr(simulate, "CHUNK_VALUES", 7 * width)  # 7 shots per chunk
+    config = SimConfig(profile=profile, alpha=alpha, shots=100, seed=13, shards=3)
+    circuit = calibrated_circuit(profile, convention)
+    assert all(size > 2 * 7 for size in _shard_sizes(config.shots, config.shards))
+    new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
+    result = run(config, circuit=circuit, samples_path=str(new_csv))
+    reference = dense_run(config, circuit, samples_path=str(old_csv))
+    assert new_csv.read_bytes() == old_csv.read_bytes()
+    assert new_csv.read_bytes().count(b"\r\n") == 1 + 100 * profile.m_out
+    assert_results_close(result, reference)
+
+
+def test_chunked_run_matches_dense_oracle_at_default_chunk():
+    profile = NoiseProfile(1, 3, np.array([2.0, 0.5, 0.5]))
+    config = SimConfig(profile=profile, alpha=0.7j, shots=2 * 10**5, seed=21, shards=2)
+    assert config.shots // config.shards > 2 * simulate.CHUNK_VALUES // (2 * 3 + 2)
+    circuit = calibrated_circuit(profile)
+    assert_results_close(run(config, circuit=circuit), dense_run(config, circuit))
+
+
+def test_run_memory_does_not_grow_with_shots():
+    profile = symmetric_profile(1, 2)
+    circuit = calibrated_circuit(profile)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for shots in (10**5, 10**6):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run(SimConfig(profile=profile, alpha=1.0, shots=shots, seed=3), circuit=circuit)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
