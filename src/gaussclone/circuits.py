@@ -270,17 +270,15 @@ def feedforward_params(profile: NoiseProfile) -> FeedforwardCircuit:
         raise ValueError("degenerate splitter recursion: (2 + n_tot) N - M <= 0")
     gains = np.sqrt(profile.noises)
     r_tap = math.sqrt(excess / ((1.0 + n_tot) * n))
-    refl = np.zeros(m - 1)
-    trans_prod = 1.0  # product of (1 - r_k^2) over earlier splitters
-    for j in range(m - 1):
-        rj = (math.sqrt(1.0 + n_tot) - math.sqrt(excess * profile.noises[j])) / (
-            math.sqrt(denom_sq) * math.sqrt(trans_prod)
-        )
-        if rj < -1e-12 or rj > 1.0 + 1e-12:
-            raise OffSurfaceError(f"splitter reflectance r_{j + 1} = {rj:.6g} outside [0, 1]")
-        rj = min(max(rj, 0.0), 1.0)
-        refl[j] = rj
-        trans_prod *= 1.0 - rj * rj
+    # closed-form amplitude reaching each clone; splitter j reflects its
+    # share of the amplitude still in the beam, so a clone whose amplitude is
+    # exactly zero gets exactly zero rather than sqrt of a rounding error
+    amps = (math.sqrt(1.0 + n_tot) - np.sqrt(excess * profile.noises)) / math.sqrt(denom_sq)
+    if np.any(amps < -1e-12):
+        raise OffSurfaceError(f"negative clone amplitude {np.min(amps):.6g}; profile is infeasible")
+    amps = np.maximum(amps, 0.0)
+    beam = np.sqrt(np.cumsum(amps[::-1] ** 2)[::-1])[:-1]
+    refl = np.divide(amps[:-1], beam, out=np.zeros(m - 1), where=beam > 0)
     return FeedforwardCircuit(r_tap=r_tap, gains=gains, reflectances=refl)
 
 

@@ -72,8 +72,8 @@ class CostWeights:
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a non-empty vector")
-        if np.any(weights <= 0):
-            raise ValueError("all cost weights must be strictly positive")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("all cost weights must be finite and strictly positive")
         self.weights = weights
 
 

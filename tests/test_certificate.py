@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gaussclone import (
     verify_certificate,
     weights_from_profile,
 )
+from gaussclone import certificate
 from gaussclone.certificate import (
     block_diagonalize_unitary,
     extremal_equation_residual,
@@ -157,6 +160,68 @@ def test_random_feasible_scan():
     assert matrix_cost(problem.G_opt, problem.weights) == pytest.approx(
         cert.dual_bound, abs=1e-10
     )
+
+
+def _loop_scan(problem, cert, trials, rng):
+    """Trial-by-trial dense scan, the reference for the stacked one."""
+    d = problem.G_opt.shape[0]
+    min_cost = np.inf
+    min_dual_pairing = np.inf
+    for trial in range(trials):
+        if trial % 2 == 0:
+            w = rng.standard_normal((d, d))
+            g = problem.G_opt + (w @ w.T) * rng.uniform(0.0, 1.0) / d
+        else:
+            q = rng.standard_normal((d, d))
+            q = (q + q.T) * rng.uniform(0.5, 3.0)
+            mu = float(np.linalg.eigvalsh(q + 1j * problem.K)[0])
+            g = q + max(0.0, -mu) * np.eye(d)
+        cost = matrix_cost(g, problem.weights)
+        pairing = float(np.real(np.trace(cert.Z @ (g + 1j * problem.K))))
+        min_cost = min(min_cost, cost)
+        min_dual_pairing = min(min_dual_pairing, pairing)
+    return min_cost, min_dual_pairing
+
+
+# block sizes: 3 trials for M <= 8, so blocks start on both parities and the
+# last one is short; 1 trial at M = 30; and the default constant at M = 8
+@pytest.mark.parametrize(
+    "m_out, block_values",
+    [(2, 3 * 4**2), (5, 3 * 10**2), (8, 3 * 16**2), (30, 60**2), (8, None)],
+)
+def test_scan_matches_loop_oracle(monkeypatch, m_out, block_values):
+    rng = np.random.default_rng(40 + m_out)
+    problem, cert = solved_instance(rng.uniform(0.1, 10.0, m_out), 1, m_out)
+    if block_values is not None:
+        monkeypatch.setattr(certificate, "SCAN_BLOCK_VALUES", block_values)
+    # every short prefix too, so that a trial evaluated as the wrong family
+    # shows up in a minimum
+    for trials in (*range(1, 14), 101 if block_values else 1001):
+        rng_loop, rng_scan = np.random.default_rng(7), np.random.default_rng(7)
+        min_cost, min_dual_pairing = _loop_scan(problem, cert, trials, rng_loop)
+        report = random_feasible_cost_scan(problem, cert, trials, rng_scan)
+        assert rng_scan.bit_generator.state == rng_loop.bit_generator.state
+        assert report["trials"] == trials
+        assert report["min_cost"] == pytest.approx(min_cost, rel=1e-12)
+        # the pairing is a difference of terms of size |dual_bound| that
+        # cancel to within a few percent, so both sides carry rounding of
+        # that size
+        assert report["min_dual_pairing"] == pytest.approx(
+            min_dual_pairing, rel=1e-12, abs=1e-12 * abs(cert.dual_bound)
+        )
+
+
+def test_scan_memory_does_not_grow_with_trials():
+    problem, cert = solved_instance(np.linspace(1.0, 8.0, 8), 1, 8)
+    peaks = []
+    for trials in (10**3, 10**4):
+        tracemalloc.start()
+        try:
+            random_feasible_cost_scan(problem, cert, trials, np.random.default_rng(9))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_scan_rejects_zero_trials():

@@ -21,7 +21,9 @@ from gaussclone import (
     symmetric_profile,
     vacuum_state,
 )
+from gaussclone.circuits import splitting_amplitudes
 from gaussclone.core import apply_channel, coherent_state
+from gaussclone.simulate import calibrate_phase_convention
 
 from conftest import random_optimal_profile
 
@@ -137,6 +139,23 @@ def test_feedforward_reflectances_in_range():
         assert 0.0 <= circ.r_tap <= 1.0
         g, t = gain_and_transmittance(profile)
         assert t <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "noises", [(0.5, 0.5, 2.0), (2.0, 0.5, 0.5), (0.5, 0.5, 2.0, 2.0)]
+)
+def test_feedforward_zero_amplitude_clone_gets_none(noises):
+    # n_j = (1 + n_tot) / (M - N) gives clone j a closed-form amplitude of 0;
+    # a reflectance of 1 - 2e-16 used to leak 1.5e-8 into the next clone, and
+    # two such clones at the end leave no beam for the last splitter
+    profile = NoiseProfile(1, len(noises), np.array(noises))
+    circ = feedforward_params(profile)
+    zero = np.array(noises) == 2.0
+    amps = splitting_amplitudes(circ)
+    assert np.all(amps[zero] == 0.0)
+    assert np.allclose(amps[~zero], np.sqrt(0.5), atol=1e-15)
+    assert scheme_equivalence_check(profile)["passed"]
+    assert calibrate_phase_convention(profile, circ) == "outcome"
 
 
 def test_scheme_equivalence_symmetric_and_random():

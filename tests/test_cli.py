@@ -42,6 +42,15 @@ def test_design_rejects_bad_weights(capsys):
     assert "positive" in stderr
 
 
+@pytest.mark.parametrize("weights", ["nan,1,2", "inf,1,2"])
+def test_design_rejects_non_finite_weights(capsys, weights):
+    code, stdout, stderr = run_cli(
+        capsys, "design", "--weights", weights, "--n-in", "1", "--m-out", "3"
+    )
+    assert code == 2
+    assert stdout == "" and "finite" in stderr
+
+
 def test_design_roundtrip_residual(capsys, tmp_path):
     out = tmp_path / "design.json"
     run_cli(capsys, "design", "--weights", "1,2,3", "--n-in", "1", "--m-out", "3", "--out", str(out))

@@ -161,6 +161,12 @@ def test_design_rejects_nonpositive_weights():
         CostWeights(np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_weights_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        CostWeights(np.array([bad, 1.0, 2.0]))
+
+
 def test_estimation_tradeoff_points():
     pt = estimation_tradeoff(1.0)
     assert pt.n_g == pytest.approx(1.0, abs=1e-12)

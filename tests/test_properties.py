@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaussclone import NoiseProfile, SimConfig, run, simulate
+from gaussclone import (
+    CostWeights,
+    NoiseProfile,
+    SimConfig,
+    build_certificate,
+    build_problem,
+    design_from_weights,
+    random_feasible_cost_scan,
+    run,
+    simulate,
+    verify_certificate,
+)
 
 from test_simulate import assert_results_close
 
@@ -25,3 +36,27 @@ def test_results_do_not_depend_on_chunk_size(shots, shards, chunk):
         result = run(config)
     assert result.shots_used == shots
     assert_results_close(result, reference)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    n_in=st.integers(1, 4),
+    excess=st.integers(1, 4),
+    index=st.integers(0, 7),
+    log_ratio=st.floats(-9.0, 9.0),
+)
+# excess = 1 is M = N + 1; the examples pin the 1e+-9 ends of the range
+@example(n_in=1, excess=1, index=0, log_ratio=9.0)
+@example(n_in=2, excess=1, index=1, log_ratio=-9.0)
+@example(n_in=3, excess=1, index=3, log_ratio=-9.0)
+@example(n_in=1, excess=4, index=4, log_ratio=9.0)
+def test_certificate_passes_at_extreme_weight_ratios(n_in, excess, index, log_ratio):
+    m_out = n_in + excess
+    x = np.ones(m_out)
+    x[index % m_out] = 10.0**log_ratio
+    weights = CostWeights(x)
+    problem = build_problem(design_from_weights(weights, n_in, m_out), weights)
+    cert = build_certificate(problem)
+    assert verify_certificate(problem, cert)["passed"]
+    scan = random_feasible_cost_scan(problem, cert, 50, np.random.default_rng(0))
+    assert scan["min_cost"] >= cert.dual_bound - 1e-9
