@@ -50,6 +50,7 @@ from .circuits import (
     mean_map_matrix,
     noise_gram_matrix,
     scheme_equivalence_check,
+    verify_circuit,
 )
 from .certificate import (
     CertifiedProblem,
@@ -60,6 +61,6 @@ from .certificate import (
     verify_certificate,
     weights_from_profile,
 )
-from .simulate import SimConfig, SimResult, calibrate_phase_convention, run
+from .simulate import SimConfig, SimResult, run
 
 __version__ = "0.1.0"

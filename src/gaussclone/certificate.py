@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (
+    RESIDUAL_TOL,
     a_opt_matrix,
     g_opt_matrix,
     k_matrix,
@@ -94,11 +95,11 @@ def matrix_cost(g: np.ndarray, weights: CostWeights) -> float:
     return float(weights.weights @ (diag[:m] + diag[m:]))
 
 
-def build_problem(profile: NoiseProfile, weights: CostWeights, tol: float = 1e-8) -> CertifiedProblem:
+def build_problem(profile: NoiseProfile, weights: CostWeights) -> CertifiedProblem:
     """Assemble the primal SDP data for an on-surface profile and matching weights."""
     r = residual(profile)
-    if abs(r) > tol:
-        raise ValueError(f"profile residual {r:.3g} exceeds tolerance {tol:.0e}")
+    if abs(r) > RESIDUAL_TOL:
+        raise ValueError(f"profile residual {r:.3g} exceeds tolerance {RESIDUAL_TOL:.0e}")
     if weights.weights.shape != (profile.m_out,):
         raise ValueError("weight vector length must equal the clone count")
     if weights.lagrange is not None:
@@ -140,9 +141,7 @@ def build_certificate(problem: CertifiedProblem) -> DualCertificate:
     return DualCertificate(X=x, Y=y, Z=z, lam=float(lam), eta=float(eta), dual_bound=dual_bound)
 
 
-def verify_certificate(
-    problem: CertifiedProblem, cert: DualCertificate, tol: float = CERT_TOL
-) -> dict:
+def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict:
     """Check every certificate condition numerically and report a verdict.
 
     Conditions: Tr[Z G_opt] reproduces the matrix cost, Z annihilates
@@ -175,11 +174,11 @@ def verify_certificate(
         "normalization_residual": norm_resid,
     }
     passed = (
-        checks["trace_cost_discrepancy"] < tol * max(1.0, abs(cost_opt))
-        and checks["z_annihilates_a_rel"] < tol
-        and checks["min_eig_z"] > -tol * max(1.0, z_scale)
-        and checks["duality_gap"] < tol * max(1.0, abs(cost_opt))
-        and checks["normalization_residual"] < tol
+        checks["trace_cost_discrepancy"] < CERT_TOL * max(1.0, abs(cost_opt))
+        and checks["z_annihilates_a_rel"] < CERT_TOL
+        and checks["min_eig_z"] > -CERT_TOL * max(1.0, z_scale)
+        and checks["duality_gap"] < CERT_TOL * max(1.0, abs(cost_opt))
+        and checks["normalization_residual"] < CERT_TOL
     )
     return {
         **checks,
@@ -243,10 +242,3 @@ def random_feasible_cost_scan(
         "dual_bound": cert.dual_bound,
         "passed": bool(min_cost >= cert.dual_bound - CERT_TOL),
     }
-
-
-def block_diagonalize_unitary(m: int) -> np.ndarray:
-    """Unitary U = (1/sqrt 2) [[I, iI], [iI, I]] that block-diagonalizes the
-    certificate algebra."""
-    eye = np.eye(m)
-    return np.block([[eye, 1j * eye], [1j * eye, eye]]) / np.sqrt(2)

@@ -20,20 +20,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianChannel, GaussianState, apply_channel, coherent_state
+from .core import (
+    PSD_TOL,
+    GaussianChannel,
+    GaussianState,
+    apply_channel,
+    coherent_state,
+    cp_min_eigenvalue,
+)
 from .design import NoiseProfile, residual
 
 RESIDUAL_TOL = 1e-8
+# bound on the algebraic residuals of a synthesized circuit and on the
+# difference between stored and rebuilt circuit parameters
+INVARIANT_TOL = 1e-8
 
 
 class OffSurfaceError(ValueError):
     """The noise profile does not lie on the optimal surface."""
 
 
-def _require_on_surface(profile: NoiseProfile, tol: float = RESIDUAL_TOL):
+def _require_on_surface(profile: NoiseProfile):
     r = residual(profile)
-    if abs(r) > tol:
-        raise OffSurfaceError(f"profile residual {r:.3g} exceeds tolerance {tol:.0e}")
+    if abs(r) > RESIDUAL_TOL:
+        raise OffSurfaceError(f"profile residual {r:.3g} exceeds tolerance {RESIDUAL_TOL:.0e}")
 
 
 # -- analytic matrices of the cloner channel ---------------------------------
@@ -239,19 +249,19 @@ def amplifier_output_state(
 
 @dataclass(frozen=True)
 class FeedforwardCircuit:
-    """Tap reflectance, electronic gains, splitter reflectances, and the
-    calibrated phase convention of the conditional displacement."""
+    """Tap reflectance, electronic gains and splitter reflectances.
+
+    Every clone is displaced by its gain times the heterodyne outcome itself,
+    the one convention under which the clone means equal the input
+    amplitude."""
 
     r_tap: float
     gains: np.ndarray
     reflectances: np.ndarray
-    phase_convention: str = "outcome"
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
         refl = np.asarray(self.reflectances, dtype=float)
-        if self.phase_convention not in ("outcome", "conjugate"):
-            raise ValueError(f"unknown phase convention {self.phase_convention!r}")
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "reflectances", refl)
         gains.setflags(write=False)
@@ -304,8 +314,6 @@ def feedforward_output_state(
     t_tap = math.sqrt(1.0 - circ.r_tap**2)
     d = splitting_amplitudes(circ)
     o_mean = circ.r_tap * amp_in
-    if circ.phase_convention == "conjugate":
-        o_mean = np.conj(o_mean)
     amps = d * t_tap * amp_in + circ.gains * o_mean
     mean = np.concatenate([np.sqrt(2) * amps.real, np.sqrt(2) * amps.imag])
     # each quadrature: optical vacuum (unit cov) + shared displacement noise
@@ -314,13 +322,11 @@ def feedforward_output_state(
     return GaussianState(m, mean, np.block([[block, z], [z, block]]))
 
 
-def scheme_equivalence_check(
-    profile: NoiseProfile, alpha: complex = 0.8 - 0.3j, tol: float = 1e-9
-) -> dict:
+def scheme_equivalence_check(profile: NoiseProfile, alpha: complex = 0.8 - 0.3j) -> dict:
     """Build both circuits and compare their output Gaussian states.
 
     Returns a report with the element-wise mean and covariance discrepancies
-    and a pass flag at the given tolerance.
+    and a pass flag at 1e-9.
     """
     _require_on_surface(profile)
     amp = build_interferometer(profile)
@@ -334,5 +340,57 @@ def scheme_equivalence_check(
         "mean_discrepancy": mean_diff,
         "cov_discrepancy": cov_diff,
         "discrepancy": disc,
-        "passed": disc < tol,
+        "passed": disc < 1e-9,
     }
+
+
+# -- verification ------------------------------------------------------------
+
+
+def verify_circuit(
+    profile: NoiseProfile, scheme: str
+) -> tuple[AmplifierCircuit | FeedforwardCircuit, dict]:
+    """Build the `scheme` circuit of `profile` and check its invariants.
+
+    Returns the circuit and a report of every residual and margin with an
+    overall `passed` flag.
+    """
+    if scheme == "amplifier":
+        circ = build_interferometer(profile)
+        m, n = profile.m_out, profile.n_in
+        unitarity = float(np.max(np.abs(circ.V.T @ circ.V - np.eye(m))))
+        target = np.eye(m) - np.ones((m, m)) / n + noise_gram_matrix(profile)
+        kappa_resid = float(np.max(np.abs(circ.kappa @ circ.kappa.T - target)))
+        channel = channel_from_amplifier(circ, profile)
+        g_resid = float(np.max(np.abs(channel.G - g_opt_matrix(profile))))
+        cp_eig = cp_min_eigenvalue(channel)
+        return circ, {
+            "unitarity_residual": unitarity,
+            "kappa_gram_residual": kappa_resid,
+            "g_opt_residual": g_resid,
+            "cp_min_eigenvalue": cp_eig,
+            "transmittance": circ.t,
+            "passed": bool(
+                unitarity < INVARIANT_TOL
+                and kappa_resid < INVARIANT_TOL
+                and g_resid < INVARIANT_TOL
+                and cp_eig > -PSD_TOL
+                and circ.t <= 1.0
+            ),
+        }
+    if scheme == "feedforward":
+        circ = feedforward_params(profile)
+        in_range = bool(
+            np.all(circ.reflectances >= 0.0)
+            and np.all(circ.reflectances <= 1.0)
+            and 0.0 <= circ.r_tap <= 1.0
+        )
+        gain_resid = float(np.max(np.abs(circ.gains**2 - profile.noises)))
+        equiv = scheme_equivalence_check(profile)
+        return circ, {
+            "reflectances_in_range": in_range,
+            "gain_noise_residual": gain_resid,
+            "scheme_discrepancy": equiv["discrepancy"],
+            "passed": bool(in_range and gain_resid < INVARIANT_TOL and equiv["passed"]),
+        }
+    raise ValueError(f"unknown scheme {scheme!r}")

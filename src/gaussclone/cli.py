@@ -5,6 +5,12 @@ Structured documents are JSON (schema-versioned, exact double round-trip);
 bulk outputs are CSV.  All randomness flows through an explicit --seed.
 Exit codes: 0 success, 2 invalid input or failed precondition, 3 failed
 verification or certification (reports are still written).
+
+Circuits are built and checked by `circuits.verify_circuit`; this module
+writes and reads their documents and compares the stored parameters with
+the rebuilt ones.  A feedforward document may name its displacement
+convention only as "outcome", the one the circuit uses; any other value is
+rejected as invalid input.
 """
 
 from __future__ import annotations
@@ -14,9 +20,7 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -28,17 +32,9 @@ from .certificate import (
     verify_certificate,
     weights_from_profile,
 )
-from .circuits import (
-    build_interferometer,
-    channel_from_amplifier,
-    feedforward_output_state,
-    feedforward_params,
-    g_opt_matrix,
-    noise_gram_matrix,
-    scheme_equivalence_check,
-)
-from .core import cp_min_eigenvalue
+from .circuits import INVARIANT_TOL, feedforward_params, verify_circuit
 from .design import (
+    DESIGN_TOL,
     CostWeights,
     InfeasibleDesignError,
     NoiseProfile,
@@ -54,12 +50,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FAILED = 3
-
-
-def algebraic_tol() -> float:
-    """Default algebraic tolerance, overridable via GAUSSCLONE_TOL."""
-    value = os.environ.get("GAUSSCLONE_TOL")
-    return float(value) if value else 1e-10
 
 
 class CliError(Exception):
@@ -99,7 +89,7 @@ def load_design(path: str) -> tuple[NoiseProfile, CostWeights | None]:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise CliError(f"unsupported design schema version {doc.get('schema_version')}")
     profile = NoiseProfile(int(doc["N"]), int(doc["M"]), np.array(doc["noises"], dtype=float))
-    if abs(residual(profile) - doc["residual"]) > 1e-9:
+    if abs(residual(profile) - doc["residual"]) > DESIGN_TOL:
         raise CliError("stored residual does not match recomputed value")
     weights = None
     if "weights" in doc:
@@ -117,21 +107,16 @@ def design_hash(doc: dict) -> str:
 # -- circuit documents -------------------------------------------------------
 
 
-def circuit_parameters(profile: NoiseProfile, scheme: str, circ) -> dict:
-    """Parameters of `circ`, the `scheme` circuit of `profile`, with its
-    matrices flattened as in the circuit document."""
+def circuit_parameters(scheme: str, circ) -> dict:
+    """Parameters of `circ`, a `scheme` circuit, with its matrices flattened
+    as in the circuit document."""
     if scheme == "amplifier":
         return {"t": circ.t, "g": circ.g, "V": circ.V.ravel(), "kappa": circ.kappa.ravel()}
-    return {
-        "r_tap": circ.r_tap,
-        "gains": circ.gains,
-        "reflectances": circ.reflectances,
-        "phase_convention": simulate.calibrate_phase_convention(profile, circ),
-    }
+    return {"r_tap": circ.r_tap, "gains": circ.gains, "reflectances": circ.reflectances}
 
 
 def circuit_document(profile: NoiseProfile, scheme: str, circ) -> dict:
-    params = circuit_parameters(profile, scheme, circ)
+    params = circuit_parameters(scheme, circ)
     return {
         "schema_version": SCHEMA_VERSION,
         "scheme": scheme,
@@ -152,84 +137,35 @@ def load_circuit(path: str):
         doc = json.load(fh)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise CliError(f"unsupported circuit schema version {doc.get('schema_version')}")
+    if doc["scheme"] == "feedforward":
+        # older documents name the displacement convention
+        convention = doc["parameters"].pop("phase_convention", "outcome")
+        if convention != "outcome":
+            raise CliError(f"unsupported phase convention {convention!r}")
     d = doc["design"]
     profile = NoiseProfile(int(d["N"]), int(d["M"]), np.array(d["noises"], dtype=float))
     return doc, profile
 
 
-# -- invariant summaries -----------------------------------------------------
+# -- stored parameters -------------------------------------------------------
 
 
-def stored_parameter_check(doc: dict, profile: NoiseProfile, circ, tol: float) -> dict:
+def stored_parameter_check(doc: dict, profile: NoiseProfile, circ) -> dict:
     """Compare a circuit document's parameters and design hash with the ones
     rebuilt from its embedded design, whose circuit is `circ`.  The parameter
-    residual is inf when a key, a shape or a label differs or a value is NaN."""
+    residual is inf when a key or a shape differs or a value is NaN."""
     stored = doc["parameters"]
-    rebuilt = circuit_parameters(profile, doc["scheme"], circ)
+    rebuilt = circuit_parameters(doc["scheme"], circ)
     resid = 0.0 if stored.keys() == rebuilt.keys() else math.inf
     for key, want in rebuilt.items():
-        if isinstance(want, str):
-            diff = 0.0 if stored.get(key) == want else math.inf
-        else:
-            got = np.asarray(stored.get(key), dtype=float)
-            diff = float(np.max(np.abs(got - want))) if got.shape == np.shape(want) else math.inf
+        got = np.asarray(stored.get(key), dtype=float)
+        diff = float(np.max(np.abs(got - want))) if got.shape == np.shape(want) else math.inf
         resid = max(resid, math.inf if math.isnan(diff) else diff)
     hash_ok = doc.get("provenance") == {"design_sha256": design_hash(design_document(profile))}
     return {
         "parameter_residual": resid,
         "design_hash_matches": hash_ok,
-        "parameters_match": bool(resid < 100 * tol and hash_ok),
-    }
-
-
-def checked_circuit(profile: NoiseProfile, scheme: str, tol: float):
-    """Build the `scheme` circuit of `profile` and check its invariants."""
-    if scheme == "amplifier":
-        circ = build_interferometer(profile)
-        return circ, amplifier_invariants(profile, circ, tol)
-    if scheme == "feedforward":
-        circ = feedforward_params(profile)
-        return circ, feedforward_invariants(profile, circ, tol)
-    raise CliError(f"unknown scheme {scheme!r}")
-
-
-def amplifier_invariants(profile: NoiseProfile, circ, tol: float) -> dict:
-    m, n = profile.m_out, profile.n_in
-    unitarity = float(np.max(np.abs(circ.V.T @ circ.V - np.eye(m))))
-    target = np.eye(m) - np.ones((m, m)) / n + noise_gram_matrix(profile)
-    kappa_resid = float(np.max(np.abs(circ.kappa @ circ.kappa.T - target)))
-    channel = channel_from_amplifier(circ, profile)
-    g_resid = float(np.max(np.abs(channel.G - g_opt_matrix(profile))))
-    cp_eig = cp_min_eigenvalue(channel)
-    return {
-        "unitarity_residual": unitarity,
-        "kappa_gram_residual": kappa_resid,
-        "g_opt_residual": g_resid,
-        "cp_min_eigenvalue": cp_eig,
-        "transmittance": circ.t,
-        "passed": bool(
-            unitarity < 100 * tol
-            and kappa_resid < 100 * tol
-            and g_resid < 100 * tol
-            and cp_eig > -1e-9
-            and circ.t <= 1.0
-        ),
-    }
-
-
-def feedforward_invariants(profile: NoiseProfile, circ, tol: float) -> dict:
-    in_range = bool(
-        np.all(circ.reflectances >= 0.0)
-        and np.all(circ.reflectances <= 1.0)
-        and 0.0 <= circ.r_tap <= 1.0
-    )
-    gain_resid = float(np.max(np.abs(circ.gains**2 - profile.noises)))
-    equiv = scheme_equivalence_check(profile)
-    return {
-        "reflectances_in_range": in_range,
-        "gain_noise_residual": gain_resid,
-        "scheme_discrepancy": equiv["discrepancy"],
-        "passed": bool(in_range and gain_resid < 100 * tol and equiv["passed"]),
+        "parameters_match": bool(resid < INVARIANT_TOL and hash_ok),
     }
 
 
@@ -266,7 +202,7 @@ def cmd_solve(args) -> int:
 
 def cmd_synth(args) -> int:
     profile, _ = load_design(args.design)
-    circ, checks = checked_circuit(profile, args.scheme, algebraic_tol())
+    circ, checks = verify_circuit(profile, args.scheme)
     if checks["passed"]:
         print(_dump_json(circuit_document(profile, args.scheme, circ), args.out))
     print(json.dumps({"invariants": checks}, indent=2), file=sys.stderr)
@@ -275,9 +211,8 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     doc, profile = load_circuit(args.circuit)
-    tol = algebraic_tol()
-    circ, report = checked_circuit(profile, doc["scheme"], tol)
-    stored = stored_parameter_check(doc, profile, circ, tol)
+    circ, report = verify_circuit(profile, doc["scheme"])
+    stored = stored_parameter_check(doc, profile, circ)
     report["passed"] = report["passed"] and stored["parameters_match"]
     print(_dump_json({"scheme": doc["scheme"], **report, **stored}, args.out))
     return EXIT_OK if report["passed"] else EXIT_FAILED
@@ -303,12 +238,10 @@ def cmd_simulate(args) -> int:
     if doc["scheme"] != "feedforward":
         raise CliError("simulation requires a feedforward circuit document")
     circ = feedforward_params(profile)
-    stored = stored_parameter_check(doc, profile, circ, algebraic_tol())
+    stored = stored_parameter_check(doc, profile, circ)
     if not stored["parameters_match"]:
         print(f"error: circuit does not match its design: {json.dumps(stored)}", file=sys.stderr)
         return EXIT_FAILED
-    # the stored parameters match these to within the tolerance
-    circ = replace(circ, phase_convention=doc["parameters"]["phase_convention"])
     re, im = (float(v) for v in args.alpha.split(","))
     config = simulate.SimConfig(
         profile=profile,

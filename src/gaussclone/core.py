@@ -132,7 +132,7 @@ def compose_channels(second: GaussianChannel, first: GaussianChannel) -> Gaussia
 def cp_min_eigenvalue(ch: GaussianChannel) -> float:
     """Min eigenvalue of G + iK with K = J_out - S J_in S^T.
 
-    The channel is completely positive iff the returned value is >= -tol.
+    The channel is completely positive iff the returned value is >= -PSD_TOL.
     """
     k = symplectic_form(ch.m_out) - ch.S @ symplectic_form(ch.m_in) @ ch.S.T
     return float(np.linalg.eigvalsh(ch.G + 1j * k)[0])
@@ -147,12 +147,14 @@ class CloneMarginal:
     fidelity: float
 
 
-def clone_marginal(st: GaussianState, j: int, tol: float = 1e-8) -> CloneMarginal:
+def clone_marginal(st: GaussianState, j: int) -> CloneMarginal:
     """Extract clone j's amplitude, thermal noise n_j and fidelity 1/(1+n_j).
 
     Requires the mode's 2x2 covariance block to be isotropic (equal x and p
-    variances, no cross term); anything else signals a non-covariant circuit.
+    variances, no cross term, to 1e-8 of its scale); anything else signals
+    a non-covariant circuit.
     """
+    tol = 1e-8
     m = st.num_modes
     if not 0 <= j < m:
         raise IndexError(f"mode index {j} out of range for {m} modes")

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 DESIGN_TOL = 1e-9
 
@@ -52,9 +51,6 @@ class NoiseProfile:
 
     def fidelities(self) -> np.ndarray:
         return 1.0 / (1.0 + self.noises)
-
-    def is_optimal(self, tol: float = DESIGN_TOL) -> bool:
-        return abs(residual(self)) <= tol
 
 
 @dataclass
@@ -166,21 +162,20 @@ def design_from_weights(w: CostWeights, n_in: int, m_out: int) -> NoiseProfile:
         raise ValueError("weighted design requires M > N")
     excess = m_out - n_in
 
-    def h(lam):
-        return float(np.sum(lam / (lam * excess - x))) - 1.0
-
-    # h is strictly decreasing on (-inf, 0): h(0-) = -1, h(-inf) = N/(M-N) > 0.
-    lo, hi = -1e-6, None
-    for mag in np.geomspace(1e-6, 1e6, 61):
-        if h(-mag) > 0:
-            hi = -mag
+    # h(lam) = sum_j lam / (lam (M-N) - x_j) - 1 decreases strictly on
+    # (-inf, 0), and each term lies between |lam| / (|lam| (M-N) + max x)
+    # and |lam| / x_j, so h(-max(x) / N) >= 0 >= h(-1 / sum(1 / x_j)): the
+    # root lies in that scale-free bracket.  h is also concave, so Newton
+    # steps from the right end move left monotonically and never pass the
+    # root; they stop once the step falls to a few ulps, or turns back
+    # because rounding makes h read non-negative.
+    lam = -1.0 / float(np.sum(1.0 / x))
+    for _ in range(100):
+        d = lam * excess - x
+        step = (float(np.sum(lam / d)) - 1.0) / float(np.sum(-x / d**2))
+        if step <= 4.0 * np.finfo(float).eps * abs(lam):
             break
-        lo = -mag
-    if hi is None:
-        raise RuntimeError(
-            f"no bracketing multiplier found in [-1e6, -1e-6]; h(-1e6)={h(-1e6):.3g}"
-        )
-    lam = brentq(h, hi, lo, xtol=1e-14, rtol=8.9e-16)
+        lam -= step
     coeff = lam / (lam * excess - x)
     denom = 1.0 - excess * float(np.sum(coeff**2))
     if denom <= 0:
@@ -208,30 +203,16 @@ def estimation_tradeoff(n_f: float) -> EstimationTradeoffPoint:
     return EstimationTradeoffPoint(n_f, n_g, 1.0 / (1.0 + n_f), 1.0 / (1.0 + n_g))
 
 
-def reduce_perfect_clone(profile: NoiseProfile, tol: float = DESIGN_TOL) -> NoiseProfile:
+def reduce_perfect_clone(profile: NoiseProfile) -> NoiseProfile:
     """Strip one perfect (zero-noise) clone, giving an (N-1)->(M-1) profile.
 
     A perfect clone just passes one input replica through, so the surface
     residual is preserved exactly.
     """
-    zeros = np.flatnonzero(profile.noises <= tol)
+    zeros = np.flatnonzero(profile.noises <= DESIGN_TOL)
     if zeros.size == 0:
         raise ValueError("no zero-noise clone to remove")
     if profile.n_in < 2:
         raise ValueError("cannot reduce below one input replica")
     keep = np.delete(profile.noises, zeros[0])
     return NoiseProfile(profile.n_in - 1, profile.m_out - 1, keep)
-
-
-def surface_matrix_determinant(profile: NoiseProfile) -> float:
-    """det of I - H/N + F restricted to span{|f>, |h>}; equals residual/N.
-
-    Singularity of I - H/N + F is equivalent to the profile lying on the
-    optimal surface.
-    """
-    n = profile.n_in
-    w = np.sqrt(profile.noises)
-    f2 = float(w @ w)
-    fh = float(np.sum(w))
-    b = np.array([[1.0 + f2, fh], [-fh / n, 1.0 - profile.m_out / n]])
-    return float(np.linalg.det(b))

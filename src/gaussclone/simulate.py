@@ -3,8 +3,8 @@
 Each shot draws a heterodyne outcome for the tapped beam (complex Gaussian
 with variance 1/2 per real component around the reflected amplitude), splits
 the transmitted coherent beam over the output array, and displaces every
-clone by its electronic gain times the shared outcome.  Sample statistics
-converge to clone means alpha and covariance I + 2F.
+clone by its electronic gain times the shared outcome itself.  Sample
+statistics converge to clone means alpha and covariance I + 2F.
 
 A shot is a row z of 2M + 2 standard normals whose clone noise quadratures
 are z B, B a fixed (2M + 2) x 2M matrix, so only the sufficient statistics
@@ -21,17 +21,11 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    FeedforwardCircuit,
-    feedforward_output_state,
-    feedforward_params,
-    splitting_amplitudes,
-)
-from .core import coherent_state
+from .circuits import RESIDUAL_TOL, FeedforwardCircuit, feedforward_params, splitting_amplitudes
 from .design import NoiseProfile, residual
 
 
@@ -50,7 +44,7 @@ class SimConfig:
             raise ValueError("need at least one shard")
         if not np.isfinite(self.alpha):
             raise ValueError("input amplitude must be finite")
-        if abs(residual(self.profile)) > 1e-8:
+        if abs(residual(self.profile)) > RESIDUAL_TOL:
             raise ValueError("profile must lie on the optimal surface")
 
 
@@ -61,29 +55,6 @@ class SimResult:
     mean_se: np.ndarray  # per-quadrature standard error of the means
     cov_se: np.ndarray  # per-entry standard error of clone_cov
     shots_used: int
-
-
-def calibrate_phase_convention(
-    profile: NoiseProfile, circ: FeedforwardCircuit | None = None
-) -> str:
-    """Select the displacement phase convention that reproduces clone means
-    equal to the input amplitude, by exact mean propagation; `circ` is
-    `feedforward_params(profile)` when the caller has built it already.
-
-    The tie at zero electronic gain is broken toward the plain-outcome
-    convention.
-    """
-    circ = feedforward_params(profile) if circ is None else circ
-    alpha = 1.0 + 0.5j
-    target = coherent_state([alpha] * profile.m_out).mean
-    passing = []
-    for conv in ("outcome", "conjugate"):
-        st = feedforward_output_state(replace(circ, phase_convention=conv), profile.n_in, alpha)
-        if np.max(np.abs(st.mean - target)) < 1e-9:
-            passing.append(conv)
-    if not passing:
-        raise RuntimeError("no displacement convention reproduces the input amplitude")
-    return passing[0]
 
 
 # normals drawn per chunk of shot rows; bounds memory whatever the shot count and M
@@ -102,7 +73,8 @@ def run(
     samples_path: str | None = None,
 ) -> SimResult:
     """Simulate the feedforward scheme shot by shot and estimate clone
-    statistics.
+    statistics; `circuit` is `feedforward_params(config.profile)` when the
+    caller has built it already.
 
     If `samples_path` is given, every per-shot sample is streamed to CSV with
     columns (shot, clone, x, p, o_re, o_im), one CRLF-terminated row per
@@ -112,17 +84,14 @@ def run(
     m = profile.m_out
     if circuit is None:
         circuit = feedforward_params(profile)
-        circuit = replace(circuit, phase_convention=calibrate_phase_convention(profile, circuit))
-    conj = circuit.phase_convention == "conjugate"
     amp_in = math.sqrt(profile.n_in) * config.alpha
     t_tap = math.sqrt(1.0 - circuit.r_tap**2)
     d = splitting_amplitudes(circuit)
     gains = circuit.gains
     o_mean = circuit.r_tap * amp_in
-    o_mean_used = np.conj(o_mean) if conj else o_mean
     # deterministic part of the clone means; the noise part is accumulated
     # separately so the sample covariance is independent of alpha exactly
-    det_amp = d * t_tap * amp_in + gains * o_mean_used
+    det_amp = d * t_tap * amp_in + gains * o_mean
     det_x = np.sqrt(2) * det_amp.real
     det_p = np.sqrt(2) * det_amp.imag
 
@@ -132,7 +101,7 @@ def run(
     width = 2 * m + 2
     basis = np.zeros((width, 2 * m))
     basis[0, :m] = gains
-    basis[1, m:] = -gains if conj else gains
+    basis[1, m:] = gains
     basis[2:] = math.sqrt(0.5) * np.eye(2 * m)
     buf = np.empty((max(1, CHUNK_VALUES // width), width))
     z_sum = np.zeros(width)

@@ -15,13 +15,16 @@ from gaussclone import (
     weights_from_profile,
 )
 from gaussclone import certificate
-from gaussclone.certificate import (
-    block_diagonalize_unitary,
-    extremal_equation_residual,
-    matrix_cost,
-)
+from gaussclone.certificate import extremal_equation_residual, matrix_cost
 
 from conftest import random_optimal_profile
+
+
+def block_diagonalize_unitary(m):
+    """Unitary U = (1/sqrt 2) [[I, iI], [iI, I]] that block-diagonalizes the
+    certificate algebra."""
+    eye = np.eye(m)
+    return np.block([[eye, 1j * eye], [1j * eye, eye]]) / np.sqrt(2)
 
 
 def solved_instance(weights_values, n, m):

@@ -20,10 +20,10 @@ from gaussclone import (
     scheme_equivalence_check,
     symmetric_profile,
     vacuum_state,
+    verify_circuit,
 )
 from gaussclone.circuits import splitting_amplitudes
 from gaussclone.core import apply_channel, coherent_state
-from gaussclone.simulate import calibrate_phase_convention
 
 from conftest import random_optimal_profile
 
@@ -155,7 +155,6 @@ def test_feedforward_zero_amplitude_clone_gets_none(noises):
     assert np.all(amps[zero] == 0.0)
     assert np.allclose(amps[~zero], np.sqrt(0.5), atol=1e-15)
     assert scheme_equivalence_check(profile)["passed"]
-    assert calibrate_phase_convention(profile, circ) == "outcome"
 
 
 def test_scheme_equivalence_symmetric_and_random():
@@ -165,6 +164,34 @@ def test_scheme_equivalence_symmetric_and_random():
     profile, _ = random_optimal_profile(rng, n_in=2, m_out=5)
     report = scheme_equivalence_check(profile)
     assert report["discrepancy"] < 1e-9
+
+
+def test_verify_circuit_reports_each_scheme():
+    rng = np.random.default_rng(28)
+    profile, _ = random_optimal_profile(rng, n_in=2, m_out=5)
+    circ, report = verify_circuit(profile, "amplifier")
+    assert np.array_equal(circ.V, build_interferometer(profile).V)
+    assert set(report) == {
+        "unitarity_residual", "kappa_gram_residual", "g_opt_residual",
+        "cp_min_eigenvalue", "transmittance", "passed",
+    }
+    assert report["passed"] and report["transmittance"] == circ.t
+    circ, report = verify_circuit(profile, "feedforward")
+    assert np.array_equal(circ.gains, feedforward_params(profile).gains)
+    assert set(report) == {
+        "reflectances_in_range", "gain_noise_residual", "scheme_discrepancy", "passed",
+    }
+    assert report["passed"] and report["scheme_discrepancy"] < 1e-9
+    with pytest.raises(ValueError, match="unknown scheme"):
+        verify_circuit(profile, "teleporter")
+    with pytest.raises(OffSurfaceError):
+        verify_circuit(NoiseProfile(1, 2, np.array([0.5, 1.0])), "feedforward")
+
+
+def test_verify_circuit_fails_on_negative_cp_eigenvalue(monkeypatch):
+    monkeypatch.setattr("gaussclone.circuits.cp_min_eigenvalue", lambda channel: -1e-6)
+    _, report = verify_circuit(symmetric_profile(1, 3), "amplifier")
+    assert report["cp_min_eigenvalue"] == -1e-6 and not report["passed"]
 
 
 def test_scheme_equivalence_rejects_off_surface():

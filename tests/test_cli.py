@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gaussclone
 from gaussclone import residual
 from gaussclone.cli import load_circuit, load_design, main
 
@@ -49,6 +53,14 @@ def test_design_rejects_non_finite_weights(capsys, weights):
     )
     assert code == 2
     assert stdout == "" and "finite" in stderr
+
+
+def test_design_at_extreme_weight_ratio(capsys):
+    code, stdout, _ = run_cli(
+        capsys, "design", "--weights", "1e-12,1,1", "--n-in", "2", "--m-out", "3"
+    )
+    assert code == 0
+    assert abs(json.loads(stdout)["residual"]) <= 1e-9
 
 
 def test_design_roundtrip_residual(capsys, tmp_path):
@@ -152,15 +164,11 @@ def edit_hash(doc):
     doc["provenance"]["design_sha256"] = "0" * 64
 
 
-def edit_convention(doc):
-    doc["parameters"]["phase_convention"] = "conjugate"
-
-
 def drop_reflectance(doc):
     doc["parameters"]["reflectances"] = doc["parameters"]["reflectances"][:-1]
 
 
-@pytest.mark.parametrize("edit", [edit_gains_and_tap, edit_hash, edit_convention, drop_reflectance])
+@pytest.mark.parametrize("edit", [edit_gains_and_tap, edit_hash, drop_reflectance])
 def test_verify_and_simulate_reject_edited_feedforward_circuit(capsys, tmp_path, edit):
     circuit = make_circuit(capsys, tmp_path, "feedforward")
     doc = json.loads(circuit.read_text())
@@ -175,6 +183,26 @@ def test_verify_and_simulate_reject_edited_feedforward_circuit(capsys, tmp_path,
     )
     assert code == 3
     assert stdout == "" and "does not match its design" in stderr
+
+
+def test_feedforward_document_phase_convention(capsys, tmp_path):
+    circuit = make_circuit(capsys, tmp_path, "feedforward")
+    doc = json.loads(circuit.read_text())
+    assert "phase_convention" not in doc["parameters"]
+    simulate = ["simulate", "--circuit", str(circuit), "--shots", "10", "--seed", "0"]
+    # documents that name the one convention the circuit uses still load
+    doc["parameters"]["phase_convention"] = "outcome"
+    circuit.write_text(json.dumps(doc))
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+    assert code == 0 and json.loads(stdout)["parameters_match"]
+    code, stdout, _ = run_cli(capsys, *simulate)
+    assert code == 0 and json.loads(stdout)["shots_used"] == 10
+    doc["parameters"]["phase_convention"] = "conjugate"
+    circuit.write_text(json.dumps(doc))
+    for argv in (["verify", "--circuit", str(circuit)], simulate):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == "" and "phase convention 'conjugate'" in stderr
 
 
 def test_verify_rejects_edited_amplifier_circuit(capsys, tmp_path):
@@ -193,7 +221,7 @@ def test_synth_failed_invariant_exits_3_with_report(capsys, tmp_path, monkeypatc
     circuit = tmp_path / "circ.json"
     run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2", "--out", str(design))
     monkeypatch.setattr(
-        "gaussclone.cli.scheme_equivalence_check",
+        "gaussclone.circuits.scheme_equivalence_check",
         lambda profile: {"discrepancy": 1.0, "passed": False},
     )
     code, stdout, stderr = run_cli(
@@ -284,3 +312,15 @@ def test_tradeoff_byte_stable(capsys, tmp_path):
     run_cli(capsys, "tradeoff", "--points", "20", "--out", str(a))
     run_cli(capsys, "tradeoff", "--points", "20", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gaussclone.__file__)))
+    code = (
+        "import gaussclone.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

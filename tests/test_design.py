@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from gaussclone import (
     CostWeights,
@@ -14,9 +14,43 @@ from gaussclone import (
     solve_last_noise,
     symmetric_profile,
 )
-from gaussclone.design import surface_matrix_determinant
+from gaussclone.design import DESIGN_TOL
 
 from conftest import random_optimal_profile
+
+
+def surface_matrix_determinant(profile):
+    """det of I - H/N + F restricted to span{|f>, |h>}; equals residual/N.
+
+    Singularity of I - H/N + F is equivalent to the profile lying on the
+    optimal surface.
+    """
+    n = profile.n_in
+    w = np.sqrt(profile.noises)
+    f2 = float(w @ w)
+    fh = float(np.sum(w))
+    b = np.array([[1.0 + f2, fh], [-fh / n, 1.0 - profile.m_out / n]])
+    return float(np.linalg.det(b))
+
+
+def brentq_design(x, n_in, m_out):
+    """Multiplier and noises of the weighted design, the multiplier found by
+    scanning a geometric grid for a bracket and refining it with brentq."""
+    excess = m_out - n_in
+
+    def h(lam):
+        return float(np.sum(lam / (lam * excess - x))) - 1.0
+
+    lo, hi = -1e-6, None
+    for mag in np.geomspace(1e-6, 1e6, 61):
+        if h(-mag) > 0:
+            hi = -mag
+            break
+        lo = -mag
+    lam = brentq(h, hi, lo, xtol=1e-14, rtol=8.9e-16)
+    coeff = lam / (lam * excess - x)
+    s = np.sqrt(excess / (1.0 - excess * np.sum(coeff**2)))
+    return lam, (s * coeff) ** 2
 
 
 def test_residual_known_points():
@@ -143,6 +177,38 @@ def test_design_cost_is_local_minimum_on_surface():
             n_last = min(roots, key=lambda r: abs(r - profile.noises[-1]))
             retracted = NoiseProfile(n, m, np.append(step[:-1], n_last))
             assert w.weights @ retracted.noises >= cost0 - 1e-8
+
+
+def test_design_matches_brentq_oracle():
+    rng = np.random.default_rng(19)
+    for _ in range(1000):
+        m = int(rng.integers(2, 60))
+        n = int(rng.integers(1, m))
+        x = rng.uniform(0.1, 10.0, m)
+        w = CostWeights(x.copy())
+        profile = design_from_weights(w, n, m)
+        lam, noises = brentq_design(x, n, m)
+        assert w.lagrange == pytest.approx(lam, rel=1e-12, abs=0)
+        assert np.max(np.abs(profile.noises - noises) / noises) <= 1e-12
+
+
+# one weight at 1e+-12 of the others; a fixed bracket on [-1e6, -1e-6] and
+# brentq failed on each of these
+EXTREME_CASES = [(1, 2, i, 12.0) for i in range(2)] + [
+    (n, n + 1, i, -12.0) for n in (2, 3, 4) for i in range(n + 1)
+]
+
+
+@pytest.mark.parametrize("n_in, m_out, index, log_ratio", EXTREME_CASES)
+def test_design_at_extreme_weight_ratio(n_in, m_out, index, log_ratio):
+    x = np.ones(m_out)
+    x[index] = 10.0**log_ratio
+    w = CostWeights(x)
+    profile = design_from_weights(w, n_in, m_out)
+    assert abs(residual(profile)) <= DESIGN_TOL
+    lam = w.lagrange
+    assert lam < 0
+    assert np.sum(lam / (lam * (m_out - n_in) - x)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_design_permutation_equivariance():

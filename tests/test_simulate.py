@@ -1,7 +1,6 @@
 import csv
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +8,13 @@ import pytest
 from gaussclone import (
     NoiseProfile,
     SimConfig,
-    calibrate_phase_convention,
     clone_output_cov,
     coherent_state,
     run,
     symmetric_profile,
 )
 from gaussclone import simulate
-from gaussclone.circuits import FeedforwardCircuit, feedforward_params, splitting_amplitudes
+from gaussclone.circuits import feedforward_params, splitting_amplitudes
 from gaussclone.simulate import SimResult, _shard_sizes
 
 from conftest import random_optimal_profile
@@ -115,35 +113,15 @@ def test_error_scaling_with_shots():
     assert -0.6 < slope < -0.4
 
 
-def test_calibrate_phase_convention():
-    assert calibrate_phase_convention(symmetric_profile(1, 2)) == "outcome"
+def test_random_profile_means_match_alpha():
     rng = np.random.default_rng(41)
     profile, _ = random_optimal_profile(rng, m_max=5)
-    conv = calibrate_phase_convention(profile)
-    assert conv in ("outcome", "conjugate")
-    # selected convention reproduces the input amplitude in simulation
     result = run(SimConfig(profile=profile, alpha=1 + 0.5j, shots=10**5, seed=2))
     mean_quads = np.concatenate(
         [np.sqrt(2) * result.clone_means.real, np.sqrt(2) * result.clone_means.imag]
     )
     dev = np.abs(mean_quads - quad_mean_target(1 + 0.5j, profile.m_out)) / result.mean_se
     assert np.max(dev) < 5.0
-
-
-def test_wrong_phase_convention_breaks_means():
-    profile = symmetric_profile(1, 2)
-    base = feedforward_params(profile)
-    wrong = FeedforwardCircuit(
-        r_tap=base.r_tap,
-        gains=base.gains,
-        reflectances=base.reflectances,
-        phase_convention="conjugate",
-    )
-    result = run(SimConfig(profile=profile, alpha=1j, shots=10**5, seed=4), circuit=wrong)
-    mean_quads = np.concatenate(
-        [np.sqrt(2) * result.clone_means.real, np.sqrt(2) * result.clone_means.imag]
-    )
-    assert np.max(np.abs(mean_quads - quad_mean_target(1j, 2))) > 0.5
 
 
 def test_sample_csv_stream(tmp_path):
@@ -177,14 +155,12 @@ def dense_run(config, circuit, samples_path=None):
     summed directly, every sample written by csv.writer."""
     profile = config.profile
     m = profile.m_out
-    conj = circuit.phase_convention == "conjugate"
     amp_in = math.sqrt(profile.n_in) * config.alpha
     t_tap = math.sqrt(1.0 - circuit.r_tap**2)
     d = splitting_amplitudes(circuit)
     gains = circuit.gains
     o_mean = circuit.r_tap * amp_in
-    o_mean_used = np.conj(o_mean) if conj else o_mean
-    det_amp = d * t_tap * amp_in + gains * o_mean_used
+    det_amp = d * t_tap * amp_in + gains * o_mean
     det_x = np.sqrt(2) * det_amp.real
     det_p = np.sqrt(2) * det_amp.imag
 
@@ -205,10 +181,9 @@ def dense_run(config, circuit, samples_path=None):
             z = rng.standard_normal((size, 2 * m + 2))
             o_x = z[:, 0]
             o_p = z[:, 1]
-            o_p_used = -o_p if conj else o_p
             vac = z[:, 2:] * math.sqrt(0.5)
             x = vac[:, :m] + np.outer(o_x, gains)
-            p = vac[:, m:] + np.outer(o_p_used, gains)
+            p = vac[:, m:] + np.outer(o_p, gains)
             quads = np.hstack([x, p])
             total += quads.sum(axis=0)
             scatter += quads.T @ quads
@@ -253,33 +228,30 @@ def dense_run(config, circuit, samples_path=None):
     )
 
 
-def calibrated_circuit(profile, convention=None):
-    circ = feedforward_params(profile)
-    return replace(circ, phase_convention=convention or calibrate_phase_convention(profile))
-
-
 def assert_results_close(result, reference, tol=1e-12):
     assert result.shots_used == reference.shots_used
     for name in ("clone_means", "clone_cov", "mean_se", "cov_se"):
         assert np.max(np.abs(getattr(result, name) - getattr(reference, name))) <= tol, name
 
 
+ASYMMETRIC = NoiseProfile(1, 2, np.array([0.25, 1.0]))
+# circuit None lets run build its own; the CLI passes a prebuilt one
 ORACLE_CASES = [
     (symmetric_profile(1, 2), 1.0 - 0.5j, None),
-    (NoiseProfile(1, 2, np.array([0.25, 1.0])), 0.3 + 0.8j, "conjugate"),
+    (ASYMMETRIC, 0.3 + 0.8j, feedforward_params(ASYMMETRIC)),
     (symmetric_profile(2, 5), -0.4 + 0.2j, None),
 ]
 
 
-@pytest.mark.parametrize("profile, alpha, convention", ORACLE_CASES)
-def test_chunked_run_matches_dense_oracle(tmp_path, monkeypatch, profile, alpha, convention):
+@pytest.mark.parametrize("profile, alpha, circuit", ORACLE_CASES)
+def test_chunked_run_matches_dense_oracle(tmp_path, monkeypatch, profile, alpha, circuit):
     width = 2 * profile.m_out + 2
     monkeypatch.setattr(simulate, "CHUNK_VALUES", 7 * width)  # 7 shots per chunk
     config = SimConfig(profile=profile, alpha=alpha, shots=100, seed=13, shards=3)
-    circuit = calibrated_circuit(profile, convention)
     assert all(size > 2 * 7 for size in _shard_sizes(config.shots, config.shards))
     new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
     result = run(config, circuit=circuit, samples_path=str(new_csv))
+    circuit = feedforward_params(profile) if circuit is None else circuit
     reference = dense_run(config, circuit, samples_path=str(old_csv))
     assert new_csv.read_bytes() == old_csv.read_bytes()
     assert new_csv.read_bytes().count(b"\r\n") == 1 + 100 * profile.m_out
@@ -290,13 +262,13 @@ def test_chunked_run_matches_dense_oracle_at_default_chunk():
     profile = NoiseProfile(1, 3, np.array([2.0, 0.5, 0.5]))
     config = SimConfig(profile=profile, alpha=0.7j, shots=2 * 10**5, seed=21, shards=2)
     assert config.shots // config.shards > 2 * simulate.CHUNK_VALUES // (2 * 3 + 2)
-    circuit = calibrated_circuit(profile)
+    circuit = feedforward_params(profile)
     assert_results_close(run(config, circuit=circuit), dense_run(config, circuit))
 
 
 def test_run_memory_does_not_grow_with_shots():
     profile = symmetric_profile(1, 2)
-    circuit = calibrated_circuit(profile)
+    circuit = feedforward_params(profile)
     peaks = []
     tracemalloc.start()
     try:
