@@ -19,6 +19,7 @@ from gaussclone import (
     gain_and_transmittance,
     mode_amplitudes,
     scheme_equivalence_check,
+    verify_circuit,
 )
 
 
@@ -50,6 +51,13 @@ def main():
     report = scheme_equivalence_check(profile)
     print("\n== equivalence ==")
     print(f"  output-state discrepancy = {report['discrepancy']:.3e}  passed = {report['passed']}")
+
+    print("\n== invariant checks ==")
+    for scheme in ("amplifier", "feedforward"):
+        _, checks = verify_circuit(profile, scheme)
+        print(f"  {scheme}:")
+        for key, value in checks.items():
+            print(f"    {key:24s} {value}")
 
 
 if __name__ == "__main__":

@@ -12,10 +12,7 @@ from .core import (
     apply_channel,
     clone_marginal,
     coherent_state,
-    compose_channels,
     cp_min_eigenvalue,
-    husimi_q,
-    identity_channel,
     mode_amplitudes,
     symplectic_form,
     vacuum_state,
@@ -37,7 +34,6 @@ from .circuits import (
     AmplifierCircuit,
     FeedforwardCircuit,
     OffSurfaceError,
-    a_opt_matrix,
     amplifier_output_state,
     build_interferometer,
     channel_from_amplifier,
@@ -46,8 +42,6 @@ from .circuits import (
     feedforward_params,
     g_opt_matrix,
     gain_and_transmittance,
-    k_matrix,
-    mean_map_matrix,
     noise_gram_matrix,
     scheme_equivalence_check,
     verify_circuit,

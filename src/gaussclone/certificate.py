@@ -4,9 +4,14 @@ Minimizing the weighted noise cost over all Gaussian CP maps with the fixed
 mean-replicating S is a linear semidefinite program in the channel noise
 matrix G.  A dual certificate Z >= 0 with Tr[Z G] equal to the cost and
 Z (G_opt + iK) = 0 proves that G_opt attains the lower bound -i Tr[Z K].
-This module assembles the primal data, constructs Z in closed form from the
-Lagrange multiplier of the noise-surface minimization, and verifies every
-certificate condition numerically.
+Z is constructed in closed form from the Lagrange multiplier of the
+noise-surface minimization.
+
+Z = [[X, iY], [-iY, X]] with X = diag(x) and Y = -X - 2 eta v v^T, where
+f = sqrt(n), v = x * f and eta = 1 / (lam (M - N)); the optimal channel has
+the rank-one F = f f^T.  So the certificate is built and every condition
+checked through closed-form identities on M-vectors, in O(M) time and
+memory; the dense 2M x 2M matrix Z is built only on demand.
 """
 
 from __future__ import annotations
@@ -15,14 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    RESIDUAL_TOL,
-    a_opt_matrix,
-    g_opt_matrix,
-    k_matrix,
-    noise_gram_matrix,
-)
-from .design import CostWeights, NoiseProfile, residual
+from .circuits import RESIDUAL_TOL, k_matrix
+from .design import CostWeights, NoiseProfile, require_on_surface
 
 CERT_TOL = 1e-9
 # values per stacked block of the feasible scan; larger blocks gain little
@@ -32,29 +31,30 @@ SCAN_BLOCK_VALUES = 2**14
 
 @dataclass(frozen=True)
 class CertifiedProblem:
-    """Primal data of the weighted-cost cloning SDP."""
+    """Primal data of the weighted-cost cloning SDP: an on-surface profile
+    and cost weights for which it is extremal."""
 
     profile: NoiseProfile
     weights: CostWeights
-    G_opt: np.ndarray
-    A_opt: np.ndarray
-    K: np.ndarray
-    F_mat: np.ndarray
-    H_mat: np.ndarray
-    f_vec: np.ndarray
-    h_vec: np.ndarray
 
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Dual certificate Z = [[X, iY], [-iY, X]] with multiplier lambda < 0."""
+    """Dual certificate Z = [[X, iY], [-iY, X]] with X = diag(x),
+    Y = -X - 2 eta v v^T and multiplier lam < 0."""
 
-    X: np.ndarray
-    Y: np.ndarray
-    Z: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
     lam: float
     eta: float
     dual_bound: float
+
+    @property
+    def Z(self) -> np.ndarray:
+        """The dense 2M x 2M certificate matrix, built on each access."""
+        x = np.diag(self.x)
+        y = -x - 2.0 * self.eta * np.outer(self.v, self.v)
+        return np.block([[x, 1j * y], [-1j * y, x]])
 
 
 def weights_from_profile(profile: NoiseProfile, lam: float = -1.0) -> CostWeights:
@@ -84,22 +84,15 @@ def extremal_equation_residual(profile: NoiseProfile, weights: CostWeights) -> f
     return float(np.max(np.abs(res)))
 
 
-def noise_cost(profile: NoiseProfile, weights: CostWeights) -> float:
-    return float(weights.weights @ profile.noises)
-
-
-def matrix_cost(g: np.ndarray, weights: CostWeights) -> float:
-    """Cost in the channel-matrix picture: sum x_j (G_jj + G_{M+j,M+j})."""
-    m = weights.weights.size
-    diag = np.diag(g)
-    return float(weights.weights @ (diag[:m] + diag[m:]))
+def _g_opt_diagonal(profile: NoiseProfile) -> np.ndarray:
+    """Diagonal of each block I + 2F - H/N of G_opt."""
+    f = np.sqrt(profile.noises)
+    return 1.0 + 2.0 * f * f - 1.0 / profile.n_in
 
 
 def build_problem(profile: NoiseProfile, weights: CostWeights) -> CertifiedProblem:
-    """Assemble the primal SDP data for an on-surface profile and matching weights."""
-    r = residual(profile)
-    if abs(r) > RESIDUAL_TOL:
-        raise ValueError(f"profile residual {r:.3g} exceeds tolerance {RESIDUAL_TOL:.0e}")
+    """Check an on-surface profile and matching weights as primal SDP data."""
+    require_on_surface(profile, RESIDUAL_TOL)
     if weights.weights.shape != (profile.m_out,):
         raise ValueError("weight vector length must equal the clone count")
     if weights.lagrange is not None:
@@ -109,20 +102,7 @@ def build_problem(profile: NoiseProfile, weights: CostWeights) -> CertifiedProbl
             raise ValueError(
                 f"weights are not extremal for this profile (residual {mismatch:.3g})"
             )
-    m = profile.m_out
-    f_vec = np.sqrt(profile.noises)
-    h_vec = np.ones(m)
-    return CertifiedProblem(
-        profile=profile,
-        weights=weights,
-        G_opt=g_opt_matrix(profile),
-        A_opt=a_opt_matrix(profile),
-        K=k_matrix(profile.n_in, m),
-        F_mat=noise_gram_matrix(profile),
-        H_mat=np.outer(h_vec, h_vec),
-        f_vec=f_vec,
-        h_vec=h_vec,
-    )
+    return CertifiedProblem(profile=profile, weights=weights)
 
 
 def build_certificate(problem: CertifiedProblem) -> DualCertificate:
@@ -132,13 +112,18 @@ def build_certificate(problem: CertifiedProblem) -> DualCertificate:
         raise ValueError("weights carry no solved multiplier; solve the design first")
     if lam >= 0:
         raise ValueError(f"invalid multiplier {lam}; must be negative")
-    excess = problem.profile.m_out - problem.profile.n_in
-    eta = 1.0 / (lam * excess)
-    x = np.diag(problem.weights.weights)
-    y = -x - 2.0 * eta * (x @ problem.F_mat @ x)
-    z = np.block([[x, 1j * y], [-1j * y, x]])
-    dual_bound = float(np.real(-1j * np.trace(z @ problem.K)))
-    return DualCertificate(X=x, Y=y, Z=z, lam=float(lam), eta=float(eta), dual_bound=dual_bound)
+    p = problem.profile
+    eta = 1.0 / (lam * (p.m_out - p.n_in))
+    x = problem.weights.weights
+    v = x * np.sqrt(p.noises)
+    # -i Tr[Z K] = -2 (Tr Y - 1^T Y 1 / N), with the sum of Y off its
+    # diagonal, -4 eta sum_{i<j} v_i v_j, taken from suffix sums of v: the
+    # shorter (sum v)^2 - |v|^2 cancels at extreme weight ratios
+    pairs = float(v[:-1] @ np.cumsum(v[::-1])[::-1][1:])
+    n = p.n_in
+    trace_y = -float(np.sum(x + 2.0 * eta * v * v))
+    dual_bound = -2.0 * (1.0 - 1.0 / n) * trace_y - 8.0 * eta * pairs / n
+    return DualCertificate(x=x, v=v, lam=float(lam), eta=float(eta), dual_bound=dual_bound)
 
 
 def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict:
@@ -146,32 +131,51 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
 
     Conditions: Tr[Z G_opt] reproduces the matrix cost, Z annihilates
     G_opt + iK (relative max-entry norm), Z is PSD, the duality gap vanishes,
-    and the multiplier normalization eta Tr[X^(1/2) F X^(1/2)] = -1 holds.
+    and the multiplier normalization eta f^T v = -1 holds.  Each is evaluated
+    from its closed form in x, f, v and eta, with B = I + 2F - H/N the blocks
+    of G_opt and P = I - H/N those of K.
     """
-    x_half = np.sqrt(problem.weights.weights)
-    cost_opt = matrix_cost(problem.G_opt, problem.weights)
-    tr_zg = float(np.real(np.trace(cert.Z @ problem.G_opt)))
-    za = cert.Z @ problem.A_opt
-    z_scale = float(np.max(np.abs(cert.Z)))
-    a_scale = float(np.max(np.abs(problem.A_opt)))
-    za_rel = float(np.max(np.abs(za))) / max(z_scale * a_scale, 1e-300)
-    min_eig_z = float(np.linalg.eigvalsh(cert.Z)[0])
+    p = problem.profile
+    n = p.n_in
+    x, v, eta = cert.x, cert.v, cert.eta
+    f = np.sqrt(p.noises)
+    b = _g_opt_diagonal(p)
+    cost_opt = 2.0 * float(x @ b)
+    # eps: signed normalization residual; r = (I + F - H/N) v, which the
+    # extremal equations make zero
+    fv = float(f @ v)
+    eps = 1.0 + eta * fv
+    r = v + f * fv - float(np.sum(v)) / n
+    # Z A_opt has the blocks X B + Y P = 2 v (-eta r + eps f)^T and
+    # X P + Y B = 2 v (-eta r - eps f)^T
+    za_max = 2.0 * float(np.max(v)) * float(np.max(np.abs(eta * r) + np.abs(eps * f)))
+    # entry maxima of Z and A_opt, whose blocks are diagonal plus rank one:
+    # off the diagonal the extremes pair the two largest entries of v, f, -f
+    v_hi, f_hi, f_lo = np.partition(v, -2)[-2:], np.partition(f, -2)[-2:], np.partition(f, 1)[:2]
+    y_diag = np.abs(x + 2.0 * eta * v * v)
+    z_scale = float(max(np.max(x), np.max(y_diag), -2.0 * eta * np.prod(v_hi)))
+    b_off = np.abs(2.0 * np.array([np.prod(f_hi), np.prod(f_lo)]) - 1.0 / n)
+    a_scale = float(max(np.max(b), np.max(b_off), 1.0 / n))
+    za_rel = za_max / max(z_scale * a_scale, 1e-300)
+    # eig Z = eig(X + Y) and eig(X - Y).  X + Y = -2 eta v v^T >= 0 is
+    # singular.  By interlacing, X - Y = 2X + 2 eta v v^T has M - 1
+    # eigenvalues >= 2 min x, and one of the sign of eps: one Newton step of
+    # its secular equation from 0 gives that one to O(eps^2).
+    min_eig_z = min(0.0, 2.0 * eps / (-eta * p.n_tot))
     gap = abs(cost_opt - cert.dual_bound)
-    norm_resid = abs(
-        cert.eta * float(np.sum(x_half * problem.F_mat.diagonal() * x_half)) + 1.0
-    )
     # affine map between the two cost conventions: C(n) = (C~(G) + const)/4
-    n = problem.profile.n_in
-    affine_const = float(np.sum(problem.weights.weights)) * (2.0 / n - 2.0)
-    cost_noise = noise_cost(problem.profile, problem.weights)
+    affine_const = float(np.sum(x)) * (2.0 / n - 2.0)
+    cost_noise = float(x @ p.noises)
     cost_map_resid = abs(cost_noise - (cost_opt + affine_const) / 4.0)
 
     checks = {
-        "trace_cost_discrepancy": abs(tr_zg - cost_opt),
+        # G_opt is block diagonal and X diagonal, so Tr[Z G_opt] = 2 Tr[X B]
+        # is the matrix cost itself: the discrepancy is zero by identity
+        "trace_cost_discrepancy": 0.0,
         "z_annihilates_a_rel": za_rel,
         "min_eig_z": min_eig_z,
         "duality_gap": gap,
-        "normalization_residual": norm_resid,
+        "normalization_residual": abs(eps),
     }
     passed = (
         checks["trace_cost_discrepancy"] < CERT_TOL * max(1.0, abs(cost_opt))
@@ -206,39 +210,39 @@ def random_feasible_cost_scan(
     max(1, SCAN_BLOCK_VALUES // d^2), so memory does not grow with the trial
     count.  Each trial still draws its d x d normals and then its uniform
     scale, one call each, so the samples and the generator state left
-    behind are those of a trial-by-trial loop.  The pairing Re Tr[Z(G + iK)]
-    is sum Re(Z) * G - dual_bound, since Im Z is antisymmetric and G real
-    symmetric.
+    behind are those of a trial-by-trial loop.  The cost needs only the
+    diagonal of each G, and since Re Z = blkdiag(X, X) and Im Z is
+    antisymmetric, each pairing Re Tr[Z(G + iK)] is the trial's cost minus
+    dual_bound.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    d = problem.G_opt.shape[0]
+    p = problem.profile
+    d = 2 * p.m_out
     x = problem.weights.weights
     diag_weights = np.concatenate([x, x])
-    z_re = cert.Z.real
-    ik = 1j * problem.K
+    g_opt_diag = np.tile(_g_opt_diagonal(p), 2)
+    ik = 1j * k_matrix(p.n_in, p.m_out)
     b = max(1, SCAN_BLOCK_VALUES // (d * d))
     w = np.empty((b, d, d))
     u = np.empty(b)
-    min_cost = min_dual_pairing = np.inf
+    min_cost = np.inf
     for start in range(0, trials, b):
         n = min(b, trials - start)
         for i in range(n):
             rng.standard_normal(out=w[i])
             u[i] = rng.uniform(0.0, 1.0) if (start + i) % 2 == 0 else rng.uniform(0.5, 3.0)
         even, odd = slice(start % 2, n, 2), slice(1 - start % 2, n, 2)
-        g = np.empty((n, d, d))
-        g[even] = problem.G_opt + (w[even] @ w[even].transpose(0, 2, 1)) * u[even, None, None] / d
+        g_diag = np.empty((n, d))
+        g_diag[even] = g_opt_diag + np.sum(w[even] ** 2, axis=2) * u[even, None] / d
         q = (w[odd] + w[odd].transpose(0, 2, 1)) * u[odd, None, None]
         mu = np.linalg.eigvalsh(q + ik)[:, 0]
-        g[odd] = q + np.maximum(0.0, -mu)[:, None, None] * np.eye(d)
-        min_cost = min(min_cost, float(np.min(np.diagonal(g, axis1=1, axis2=2) @ diag_weights)))
-        pairing = np.einsum("kij,ij->k", g, z_re) - cert.dual_bound
-        min_dual_pairing = min(min_dual_pairing, float(np.min(pairing)))
+        g_diag[odd] = np.diagonal(q, axis1=1, axis2=2) + np.maximum(0.0, -mu)[:, None]
+        min_cost = min(min_cost, float(np.min(g_diag @ diag_weights)))
     return {
         "trials": trials,
         "min_cost": float(min_cost),
-        "min_dual_pairing": float(min_dual_pairing),
+        "min_dual_pairing": float(min_cost - cert.dual_bound),
         "dual_bound": cert.dual_bound,
         "passed": bool(min_cost >= cert.dual_bound - CERT_TOL),
     }

@@ -28,22 +28,12 @@ from .core import (
     coherent_state,
     cp_min_eigenvalue,
 )
-from .design import NoiseProfile, residual
+from .design import NoiseProfile, OffSurfaceError, require_on_surface
 
 RESIDUAL_TOL = 1e-8
 # bound on the algebraic residuals of a synthesized circuit and on the
 # difference between stored and rebuilt circuit parameters
 INVARIANT_TOL = 1e-8
-
-
-class OffSurfaceError(ValueError):
-    """The noise profile does not lie on the optimal surface."""
-
-
-def _require_on_surface(profile: NoiseProfile):
-    r = residual(profile)
-    if abs(r) > RESIDUAL_TOL:
-        raise OffSurfaceError(f"profile residual {r:.3g} exceeds tolerance {RESIDUAL_TOL:.0e}")
 
 
 # -- analytic matrices of the cloner channel ---------------------------------
@@ -119,7 +109,7 @@ def gain_and_transmittance(profile: NoiseProfile) -> tuple[float, float]:
     t = sqrt((M - N) / (n_tot N))."""
     if profile.m_out <= profile.n_in:
         raise ValueError("amplifier scheme requires M > N")
-    _require_on_surface(profile)
+    require_on_surface(profile, RESIDUAL_TOL)
     n_tot = profile.n_tot
     if n_tot <= 0:
         raise ValueError("M > N requires strictly positive total noise")
@@ -271,7 +261,7 @@ class FeedforwardCircuit:
 def feedforward_params(profile: NoiseProfile) -> FeedforwardCircuit:
     """Tap reflectance, electronic gains g_j = sqrt(n_j), and the recursive
     splitter reflectances of the feedforward scheme."""
-    _require_on_surface(profile)
+    require_on_surface(profile, RESIDUAL_TOL)
     m, n = profile.m_out, profile.n_in
     n_tot = profile.n_tot
     excess = m - n
@@ -328,7 +318,7 @@ def scheme_equivalence_check(profile: NoiseProfile, alpha: complex = 0.8 - 0.3j)
     Returns a report with the element-wise mean and covariance discrepancies
     and a pass flag at 1e-9.
     """
-    _require_on_surface(profile)
+    require_on_surface(profile, RESIDUAL_TOL)
     amp = build_interferometer(profile)
     ff = feedforward_params(profile)
     st_amp = amplifier_output_state(amp, profile, alpha)

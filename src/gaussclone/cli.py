@@ -83,12 +83,44 @@ def design_document(profile: NoiseProfile, weights: CostWeights | None = None) -
     return doc
 
 
-def load_design(path: str) -> tuple[NoiseProfile, CostWeights | None]:
+NUMBER = (int, float)
+DESIGN_FIELDS = {"N": (int,), "M": (int,), "noises": [NUMBER]}
+
+
+def _is(value, kind) -> bool:
+    """Whether a JSON value has `kind`: a tuple of types, or [types] for an
+    array of them.  Types match exactly, so true and false are not numbers."""
+    if isinstance(kind, list):
+        return type(value) is list and set(map(type, value)) <= set(kind[0])
+    return type(value) in kind
+
+
+def _check_shape(obj, where: str, fields: dict):
+    """Raise CliError unless `obj` is a JSON object with a value of each
+    key's kind at each key of `fields`; a key ending in "?" may be absent."""
+    if not isinstance(obj, dict):
+        raise CliError(f"{where} must be a JSON object")
+    for key, kind in fields.items():
+        name = key.rstrip("?")
+        if (name in obj or name == key) and not _is(obj.get(name), kind):
+            raise CliError(f"{where}: {name!r} is missing or has the wrong type")
+
+
+def _read_document(path: str, kind: str, fields: dict) -> dict:
+    """Load a JSON document of the current schema and check its `fields`."""
     with open(path) as fh:
         doc = json.load(fh)
+    _check_shape(doc, f"{kind} document", {})
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise CliError(f"unsupported design schema version {doc.get('schema_version')}")
-    profile = NoiseProfile(int(doc["N"]), int(doc["M"]), np.array(doc["noises"], dtype=float))
+        raise CliError(f"unsupported {kind} schema version {doc.get('schema_version')}")
+    _check_shape(doc, f"{kind} document", fields)
+    return doc
+
+
+def load_design(path: str) -> tuple[NoiseProfile, CostWeights | None]:
+    fields = {**DESIGN_FIELDS, "residual": NUMBER, "weights?": [NUMBER], "lambda?": NUMBER}
+    doc = _read_document(path, "design", fields)
+    profile = NoiseProfile(doc["N"], doc["M"], np.array(doc["noises"], dtype=float))
     if abs(residual(profile) - doc["residual"]) > DESIGN_TOL:
         raise CliError("stored residual does not match recomputed value")
     weights = None
@@ -133,17 +165,19 @@ def circuit_document(profile: NoiseProfile, scheme: str, circ) -> dict:
 
 
 def load_circuit(path: str):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise CliError(f"unsupported circuit schema version {doc.get('schema_version')}")
+    fields = {"scheme": (str,), "design": (dict,), "parameters": (dict,)}
+    doc = _read_document(path, "circuit", fields)
+    _check_shape(doc["design"], "circuit design", DESIGN_FIELDS)
+    params = doc["parameters"]
     if doc["scheme"] == "feedforward":
         # older documents name the displacement convention
-        convention = doc["parameters"].pop("phase_convention", "outcome")
+        convention = params.pop("phase_convention", "outcome")
         if convention != "outcome":
             raise CliError(f"unsupported phase convention {convention!r}")
+    if not all(_is(v, NUMBER) or _is(v, [NUMBER]) for v in params.values()):
+        raise CliError("circuit parameters must be numbers or arrays of numbers")
     d = doc["design"]
-    profile = NoiseProfile(int(d["N"]), int(d["M"]), np.array(d["noises"], dtype=float))
+    profile = NoiseProfile(d["N"], d["M"], np.array(d["noises"], dtype=float))
     return doc, profile
 
 

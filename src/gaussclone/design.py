@@ -24,6 +24,10 @@ class InfeasibleDesignError(ValueError):
     """Requested clone fidelities are incompatible with the optimal surface."""
 
 
+class OffSurfaceError(ValueError):
+    """The noise profile does not lie on the optimal surface."""
+
+
 @dataclass(frozen=True)
 class NoiseProfile:
     """A design point: input count N, output count M, per-clone noises n_j."""
@@ -87,6 +91,18 @@ def residual(profile: NoiseProfile) -> float:
     """(sum sqrt(n_k))^2 - (M - N)(sum n_j + 1); zero on the optimal surface."""
     s = float(np.sum(np.sqrt(profile.noises)))
     return s * s - (profile.m_out - profile.n_in) * (profile.n_tot + 1.0)
+
+
+def require_on_surface(profile: NoiseProfile, tol: float):
+    """Raise OffSurfaceError unless |residual| <= tol max(1, S^2), S = sum sqrt(n_k).
+
+    The residual is a difference of terms of size S^2, so its rounding
+    grows with S^2.
+    """
+    s2 = float(np.sum(np.sqrt(profile.noises))) ** 2
+    r = residual(profile)
+    if abs(r) > tol * max(1.0, s2):
+        raise OffSurfaceError(f"profile residual {r:.3g} exceeds {tol:.0e} max(1, S^2 = {s2:.3g})")
 
 
 def last_noise_roots(partial, n_in: int, m_out: int) -> list[float]:
@@ -182,8 +198,7 @@ def design_from_weights(w: CostWeights, n_in: int, m_out: int) -> NoiseProfile:
         raise RuntimeError("degenerate scale equation; multiplier solve failed")
     s = math.sqrt(excess / denom)
     profile = NoiseProfile(n_in, m_out, (s * coeff) ** 2)
-    if abs(residual(profile)) > DESIGN_TOL:
-        raise RuntimeError(f"designed profile is off-surface: residual {residual(profile):.3g}")
+    require_on_surface(profile, DESIGN_TOL)
     w.lagrange = float(lam)
     return profile
 

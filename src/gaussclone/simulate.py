@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import RESIDUAL_TOL, FeedforwardCircuit, feedforward_params, splitting_amplitudes
-from .design import NoiseProfile, residual
+from .design import NoiseProfile, require_on_surface
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ class SimConfig:
             raise ValueError("need at least one shard")
         if not np.isfinite(self.alpha):
             raise ValueError("input amplitude must be finite")
-        if abs(residual(self.profile)) > RESIDUAL_TOL:
-            raise ValueError("profile must lie on the optimal surface")
+        require_on_surface(self.profile, RESIDUAL_TOL)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,45 @@ from gaussclone import (
     weights_from_profile,
 )
 from gaussclone import certificate
-from gaussclone.certificate import extremal_equation_residual, matrix_cost
+from gaussclone.certificate import CertifiedProblem, extremal_equation_residual
+from gaussclone.circuits import a_opt_matrix, g_opt_matrix, k_matrix, noise_gram_matrix
 
 from conftest import random_optimal_profile
+
+
+def matrix_cost(g, weights):
+    """Cost in the channel-matrix picture: sum x_j (G_jj + G_{M+j,M+j})."""
+    m = weights.weights.size
+    diag = np.diag(g)
+    return float(weights.weights @ (diag[:m] + diag[m:]))
+
+
+def _dense_report(profile, weights):
+    """The certificate of `weights`, optimal or not, built and checked with
+    dense 2M x 2M complex algebra: the reference for the closed forms.
+    Returns the report values and max|Z|."""
+    m, n = profile.m_out, profile.n_in
+    g_opt, a_opt, k = g_opt_matrix(profile), a_opt_matrix(profile), k_matrix(n, m)
+    f_mat = noise_gram_matrix(profile)
+    eta = 1.0 / (weights.lagrange * (m - n))
+    x = np.diag(weights.weights)
+    y = -x - 2.0 * eta * (x @ f_mat @ x)
+    z = np.block([[x, 1j * y], [-1j * y, x]])
+    dual_bound = float(np.real(-1j * np.trace(z @ k)))
+    cost = matrix_cost(g_opt, weights)
+    z_scale = float(np.max(np.abs(z)))
+    za = float(np.max(np.abs(z @ a_opt)))
+    x_half = np.sqrt(weights.weights)
+    return {
+        "trace_cost_discrepancy": abs(float(np.real(np.trace(z @ g_opt))) - cost),
+        "z_annihilates_a_rel": za / (z_scale * float(np.max(np.abs(a_opt)))),
+        "min_eig_z": float(np.linalg.eigvalsh(z)[0]),
+        "duality_gap": abs(cost - dual_bound),
+        "normalization_residual": abs(eta * float(np.sum(x_half * f_mat.diagonal() * x_half)) + 1),
+        "matrix_cost": cost,
+        "dual_bound": dual_bound,
+        "z_scale": z_scale,
+    }
 
 
 def block_diagonalize_unitary(m):
@@ -36,7 +72,7 @@ def solved_instance(weights_values, n, m):
 
 def test_a_opt_psd_symmetric():
     problem, _ = solved_instance([1.0, 1.0], 1, 2)
-    eigs = np.linalg.eigvalsh(problem.A_opt)
+    eigs = np.linalg.eigvalsh(a_opt_matrix(problem.profile))
     assert eigs[0] > -1e-10
     assert abs(eigs[0]) < 1e-10  # boundary of the CP cone
 
@@ -48,11 +84,11 @@ def test_a_opt_block_diagonalization():
         problem = build_problem(profile, w)
         m, n = profile.m_out, profile.n_in
         u = block_diagonalize_unitary(m)
-        f, h = problem.F_mat, problem.H_mat
+        f, h = noise_gram_matrix(profile), np.ones((m, m))
         target = np.zeros((2 * m, 2 * m), dtype=complex)
         target[:m, :m] = 2 * f + 2 * np.eye(m) - 2 * h / n
         target[m:, m:] = 2 * f
-        assert np.max(np.abs(u @ problem.A_opt @ u.conj().T - target)) < 1e-10
+        assert np.max(np.abs(u @ a_opt_matrix(profile) @ u.conj().T - target)) < 1e-10
 
 
 def test_noise_gram_always_psd():
@@ -68,10 +104,12 @@ def test_certificate_symmetric_1_to_2():
     problem, cert = solved_instance([1.0, 1.0], 1, 2)
     assert cert.lam == pytest.approx(-1.0, abs=1e-10)
     assert cert.eta == pytest.approx(-1.0, abs=1e-10)
-    assert np.allclose(cert.Y, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-10)
-    assert np.linalg.eigvalsh(cert.Z)[0] > -1e-10
+    z = cert.Z
+    assert np.allclose(z[:2, 2:], 1j * np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-10)
+    assert np.linalg.eigvalsh(z)[0] > -1e-10
     # multiplier normalization: eta Tr[X^1/2 F X^1/2] = -n_tot = -1
-    assert cert.eta * np.trace(problem.F_mat) == pytest.approx(-1.0, abs=1e-12)
+    f_mat = noise_gram_matrix(problem.profile)
+    assert cert.eta * np.trace(f_mat) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_phi_is_rank_one_projector():
@@ -81,7 +119,7 @@ def test_phi_is_rank_one_projector():
         problem = build_problem(profile, w)
         cert = build_certificate(problem)
         xh = np.diag(np.sqrt(w.weights))
-        phi = -cert.eta * (xh @ problem.F_mat @ xh)
+        phi = -cert.eta * (xh @ noise_gram_matrix(profile) @ xh)
         assert np.max(np.abs(phi @ phi - phi)) < 1e-9
 
 
@@ -111,8 +149,9 @@ def test_extremal_simplification_identity():
         problem = build_problem(profile, w)
         m, n = profile.m_out, profile.n_in
         x = np.diag(w.weights)
-        lhs = x @ problem.F_mat @ (np.eye(m) - problem.H_mat / (m - n))
-        rhs = x @ problem.F_mat @ x / (w.lagrange * (m - n))
+        f_mat = noise_gram_matrix(profile)
+        lhs = x @ f_mat @ (np.eye(m) - np.ones((m, m)) / (m - n))
+        rhs = x @ f_mat @ x / (w.lagrange * (m - n))
         assert np.max(np.abs(lhs - rhs)) < 1e-8 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -131,7 +170,7 @@ def test_certificate_block_diagonalization():
         u = block_diagonalize_unitary(m)
         bd = u @ z_tilde @ u.conj().T
         xh = np.diag(np.sqrt(w.weights))
-        phi = -cert.eta * (xh @ problem.F_mat @ xh)
+        phi = -cert.eta * (xh @ noise_gram_matrix(profile) @ xh)
         target = np.zeros((2 * m, 2 * m), dtype=complex)
         target[:m, :m] = 2 * phi
         target[m:, m:] = 2 * np.eye(m) - 2 * phi
@@ -143,11 +182,12 @@ def test_certificate_block_diagonalization():
 def test_perturbed_g_stays_above_bound():
     rng = np.random.default_rng(37)
     problem, cert = solved_instance([1.0, 1.0], 1, 2)
+    g_opt, k = g_opt_matrix(problem.profile), k_matrix(1, 2)
     for _ in range(20):
         w = rng.standard_normal((4, 4))
         delta = 1e-3 * (w @ w.T)
-        g = problem.G_opt + delta
-        pairing = np.real(np.trace(cert.Z @ (g + 1j * problem.K)))
+        g = g_opt + delta
+        pairing = np.real(np.trace(cert.Z @ (g + 1j * k)))
         assert pairing >= -1e-9
         assert matrix_cost(g, problem.weights) >= cert.dual_bound - 1e-12
 
@@ -160,27 +200,30 @@ def test_random_feasible_scan():
     assert report["min_cost"] >= cert.dual_bound - 1e-9
     assert report["min_dual_pairing"] >= -1e-9
     # G_opt itself saturates the bound
-    assert matrix_cost(problem.G_opt, problem.weights) == pytest.approx(
+    assert matrix_cost(g_opt_matrix(problem.profile), problem.weights) == pytest.approx(
         cert.dual_bound, abs=1e-10
     )
 
 
 def _loop_scan(problem, cert, trials, rng):
     """Trial-by-trial dense scan, the reference for the stacked one."""
-    d = problem.G_opt.shape[0]
+    g_opt = g_opt_matrix(problem.profile)
+    k = k_matrix(problem.profile.n_in, problem.profile.m_out)
+    z = cert.Z
+    d = g_opt.shape[0]
     min_cost = np.inf
     min_dual_pairing = np.inf
     for trial in range(trials):
         if trial % 2 == 0:
             w = rng.standard_normal((d, d))
-            g = problem.G_opt + (w @ w.T) * rng.uniform(0.0, 1.0) / d
+            g = g_opt + (w @ w.T) * rng.uniform(0.0, 1.0) / d
         else:
             q = rng.standard_normal((d, d))
             q = (q + q.T) * rng.uniform(0.5, 3.0)
-            mu = float(np.linalg.eigvalsh(q + 1j * problem.K)[0])
+            mu = float(np.linalg.eigvalsh(q + 1j * k)[0])
             g = q + max(0.0, -mu) * np.eye(d)
         cost = matrix_cost(g, problem.weights)
-        pairing = float(np.real(np.trace(cert.Z @ (g + 1j * problem.K))))
+        pairing = float(np.real(np.trace(z @ (g + 1j * k))))
         min_cost = min(min_cost, cost)
         min_dual_pairing = min(min_dual_pairing, pairing)
     return min_cost, min_dual_pairing
@@ -269,3 +312,91 @@ def test_build_problem_rejects_off_surface():
     w = CostWeights(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         build_problem(NoiseProfile(1, 2, np.array([0.5, 1.0])), w)
+
+
+def assert_matches_dense_oracle(problem, min_eig_rel=0.0):
+    """Compare every report value with the dense oracle; `min_eig_rel`
+    allows for the O(eps^2) error of the one Newton step off the optimum."""
+    cert = build_certificate(problem)
+    report = verify_certificate(problem, cert)
+    dense = _dense_report(problem.profile, problem.weights)
+    cost = dense["matrix_cost"]
+    assert report["dual_bound"] == pytest.approx(dense["dual_bound"], rel=1e-12)
+    assert report["matrix_cost"] == pytest.approx(cost, rel=1e-12)
+    assert abs(report["duality_gap"] - dense["duality_gap"]) <= 1e-12 * max(1.0, abs(cost))
+    for key in ("z_annihilates_a_rel", "normalization_residual"):
+        assert abs(report[key] - dense[key]) <= 1e-12, key
+    assert abs(report["min_eig_z"] - dense["min_eig_z"]) <= 1e-12 * max(
+        1.0, dense["z_scale"]
+    ) + min_eig_rel * abs(dense["min_eig_z"])
+    assert dense["trace_cost_discrepancy"] <= 1e-12 * max(1.0, abs(cost))
+    assert report["trace_cost_discrepancy"] == 0.0
+    return report
+
+
+def test_closed_forms_match_dense_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        profile, weights = random_optimal_profile(rng, m_max=40)
+        assert assert_matches_dense_oracle(CertifiedProblem(profile, weights))["passed"]
+
+
+def test_closed_forms_match_dense_oracle_off_optimum():
+    """A multiplier or weights moved off the optimum break the normalization
+    and the extremal equation; the closed forms must see the same breach."""
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        profile, weights = random_optimal_profile(rng, m_max=12)
+        x, lam = weights.weights, weights.lagrange
+        x_moved = x * (1.0 + 1e-4 * rng.standard_normal(x.size))
+        for x2, lam2 in ((x, lam * (1 + 1e-4)), (x, lam * (1 - 1e-4)), (x_moved, lam)):
+            problem = CertifiedProblem(profile, CostWeights(x2, lam2))
+            assert not assert_matches_dense_oracle(problem, min_eig_rel=1e-2)["passed"]
+
+
+# the extreme weight ratios pinned in test_properties
+@pytest.mark.parametrize(
+    "n_in, excess, index, log_ratio",
+    [(1, 1, 0, 12.0), (2, 1, 1, -12.0), (3, 1, 3, -12.0), (4, 1, 4, -12.0), (1, 4, 4, 12.0)],
+)
+def test_closed_forms_match_dense_oracle_at_extreme_ratios(n_in, excess, index, log_ratio):
+    m_out = n_in + excess
+    x = np.ones(m_out)
+    x[index % m_out] = 10.0**log_ratio
+    weights = CostWeights(x)
+    profile = design_from_weights(weights, n_in, m_out)
+    assert assert_matches_dense_oracle(CertifiedProblem(profile, weights))["passed"]
+
+
+# one weight far above the rest gives noises of 1e5 and more, whose surface
+# residual rounds to a few ulps of S^2 = (sum sqrt n)^2, far above 1e-9
+@pytest.mark.parametrize(
+    "m_out, index, weight", [(51, 0, 1e9), (5, 0, 10**11.5), (5, 4, 10**11.5)]
+)
+def test_certificate_passes_with_one_huge_weight(m_out, index, weight):
+    x = np.ones(m_out)
+    x[index] = weight
+    problem, cert = solved_instance(x, 1, m_out)
+    assert verify_certificate(problem, cert)["passed"]
+    scan = random_feasible_cost_scan(problem, cert, 200, np.random.default_rng(3))
+    assert scan["passed"]
+
+
+def test_certificate_at_large_m():
+    """Certificates pass at M up to 1e5 from O(M) memory."""
+    rng = np.random.default_rng(42)
+    for m_out in (10**3, 10**4, 10**5):
+        for n_in in (1, 3):
+            weights = CostWeights(rng.uniform(0.1, 10.0, m_out))
+            profile = design_from_weights(weights, n_in, m_out)
+            tracemalloc.start()
+            try:
+                problem = build_problem(profile, weights)
+                cert = build_certificate(problem)
+                report = verify_certificate(problem, cert)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report["passed"], (m_out, n_in, report)
+            if m_out == 10**4:
+                assert peak < 2 * 2**20

@@ -14,7 +14,6 @@ from gaussclone import (
     feedforward_params,
     g_opt_matrix,
     gain_and_transmittance,
-    identity_channel,
     mode_amplitudes,
     noise_gram_matrix,
     scheme_equivalence_check,
@@ -23,7 +22,7 @@ from gaussclone import (
     verify_circuit,
 )
 from gaussclone.circuits import splitting_amplitudes
-from gaussclone.core import apply_channel, coherent_state
+from gaussclone.core import apply_channel, coherent_state, identity_channel
 
 from conftest import random_optimal_profile
 

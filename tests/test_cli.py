@@ -216,6 +216,92 @@ def test_verify_rejects_edited_amplifier_circuit(capsys, tmp_path):
     assert report["parameter_residual"] > 1e-7 and report["design_hash_matches"]
 
 
+def params_as_list(doc):
+    doc["parameters"] = list(doc["parameters"].values())
+
+
+def design_as_list(doc):
+    doc["design"] = [doc["design"]]
+
+
+def noises_as_strings(doc):
+    doc["design"]["noises"] = [str(v) for v in doc["design"]["noises"]]
+
+
+def without_design(doc):
+    del doc["design"]
+
+
+def gains_as_objects(doc):
+    doc["parameters"]["gains"] = [{"value": v} for v in doc["parameters"]["gains"]]
+
+
+@pytest.mark.parametrize(
+    "edit", [params_as_list, design_as_list, noises_as_strings, without_design, gains_as_objects]
+)
+def test_verify_rejects_malformed_circuit_document(capsys, tmp_path, edit):
+    circuit = make_circuit(capsys, tmp_path, "feedforward")
+    doc = json.loads(circuit.read_text())
+    edit(doc)
+    circuit.write_text(json.dumps(doc))
+    for argv in (["verify"], ["simulate", "--shots", "10"]):
+        code, stdout, stderr = run_cli(capsys, *argv, "--circuit", str(circuit))
+        assert code == 2 and stdout == "" and stderr.startswith("error: circuit")
+
+
+def weights_as_string(doc):
+    doc["weights"] = "1,2,5"
+
+
+def n_in_as_float(doc):
+    doc["N"] = 1.5
+
+
+def lambda_as_list(doc):
+    doc["lambda"] = [doc["lambda"]]
+
+
+def without_residual(doc):
+    del doc["residual"]
+
+
+@pytest.mark.parametrize(
+    "edit", [weights_as_string, n_in_as_float, lambda_as_list, without_residual]
+)
+def test_certify_and_synth_reject_malformed_design_document(capsys, tmp_path, edit):
+    design = tmp_path / "design.json"
+    argv = ["design", "--weights", "1,2,5", "--n-in", "1", "--m-out", "3", "--out", str(design)]
+    run_cli(capsys, *argv)
+    doc = json.loads(design.read_text())
+    edit(doc)
+    design.write_text(json.dumps(doc))
+    for argv in (["certify", "--trials", "10"], ["synth", "--scheme", "amplifier"]):
+        code, stdout, stderr = run_cli(capsys, *argv, "--design", str(design))
+        assert code == 2 and stdout == "" and stderr.startswith("error: design document")
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--circuit"], ["simulate", "--shots", "10", "--circuit"],
+             ["certify", "--design"], ["synth", "--scheme", "amplifier", "--design"]]
+)
+def test_commands_reject_a_document_that_is_not_an_object(capsys, tmp_path, argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps([{"schema_version": 1}]))
+    code, stdout, stderr = run_cli(capsys, *argv, str(path))
+    assert code == 2 and stdout == "" and "must be a JSON object" in stderr
+
+
+def test_design_and_certify_with_one_huge_weight(capsys, tmp_path):
+    design = tmp_path / "design.json"
+    weights = ",".join(["1e9"] + ["1"] * 50)
+    code, _, _ = run_cli(
+        capsys, "design", "--weights", weights, "--n-in", "1", "--m-out", "51", "--out", str(design)
+    )
+    assert code == 0
+    code, stdout, _ = run_cli(capsys, "certify", "--design", str(design), "--trials", "10")
+    assert code == 0 and json.loads(stdout)["certificate"]["passed"]
+
+
 def test_synth_failed_invariant_exits_3_with_report(capsys, tmp_path, monkeypatch):
     design = tmp_path / "design.json"
     circuit = tmp_path / "circ.json"

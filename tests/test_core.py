@@ -9,15 +9,13 @@ from gaussclone import (
     apply_channel,
     clone_marginal,
     coherent_state,
-    compose_channels,
     cp_min_eigenvalue,
-    husimi_q,
-    identity_channel,
     mode_amplitudes,
     symplectic_form,
     vacuum_state,
 )
 from gaussclone.circuits import g_opt_matrix, mean_map_matrix
+from gaussclone.core import compose_channels, husimi_q, identity_channel
 from gaussclone.design import symmetric_profile
 
 from conftest import random_optimal_profile

@@ -6,15 +6,20 @@ from gaussclone import (
     CostWeights,
     InfeasibleDesignError,
     NoiseProfile,
+    OffSurfaceError,
+    SimConfig,
+    build_problem,
     design_from_weights,
     estimation_tradeoff,
+    feedforward_params,
     last_noise_roots,
     reduce_perfect_clone,
     residual,
     solve_last_noise,
     symmetric_profile,
 )
-from gaussclone.design import DESIGN_TOL
+from gaussclone.circuits import RESIDUAL_TOL, gain_and_transmittance
+from gaussclone.design import DESIGN_TOL, require_on_surface
 
 from conftest import random_optimal_profile
 
@@ -209,6 +214,27 @@ def test_design_at_extreme_weight_ratio(n_in, m_out, index, log_ratio):
     lam = w.lagrange
     assert lam < 0
     assert np.sum(lam / (lam * (m_out - n_in) - x)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_surface_checks_reject_criterion_7_perturbations():
+    """The bound scaled by S^2 still rejects the profiles that criterion 7
+    moves off the surface by a residual of +-0.05."""
+    rng = np.random.default_rng(16)
+    checks = (
+        lambda p, w: require_on_surface(p, RESIDUAL_TOL),
+        lambda p, w: gain_and_transmittance(p),
+        lambda p, w: feedforward_params(p),
+        lambda p, w: build_problem(p, w),
+        lambda p, w: SimConfig(p, 0.5, 10, 0),
+    )
+    for _ in range(50):
+        profile, weights = random_optimal_profile(rng)
+        m, n = profile.m_out, profile.n_in
+        for sign in (-1, 1):
+            perturbed = NoiseProfile(n, m, (1.0 + sign * 0.05 / (m - n)) * profile.noises)
+            for check in checks:
+                with pytest.raises(OffSurfaceError):
+                    check(perturbed, weights)
 
 
 def test_design_permutation_equivariance():
