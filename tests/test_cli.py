@@ -10,6 +10,8 @@ import gaussclone
 from gaussclone import residual
 from gaussclone.cli import load_circuit, load_design, main
 
+from conftest import FIXTURES
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -98,20 +100,38 @@ def test_solve_infeasible(capsys):
 
 
 def test_synth_verify_cycle(capsys, tmp_path):
+    # the symmetric 1->13 design and equal weights used to fail synth: their
+    # transmittance rounds to just below 1
     design = tmp_path / "design.json"
-    run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2", "--out", str(design))
-    for scheme in ("amplifier", "feedforward"):
-        circuit = tmp_path / f"{scheme}.json"
-        code, stdout, _ = run_cli(
-            capsys, "synth", "--design", str(design), "--scheme", scheme, "--out", str(circuit)
-        )
+    for spec in (["--symmetric", "--m-out", "2"], ["--symmetric", "--m-out", "13"],
+                 ["--weights", "1,1,1", "--m-out", "3"]):
+        run_cli(capsys, "design", *spec, "--n-in", "1", "--out", str(design))
+        for scheme in ("amplifier", "feedforward"):
+            circuit = tmp_path / f"{scheme}.json"
+            code, stdout, _ = run_cli(
+                capsys, "synth", "--design", str(design), "--scheme", scheme, "--out", str(circuit)
+            )
+            assert code == 0, spec
+            doc, profile = load_circuit(str(circuit))
+            assert doc["scheme"] == scheme
+            assert "design_sha256" in doc["provenance"]
+            code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+            assert code == 0
+            assert json.loads(stdout)["passed"]
+        code, _, _ = run_cli(capsys, "simulate", "--circuit", str(circuit), "--shots", "1000")
         assert code == 0
-        doc, profile = load_circuit(str(circuit))
-        assert doc["scheme"] == scheme
-        assert "design_sha256" in doc["provenance"]
-        code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_earlier_circuit_documents_still_verify(capsys, name):
+    circuit = str(FIXTURES / name)
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", circuit)
+    report = json.loads(stdout)
+    assert code == 0 and report["passed"]
+    assert report["parameter_residual"] <= 1e-12
+    if name.endswith(".feedforward.json"):
+        code, _, _ = run_cli(capsys, "simulate", "--circuit", circuit, "--shots", "1000")
         assert code == 0
-        assert json.loads(stdout)["passed"]
 
 
 def test_synth_rejects_missing_file(capsys, tmp_path):
@@ -292,14 +312,27 @@ def test_commands_reject_a_document_that_is_not_an_object(capsys, tmp_path, argv
 
 
 def test_design_and_certify_with_one_huge_weight(capsys, tmp_path):
+    # at M = 200 and a weight of 1e11 the CP margin reads about -2e-9 and,
+    # with the weight first, the two schemes' covariances differ by 1.2e-9:
+    # rounding on entries of size 2.2e4, which absolute 1e-9 bounds rejected
     design = tmp_path / "design.json"
-    weights = ",".join(["1e9"] + ["1"] * 50)
-    code, _, _ = run_cli(
-        capsys, "design", "--weights", weights, "--n-in", "1", "--m-out", "51", "--out", str(design)
-    )
-    assert code == 0
-    code, stdout, _ = run_cli(capsys, "certify", "--design", str(design), "--trials", "10")
-    assert code == 0 and json.loads(stdout)["certificate"]["passed"]
+    circuit = tmp_path / "circ.json"
+    huge = ["1e9"] + ["1"] * 50, ["1"] * 50 + ["1e11"], ["1e11"] + ["1"] * 199, ["1"] * 199 + ["1e11"]
+    for weights in huge:
+        code, _, _ = run_cli(
+            capsys, "design", "--weights", ",".join(weights), "--n-in", "1",
+            "--m-out", str(len(weights)), "--out", str(design),
+        )
+        assert code == 0
+        code, stdout, _ = run_cli(capsys, "certify", "--design", str(design), "--trials", "10")
+        assert code == 0 and json.loads(stdout)["certificate"]["passed"]
+        for scheme in ("amplifier", "feedforward"):
+            code, _, _ = run_cli(
+                capsys, "synth", "--design", str(design), "--scheme", scheme, "--out", str(circuit)
+            )
+            assert code == 0, (weights[0], scheme)
+            code, _, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+            assert code == 0
 
 
 def test_synth_failed_invariant_exits_3_with_report(capsys, tmp_path, monkeypatch):
