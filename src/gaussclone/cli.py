@@ -1,8 +1,10 @@
 """Command-line front end: design, solve, synth, verify, certify, simulate,
 tradeoff.
 
-Structured documents are JSON (schema-versioned, exact double round-trip);
-bulk outputs are CSV.  All randomness flows through an explicit --seed.
+Structured documents and reports are single-line JSON written by the json
+module's C encoder (schema-versioned, exact double round-trip, inf as
+Infinity); indented documents from earlier releases load the same.  Bulk
+outputs are CSV.  All randomness flows through an explicit --seed.
 Exit codes: 0 success, 2 invalid input or failed precondition, 3 failed
 verification or certification (reports are still written).
 
@@ -11,12 +13,17 @@ writes and reads their documents and compares the stored parameters with
 the rebuilt ones.  A feedforward document may name its displacement
 convention only as "outcome", the one the circuit uses; any other value is
 rejected as invalid input.
+
+The argument parser is built once per process, on the first call of `main`;
+each command function is looked up by name when it runs, so a command
+replaced or wrapped after that first call is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -57,7 +64,7 @@ class CliError(Exception):
 
 
 def _dump_json(doc: dict, path: str | None):
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -120,6 +127,10 @@ def _read_document(path: str, kind: str, fields: dict) -> dict:
 def load_design(path: str) -> tuple[NoiseProfile, CostWeights | None]:
     fields = {**DESIGN_FIELDS, "residual": NUMBER, "weights?": [NUMBER], "lambda?": NUMBER}
     doc = _read_document(path, "design", fields)
+    if "lambda" in doc and "weights" not in doc:
+        raise CliError("design document: 'lambda' is given without 'weights'")
+    if "weights" in doc and len(doc["weights"]) != doc["M"]:
+        raise CliError(f"design document: 'weights' must have M = {doc['M']} entries")
     profile = NoiseProfile(doc["N"], doc["M"], np.array(doc["noises"], dtype=float))
     if abs(residual(profile) - doc["residual"]) > DESIGN_TOL:
         raise CliError("stored residual does not match recomputed value")
@@ -239,7 +250,7 @@ def cmd_synth(args) -> int:
     circ, checks = verify_circuit(profile, args.scheme)
     if checks["passed"]:
         print(_dump_json(circuit_document(profile, args.scheme, circ), args.out))
-    print(json.dumps({"invariants": checks}, indent=2), file=sys.stderr)
+    print(json.dumps({"invariants": checks}), file=sys.stderr)
     return EXIT_OK if checks["passed"] else EXIT_FAILED
 
 
@@ -317,6 +328,7 @@ def cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussclone",
@@ -330,31 +342,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-in", type=int, required=True)
     p.add_argument("--m-out", type=int, required=True)
     p.add_argument("--out", help="write design document JSON here")
-    p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("solve", help="complete M-1 noises to the optimal surface")
     p.add_argument("--noises", required=True, help="comma-separated first M-1 noises")
     p.add_argument("--n-in", type=int, required=True)
     p.add_argument("--m-out", type=int, required=True)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("synth", help="synthesize a physical circuit")
     p.add_argument("--design", required=True)
     p.add_argument("--scheme", choices=("amplifier", "feedforward"), required=True)
     p.add_argument("--out", help="write circuit document JSON here")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="re-check circuit invariants")
     p.add_argument("--circuit", required=True)
     p.add_argument("--out", help="write verification report JSON here")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="verify the SDP dual optimality certificate")
     p.add_argument("--design", required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write certification report JSON here")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="Monte Carlo of the feedforward scheme")
     p.add_argument("--circuit", required=True)
@@ -364,21 +371,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--out", help="stream per-shot samples to this CSV")
     p.add_argument("--summary-out", help="write the summary JSON here")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tradeoff", help="export the partial-estimation tradeoff curve")
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--out", help="write the curve to this CSV")
-    p.set_defaults(func=cmd_tradeoff)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

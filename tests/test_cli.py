@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +8,16 @@ import numpy as np
 import pytest
 
 import gaussclone
-from gaussclone import residual
-from gaussclone.cli import load_circuit, load_design, main
+from gaussclone import residual, symmetric_profile
+from gaussclone.circuits import verify_circuit
+from gaussclone.cli import (
+    _dump_json,
+    build_parser,
+    circuit_document,
+    load_circuit,
+    load_design,
+    main,
+)
 
 from conftest import FIXTURES
 
@@ -79,6 +88,62 @@ def test_design_output_byte_stable(capsys, tmp_path):
     run_cli(capsys, "design", "--weights", "1,2", "--n-in", "1", "--m-out", "2", "--out", str(a))
     run_cli(capsys, "design", "--weights", "1,2", "--n-in", "1", "--m-out", "2", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_calls_in_one_process_share_one_parser_and_no_state(capsys):
+    code, _, _ = run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2")
+    assert code == 0
+    parser = build_parser()
+    # a --symmetric left over from the call before would make this exit 2
+    code, stdout, _ = run_cli(capsys, "design", "--weights", "1,2", "--n-in", "1", "--m-out", "2")
+    assert code == 0 and json.loads(stdout)["weights"] == [1.0, 2.0]
+    with pytest.raises(SystemExit) as exc:
+        main(["design", "--symmetric", "--n-in", "one", "--m-out", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, stdout, _ = run_cli(capsys, "solve", "--noises", "0.5", "--n-in", "1", "--m-out", "2")
+    assert code == 0 and "optimal n_M = 0.5" in stdout
+    assert build_parser() is parser
+
+
+def test_a_command_replaced_after_the_parser_is_built_is_the_one_that_runs(capsys, monkeypatch):
+    # tracers such as perfbench's wrap a command by re-binding its module name
+    run_cli(capsys, "tradeoff", "--points", "1")
+    calls = []
+    monkeypatch.setattr("gaussclone.cli.cmd_tradeoff", lambda args: calls.append(args.points) or 0)
+    assert main(["tradeoff", "--points", "4"]) == 0 and calls == [4]
+
+
+def test_documents_are_one_line_and_the_file_text_equals_stdout(capsys, tmp_path):
+    design, circuit = tmp_path / "design.json", tmp_path / "circ.json"
+    report, summary = tmp_path / "report.json", tmp_path / "summary.json"
+    commands = [
+        (design, ["design", "--weights", "1,2,5", "--n-in", "1", "--m-out", "3", "--out"]),
+        (circuit, ["synth", "--design", str(design), "--scheme", "feedforward", "--out"]),
+        (report, ["verify", "--circuit", str(circuit), "--out"]),
+        (report, ["certify", "--design", str(design), "--trials", "10", "--out"]),
+        (summary, ["simulate", "--circuit", str(circuit), "--shots", "10", "--summary-out"]),
+    ]
+    for path, argv in commands:
+        code, stdout, stderr = run_cli(capsys, *argv, str(path))
+        assert code == 0, argv[0]
+        assert path.read_text() == stdout
+        assert stdout.endswith("\n") and stdout.count("\n") == 1
+        if argv[0] == "synth":
+            assert stderr.count("\n") == 1 and json.loads(stderr)["invariants"]["passed"]
+
+
+def test_circuit_document_round_trips_floats_exactly(tmp_path):
+    profile = symmetric_profile(1, 2)
+    circ, _ = verify_circuit(profile, "feedforward")
+    doc = circuit_document(profile, "feedforward", circ)
+    values = [0.1, 1e-300, 5e-324, -0.0, 2.0**53 + 2, math.inf]
+    doc["parameters"]["gains"] = values
+    path = tmp_path / "circ.json"
+    text = _dump_json(doc, str(path))
+    assert "Infinity" in text
+    loaded = json.loads(path.read_text())["parameters"]["gains"]
+    assert list(map(float.hex, loaded)) == list(map(float.hex, values))
 
 
 def test_solve_command(capsys):
@@ -285,8 +350,18 @@ def without_residual(doc):
     del doc["residual"]
 
 
+def one_weight_too_many(doc):
+    doc["weights"].append(3.0)
+
+
+def lambda_without_weights(doc):
+    del doc["weights"]
+    doc["lambda"] = -5.0
+
+
 @pytest.mark.parametrize(
-    "edit", [weights_as_string, n_in_as_float, lambda_as_list, without_residual]
+    "edit", [weights_as_string, n_in_as_float, lambda_as_list, without_residual,
+             one_weight_too_many, lambda_without_weights]
 )
 def test_certify_and_synth_reject_malformed_design_document(capsys, tmp_path, edit):
     design = tmp_path / "design.json"
@@ -443,3 +518,94 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def design_path(capsys, tmp_path, *spec):
+    path = tmp_path / "design.json"
+    spec = spec or ("--symmetric", "--n-in", "1", "--m-out", "2")
+    assert run_cli(capsys, "design", *spec, "--out", str(path))[0] == 0
+    return str(path)
+
+
+def circuit_path(capsys, tmp_path, scheme, edit=None):
+    circuit = make_circuit(capsys, tmp_path, scheme)
+    if edit is not None:
+        doc = json.loads(circuit.read_text())
+        edit(doc)
+        circuit.write_text(json.dumps(doc))
+    return str(circuit)
+
+
+def off_surface(doc):
+    doc["design"]["noises"][0] *= 2.0
+
+
+def synth_with_failing_invariant(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        "gaussclone.circuits.scheme_equivalence_check",
+        lambda profile: {"discrepancy": 1.0, "passed": False},
+    )
+    return ["--design", design_path(capsys, tmp_path), "--scheme", "feedforward"]
+
+
+# N = 1, M = 200 with the first weight at 3.2e11: the certificate's
+# normalization residual reads 1.24e-9 against an absolute 1e-9 bound
+HUGE_FIRST_WEIGHT = ("--weights", ",".join(["3.2e11"] + ["1"] * 199), "--n-in", "1",
+                     "--m-out", "200")
+
+# (command, exit code, argv built from (capsys, tmp_path, monkeypatch))
+EXIT_PATHS = [
+    ("design", 0, lambda c, t, m: ["--symmetric", "--n-in", "1", "--m-out", "2"]),
+    ("design", 2, lambda c, t, m: ["--weights", "1,-1", "--n-in", "1", "--m-out", "2"]),
+    ("solve", 0, lambda c, t, m: ["--noises", "0.5", "--n-in", "1", "--m-out", "2"]),
+    ("solve", 2, lambda c, t, m: ["--noises", "0.1667,0.1667", "--n-in", "1", "--m-out", "3"]),
+    ("tradeoff", 0, lambda c, t, m: ["--points", "3"]),
+    ("tradeoff", 2, lambda c, t, m: ["--points", "0"]),
+    ("synth", 0, lambda c, t, m: ["--design", design_path(c, t), "--scheme", "amplifier"]),
+    ("synth", 2, lambda c, t, m: ["--design", str(t / "absent.json"), "--scheme", "amplifier"]),
+    ("synth", 3, synth_with_failing_invariant),
+    ("verify", 0, lambda c, t, m: ["--circuit", circuit_path(c, t, "amplifier")]),
+    ("verify", 2, lambda c, t, m: ["--circuit", circuit_path(c, t, "amplifier", off_surface)]),
+    ("verify", 3, lambda c, t, m: [
+        "--circuit", circuit_path(c, t, "feedforward", edit_gains_and_tap),
+        "--out", str(t / "report.json"),
+    ]),
+    ("certify", 0, lambda c, t, m: ["--design", design_path(c, t), "--trials", "10"]),
+    ("certify", 2, lambda c, t, m: ["--design", str(t / "absent.json")]),
+    ("certify", 3, lambda c, t, m: [
+        "--design", design_path(c, t, *HUGE_FIRST_WEIGHT), "--trials", "2",
+        "--out", str(t / "report.json"),
+    ]),
+    ("simulate", 0, lambda c, t, m: ["--circuit", circuit_path(c, t, "feedforward"),
+                                     "--shots", "10"]),
+    ("simulate", 2, lambda c, t, m: ["--circuit", circuit_path(c, t, "amplifier"),
+                                     "--shots", "10"]),
+    ("simulate", 3, lambda c, t, m: [
+        "--circuit", circuit_path(c, t, "feedforward", edit_gains_and_tap), "--shots", "10"
+    ]),
+]
+
+
+def passed_in_report(command, stdout, stderr):
+    """The verdict in the report a command writes when it exits 3."""
+    if command == "synth":
+        return json.loads(stderr)["invariants"]["passed"]
+    if command == "simulate":
+        return json.loads(stderr[stderr.index("{"):])["parameters_match"]
+    report = json.loads(stdout)
+    return report.get("certificate", report)["passed"]
+
+
+@pytest.mark.parametrize(
+    "command, code, build", EXIT_PATHS, ids=[f"{cmd}-{code}" for cmd, code, _ in EXIT_PATHS]
+)
+def test_every_command_exit_path(capsys, tmp_path, monkeypatch, command, code, build):
+    argv = build(capsys, tmp_path, monkeypatch)
+    got, stdout, stderr = run_cli(capsys, command, *argv)
+    assert got == code, stderr
+    if code == 2:
+        assert stderr or "infeasible" in stdout
+    if code == 3:
+        assert passed_in_report(command, stdout, stderr) is False
+        if "--out" in argv:
+            assert (tmp_path / "report.json").read_text() == stdout
