@@ -13,17 +13,12 @@ writes and reads their documents and compares the stored parameters with
 the rebuilt ones.  A feedforward document may name its displacement
 convention only as "outcome", the one the circuit uses; any other value is
 rejected as invalid input.
-
-The argument parser is built once per process, on the first call of `main`;
-each command function is looked up by name when it runs, so a command
-replaced or wrapped after that first call is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -328,7 +323,6 @@ def cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussclone",
@@ -342,26 +336,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-in", type=int, required=True)
     p.add_argument("--m-out", type=int, required=True)
     p.add_argument("--out", help="write design document JSON here")
+    p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("solve", help="complete M-1 noises to the optimal surface")
     p.add_argument("--noises", required=True, help="comma-separated first M-1 noises")
     p.add_argument("--n-in", type=int, required=True)
     p.add_argument("--m-out", type=int, required=True)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("synth", help="synthesize a physical circuit")
     p.add_argument("--design", required=True)
     p.add_argument("--scheme", choices=("amplifier", "feedforward"), required=True)
     p.add_argument("--out", help="write circuit document JSON here")
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="re-check circuit invariants")
     p.add_argument("--circuit", required=True)
     p.add_argument("--out", help="write verification report JSON here")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="verify the SDP dual optimality certificate")
     p.add_argument("--design", required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write certification report JSON here")
+    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="Monte Carlo of the feedforward scheme")
     p.add_argument("--circuit", required=True)
@@ -371,18 +370,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--out", help="stream per-shot samples to this CSV")
     p.add_argument("--summary-out", help="write the summary JSON here")
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tradeoff", help="export the partial-estimation tradeoff curve")
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--out", help="write the curve to this CSV")
+    p.set_defaults(func=cmd_tradeoff)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        return args.func(args)
     except (CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

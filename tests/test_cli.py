@@ -10,14 +10,7 @@ import pytest
 import gaussclone
 from gaussclone import residual, symmetric_profile
 from gaussclone.circuits import verify_circuit
-from gaussclone.cli import (
-    _dump_json,
-    build_parser,
-    circuit_document,
-    load_circuit,
-    load_design,
-    main,
-)
+from gaussclone.cli import _dump_json, circuit_document, load_circuit, load_design, main
 
 from conftest import FIXTURES
 
@@ -88,30 +81,6 @@ def test_design_output_byte_stable(capsys, tmp_path):
     run_cli(capsys, "design", "--weights", "1,2", "--n-in", "1", "--m-out", "2", "--out", str(a))
     run_cli(capsys, "design", "--weights", "1,2", "--n-in", "1", "--m-out", "2", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_calls_in_one_process_share_one_parser_and_no_state(capsys):
-    code, _, _ = run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2")
-    assert code == 0
-    parser = build_parser()
-    # a --symmetric left over from the call before would make this exit 2
-    code, stdout, _ = run_cli(capsys, "design", "--weights", "1,2", "--n-in", "1", "--m-out", "2")
-    assert code == 0 and json.loads(stdout)["weights"] == [1.0, 2.0]
-    with pytest.raises(SystemExit) as exc:
-        main(["design", "--symmetric", "--n-in", "one", "--m-out", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    code, stdout, _ = run_cli(capsys, "solve", "--noises", "0.5", "--n-in", "1", "--m-out", "2")
-    assert code == 0 and "optimal n_M = 0.5" in stdout
-    assert build_parser() is parser
-
-
-def test_a_command_replaced_after_the_parser_is_built_is_the_one_that_runs(capsys, monkeypatch):
-    # tracers such as perfbench's wrap a command by re-binding its module name
-    run_cli(capsys, "tradeoff", "--points", "1")
-    calls = []
-    monkeypatch.setattr("gaussclone.cli.cmd_tradeoff", lambda args: calls.append(args.points) or 0)
-    assert main(["tradeoff", "--points", "4"]) == 0 and calls == [4]
 
 
 def test_documents_are_one_line_and_the_file_text_equals_stdout(capsys, tmp_path):
@@ -295,9 +264,11 @@ def test_verify_rejects_edited_amplifier_circuit(capsys, tmp_path):
     doc = json.loads(circuit.read_text())
     doc["parameters"]["g"] *= 1.0 + 1e-6
     circuit.write_text(json.dumps(doc))
-    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+    out = tmp_path / "report.json"
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit), "--out", str(out))
     report = json.loads(stdout)
     assert code == 3
+    assert out.read_text() == stdout and not report["passed"]
     assert report["parameter_residual"] > 1e-7 and report["design_hash_matches"]
 
 
@@ -449,6 +420,23 @@ def test_certify_command(capsys, tmp_path):
     assert report["feasible_scan"]["passed"]
 
 
+def test_certify_failed_check_exits_3_with_report(capsys, tmp_path, monkeypatch):
+    design = tmp_path / "design.json"
+    report = tmp_path / "report.json"
+    run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2", "--out", str(design))
+    verify_certificate = gaussclone.cli.verify_certificate
+    monkeypatch.setattr(
+        "gaussclone.cli.verify_certificate",
+        lambda problem, cert: {**verify_certificate(problem, cert), "passed": False},
+    )
+    code, stdout, _ = run_cli(
+        capsys, "certify", "--design", str(design), "--trials", "10", "--out", str(report)
+    )
+    assert code == 3
+    assert report.read_text() == stdout
+    assert not json.loads(stdout)["certificate"]["passed"]
+
+
 def test_simulate_command(capsys, tmp_path):
     design = tmp_path / "design.json"
     circuit = tmp_path / "circ.json"
@@ -501,6 +489,12 @@ def test_tradeoff_command(capsys, tmp_path):
     assert mid == pytest.approx([1.0, 1.0, 0.5, 0.5], abs=1e-12)
 
 
+def test_tradeoff_rejects_no_points(capsys):
+    code, stdout, stderr = run_cli(capsys, "tradeoff", "--points", "0")
+    assert code == 2
+    assert stdout == "" and "at least one point" in stderr
+
+
 def test_tradeoff_byte_stable(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(capsys, "tradeoff", "--points", "20", "--out", str(a))
@@ -518,94 +512,3 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
-
-
-def design_path(capsys, tmp_path, *spec):
-    path = tmp_path / "design.json"
-    spec = spec or ("--symmetric", "--n-in", "1", "--m-out", "2")
-    assert run_cli(capsys, "design", *spec, "--out", str(path))[0] == 0
-    return str(path)
-
-
-def circuit_path(capsys, tmp_path, scheme, edit=None):
-    circuit = make_circuit(capsys, tmp_path, scheme)
-    if edit is not None:
-        doc = json.loads(circuit.read_text())
-        edit(doc)
-        circuit.write_text(json.dumps(doc))
-    return str(circuit)
-
-
-def off_surface(doc):
-    doc["design"]["noises"][0] *= 2.0
-
-
-def synth_with_failing_invariant(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        "gaussclone.circuits.scheme_equivalence_check",
-        lambda profile: {"discrepancy": 1.0, "passed": False},
-    )
-    return ["--design", design_path(capsys, tmp_path), "--scheme", "feedforward"]
-
-
-# N = 1, M = 200 with the first weight at 3.2e11: the certificate's
-# normalization residual reads 1.24e-9 against an absolute 1e-9 bound
-HUGE_FIRST_WEIGHT = ("--weights", ",".join(["3.2e11"] + ["1"] * 199), "--n-in", "1",
-                     "--m-out", "200")
-
-# (command, exit code, argv built from (capsys, tmp_path, monkeypatch))
-EXIT_PATHS = [
-    ("design", 0, lambda c, t, m: ["--symmetric", "--n-in", "1", "--m-out", "2"]),
-    ("design", 2, lambda c, t, m: ["--weights", "1,-1", "--n-in", "1", "--m-out", "2"]),
-    ("solve", 0, lambda c, t, m: ["--noises", "0.5", "--n-in", "1", "--m-out", "2"]),
-    ("solve", 2, lambda c, t, m: ["--noises", "0.1667,0.1667", "--n-in", "1", "--m-out", "3"]),
-    ("tradeoff", 0, lambda c, t, m: ["--points", "3"]),
-    ("tradeoff", 2, lambda c, t, m: ["--points", "0"]),
-    ("synth", 0, lambda c, t, m: ["--design", design_path(c, t), "--scheme", "amplifier"]),
-    ("synth", 2, lambda c, t, m: ["--design", str(t / "absent.json"), "--scheme", "amplifier"]),
-    ("synth", 3, synth_with_failing_invariant),
-    ("verify", 0, lambda c, t, m: ["--circuit", circuit_path(c, t, "amplifier")]),
-    ("verify", 2, lambda c, t, m: ["--circuit", circuit_path(c, t, "amplifier", off_surface)]),
-    ("verify", 3, lambda c, t, m: [
-        "--circuit", circuit_path(c, t, "feedforward", edit_gains_and_tap),
-        "--out", str(t / "report.json"),
-    ]),
-    ("certify", 0, lambda c, t, m: ["--design", design_path(c, t), "--trials", "10"]),
-    ("certify", 2, lambda c, t, m: ["--design", str(t / "absent.json")]),
-    ("certify", 3, lambda c, t, m: [
-        "--design", design_path(c, t, *HUGE_FIRST_WEIGHT), "--trials", "2",
-        "--out", str(t / "report.json"),
-    ]),
-    ("simulate", 0, lambda c, t, m: ["--circuit", circuit_path(c, t, "feedforward"),
-                                     "--shots", "10"]),
-    ("simulate", 2, lambda c, t, m: ["--circuit", circuit_path(c, t, "amplifier"),
-                                     "--shots", "10"]),
-    ("simulate", 3, lambda c, t, m: [
-        "--circuit", circuit_path(c, t, "feedforward", edit_gains_and_tap), "--shots", "10"
-    ]),
-]
-
-
-def passed_in_report(command, stdout, stderr):
-    """The verdict in the report a command writes when it exits 3."""
-    if command == "synth":
-        return json.loads(stderr)["invariants"]["passed"]
-    if command == "simulate":
-        return json.loads(stderr[stderr.index("{"):])["parameters_match"]
-    report = json.loads(stdout)
-    return report.get("certificate", report)["passed"]
-
-
-@pytest.mark.parametrize(
-    "command, code, build", EXIT_PATHS, ids=[f"{cmd}-{code}" for cmd, code, _ in EXIT_PATHS]
-)
-def test_every_command_exit_path(capsys, tmp_path, monkeypatch, command, code, build):
-    argv = build(capsys, tmp_path, monkeypatch)
-    got, stdout, stderr = run_cli(capsys, command, *argv)
-    assert got == code, stderr
-    if code == 2:
-        assert stderr or "infeasible" in stdout
-    if code == 3:
-        assert passed_in_report(command, stdout, stderr) is False
-        if "--out" in argv:
-            assert (tmp_path / "report.json").read_text() == stdout
