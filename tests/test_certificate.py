@@ -230,14 +230,25 @@ def _loop_scan(problem, cert, trials, rng):
 
 
 # block sizes: 3 trials for M <= 8, so blocks start on both parities and the
-# last one is short; 1 trial at M = 30; and the default constant at M = 8
+# last one is short; 1 trial at M = 30; and the default constant at M = 8;
+# the last case puts one weight at 10^11.5, where costs reach 1e12
 @pytest.mark.parametrize(
-    "m_out, block_values",
-    [(2, 3 * 4**2), (5, 3 * 10**2), (8, 3 * 16**2), (30, 60**2), (8, None)],
+    "m_out, block_values, huge_weight",
+    [
+        pytest.param(2, 3 * 4**2, None, id="2-48"),
+        pytest.param(5, 3 * 10**2, None, id="5-300"),
+        pytest.param(8, 3 * 16**2, None, id="8-768"),
+        pytest.param(30, 60**2, None, id="30-3600"),
+        pytest.param(8, None, None, id="8-None"),
+        pytest.param(5, 3 * 10**2, 10**11.5, id="5-300-huge"),
+    ],
 )
-def test_scan_matches_loop_oracle(monkeypatch, m_out, block_values):
+def test_scan_matches_loop_oracle(monkeypatch, m_out, block_values, huge_weight):
     rng = np.random.default_rng(40 + m_out)
-    problem, cert = solved_instance(rng.uniform(0.1, 10.0, m_out), 1, m_out)
+    x = rng.uniform(0.1, 10.0, m_out)
+    if huge_weight is not None:
+        x[0] = huge_weight
+    problem, cert = solved_instance(x, 1, m_out)
     if block_values is not None:
         monkeypatch.setattr(certificate, "SCAN_BLOCK_VALUES", block_values)
     # every short prefix too, so that a trial evaluated as the wrong family
@@ -255,6 +266,77 @@ def test_scan_matches_loop_oracle(monkeypatch, m_out, block_values):
         assert report["min_dual_pairing"] == pytest.approx(
             min_dual_pairing, rel=1e-12, abs=1e-12 * abs(cert.dual_bound)
         )
+
+
+def count_eigensolves(monkeypatch):
+    """Patch np.linalg.eigvalsh to record how many matrices it is given."""
+    eigvalsh = np.linalg.eigvalsh
+    solved = []
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        solved.append(len(a) if a.ndim == 3 else 1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return solved
+
+
+def test_scan_skips_most_eigensolves_and_stays_exact(monkeypatch):
+    problem, cert = solved_instance(np.random.default_rng(48).uniform(0.1, 10.0, 8), 1, 8)
+    rng_loop, rng_scan = np.random.default_rng(11), np.random.default_rng(11)
+    min_cost, _ = _loop_scan(problem, cert, 1000, rng_loop)
+    solved = count_eigensolves(monkeypatch)
+    report = random_feasible_cost_scan(problem, cert, 1000, rng_scan)
+    # N = 1 gives the weakest bound (c = 0); of the 500 odd trials, few
+    # come near the minimum
+    assert sum(solved) < 50
+    assert rng_scan.bit_generator.state == rng_loop.bit_generator.state
+    assert report["min_cost"] == pytest.approx(min_cost, rel=1e-12)
+
+
+class LoudEvenTrials:
+    """A generator whose even trials draw normals 1000 times larger, so
+    their costs dwarf the odd trials' and the odd trials set the minimum."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.trial = 0
+
+    def standard_normal(self, size=None, out=None):
+        z = self.rng.standard_normal(size, out=out)
+        if self.trial % 2 == 0:
+            z *= 1e3
+        self.trial += 1
+        return z
+
+    def random(self):
+        return self.rng.random()
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+
+@pytest.mark.parametrize("n_in", [1, 3])
+def test_scan_pruning_is_exact_when_odd_trials_set_the_minimum(monkeypatch, n_in):
+    problem, cert = solved_instance(np.random.default_rng(5).uniform(0.1, 10.0, 5), n_in, 5)
+    min_cost, _ = _loop_scan(problem, cert, 1000, LoudEvenTrials(1))
+    solved = count_eigensolves(monkeypatch)
+    report = random_feasible_cost_scan(problem, cert, 1000, LoudEvenTrials(1))
+    # the first block's odd trials face only even costs and are all
+    # solved; later blocks leave out some but not all
+    assert 0 < sum(solved) < 500
+    assert report["min_cost"] == pytest.approx(min_cost, rel=1e-12)
+
+
+def test_scan_scales_are_the_uniform_draws():
+    """The scan takes uniform(0, 1) and uniform(0.5, 3) as r and 0.5 + 2.5 r
+    from random(): the same values and generator state."""
+    rng_uniform, rng_random = np.random.default_rng(3), np.random.default_rng(3)
+    for low, high in ((0.0, 1.0), (0.5, 3.0)):
+        expected = [rng_uniform.uniform(low, high) for _ in range(10**4)]
+        r = np.array([rng_random.random() for _ in range(10**4)])
+        assert np.array_equal(low + (high - low) * r, expected)
+    assert rng_random.bit_generator.state == rng_uniform.bit_generator.state
 
 
 def test_scan_memory_does_not_grow_with_trials():

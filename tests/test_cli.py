@@ -360,10 +360,18 @@ def test_commands_reject_a_document_that_is_not_an_object(capsys, tmp_path, argv
 def test_design_and_certify_with_one_huge_weight(capsys, tmp_path):
     # at M = 200 and a weight of 1e11 the CP margin reads about -2e-9 and,
     # with the weight first, the two schemes' covariances differ by 1.2e-9:
-    # rounding on entries of size 2.2e4, which absolute 1e-9 bounds rejected
+    # rounding on entries of size 2.2e4, which absolute 1e-9 bounds rejected;
+    # at 3.2e11 first the certificate's normalization residual reads 1.2e-9,
+    # rounding on S^2 / (M - N) = 4.0e6
     design = tmp_path / "design.json"
     circuit = tmp_path / "circ.json"
-    huge = ["1e9"] + ["1"] * 50, ["1"] * 50 + ["1e11"], ["1e11"] + ["1"] * 199, ["1"] * 199 + ["1e11"]
+    huge = (
+        ["1e9"] + ["1"] * 50,
+        ["1"] * 50 + ["1e11"],
+        ["1e11"] + ["1"] * 199,
+        ["1"] * 199 + ["1e11"],
+        ["3.2e11"] + ["1"] * 199,
+    )
     for weights in huge:
         code, _, _ = run_cli(
             capsys, "design", "--weights", ",".join(weights), "--n-in", "1",

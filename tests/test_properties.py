@@ -17,6 +17,8 @@ from gaussclone import (
     simulate,
     verify_certificate,
 )
+from gaussclone.certificate import _interlacing_bound
+from gaussclone.circuits import k_matrix
 
 from test_simulate import assert_results_close
 
@@ -62,3 +64,30 @@ def test_certificate_passes_at_extreme_weight_ratios(n_in, excess, index, log_ra
     assert verify_certificate(problem, cert)["passed"]
     scan = random_feasible_cost_scan(problem, cert, 50, np.random.default_rng(0))
     assert scan["min_cost"] >= cert.dual_bound - 1e-9
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    m_out=st.integers(2, 8),
+    n_in=st.integers(1, 7),
+    scale=st.floats(0.5, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interlacing_bound_bounds_the_shifted_trial(m_out, n_in, scale, seed):
+    n_in = min(n_in, m_out - 1)
+    rng = np.random.default_rng(seed)
+    d = 2 * m_out
+    w = rng.standard_normal((d, d))
+    q = (w + w.T) * scale
+    a = q + 1j * k_matrix(n_in, m_out)
+    mu = np.linalg.eigvalsh(a)[0]
+    block_min = _interlacing_bound(w[None], np.array([scale]), n_in)[0]
+    rounding = 1e-12 * np.linalg.norm(a, 2)
+    blocks = [np.ix_([j, j + m_out], [j, j + m_out]) for j in range(m_out)]
+    assert block_min == pytest.approx(min(np.linalg.eigvalsh(a[b])[0] for b in blocks), abs=rounding)
+    assert block_min >= mu - rounding
+    # the scan's lower bound on an odd trial's cost, for positive weights
+    x = np.tile(rng.uniform(0.1, 10.0, m_out), 2)
+    cost = np.diag(q) @ x + max(0.0, -mu) * np.sum(x)
+    bound = np.diag(q) @ x + max(0.0, -block_min) * np.sum(x)
+    assert bound <= cost + rounding * np.sum(x)
