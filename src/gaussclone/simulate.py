@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import RESIDUAL_TOL, FeedforwardCircuit, feedforward_params, splitting_amplitudes
+from .circuits import RESIDUAL_TOL, FeedforwardCircuit, feedforward_params
 from .design import NoiseProfile, require_on_surface
 
 
@@ -85,7 +85,7 @@ def run(
         circuit = feedforward_params(profile)
     amp_in = math.sqrt(profile.n_in) * config.alpha
     t_tap = math.sqrt(1.0 - circuit.r_tap**2)
-    d = splitting_amplitudes(circuit)
+    d = circuit.splitting
     gains = circuit.gains
     o_mean = circuit.r_tap * amp_in
     # deterministic part of the clone means; the noise part is accumulated

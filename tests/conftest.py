@@ -26,3 +26,16 @@ def random_optimal_profile(rng, m_max=8, n_in=None, m_out=None):
         n_in = int(rng.integers(1, m_out))
     weights = CostWeights(rng.uniform(0.1, 10.0, m_out))
     return design_from_weights(weights, n_in, m_out), weights
+
+
+def splitting_amplitudes(circ):
+    """Splitting fractions of a feedforward circuit multiplied down its
+    splitter chain, d_j = r_j prod_{i<j} sqrt(1 - r_i^2)."""
+    m = circ.gains.size
+    d = np.zeros(m)
+    trans = 1.0
+    for j in range(m - 1):
+        d[j] = circ.reflectances[j] * trans
+        trans *= np.sqrt(1.0 - circ.reflectances[j] ** 2)
+    d[m - 1] = trans
+    return d

@@ -23,11 +23,19 @@ from gaussclone import (
     vacuum_state,
     verify_circuit,
 )
+from gaussclone import circuits
 from gaussclone.cli import load_circuit
-from gaussclone.circuits import INVARIANT_TOL, splitting_amplitudes
-from gaussclone.core import GaussianChannel, apply_channel, coherent_state, identity_channel
+from gaussclone.circuits import INVARIANT_TOL, _amplifier_moments, _clone_state, _live_columns
+from gaussclone.core import (
+    PSD_TOL,
+    GaussianChannel,
+    GaussianState,
+    apply_channel,
+    coherent_state,
+    identity_channel,
+)
 
-from conftest import FIXTURES, random_optimal_profile
+from conftest import FIXTURES, random_optimal_profile, splitting_amplitudes
 
 
 def test_gain_and_transmittance_symmetric():
@@ -153,10 +161,29 @@ def test_feedforward_zero_amplitude_clone_gets_none(noises):
     profile = NoiseProfile(1, len(noises), np.array(noises))
     circ = feedforward_params(profile)
     zero = np.array(noises) == 2.0
-    amps = splitting_amplitudes(circ)
-    assert np.all(amps[zero] == 0.0)
-    assert np.allclose(amps[~zero], np.sqrt(0.5), atol=1e-15)
+    for amps in (circ.splitting, splitting_amplitudes(circ)):
+        assert np.all(amps[zero] == 0.0)
+        assert np.allclose(amps[~zero], np.sqrt(0.5), atol=1e-15)
     assert scheme_equivalence_check(profile)["passed"]
+
+
+# (N, M, log10 of the last weight) of every design on the one-extreme-weight
+# grid whose splitting fractions, multiplied down the splitter chain, lost
+# half their digits to a reflectance near 1 and failed the scheme check
+CHAIN_FAILURES = [
+    (1, 3, -9.0), (1, 3, -8.5), (1, 3, -8.0), (1, 5, -8.5), (1, 5, -8.0),
+    (2, 5, -9.0), (2, 5, -8.5), (2, 5, -8.0), (2, 20, -8.0),
+]
+
+
+@pytest.mark.parametrize("n_in, m_out, log_weight", CHAIN_FAILURES)
+def test_feedforward_passes_with_a_reflectance_near_one(n_in, m_out, log_weight):
+    weights = np.ones(m_out)
+    weights[-1] = 10.0**log_weight
+    profile = design_from_weights(CostWeights(weights), n_in, m_out)
+    assert not _dense_scheme_equivalence(profile)["passed"]
+    _, report = verify_circuit(profile, "feedforward")
+    assert report["passed"] and report["scheme_discrepancy"] < 1e-12
 
 
 def test_scheme_equivalence_symmetric_and_random():
@@ -194,11 +221,13 @@ def test_verify_circuit_fails_on_negative_cp_eigenvalue(monkeypatch):
     # a shift of 5e-9 keeps G within INVARIANT_TOL of G_opt, so the CP margin
     # is the only check that fails
     profile = symmetric_profile(1, 3)
+    ch = channel_from_amplifier(build_interferometer(profile), profile)
+    s, b = ch.S[:3, 0], ch.G[:3, :3]
     for shift in (1e-6, 5e-9):
-        ch = channel_from_amplifier(build_interferometer(profile), profile)
         shifted = GaussianChannel(1, 3, ch.S, ch.G - shift * np.eye(6))
         monkeypatch.setattr(
-            "gaussclone.circuits.channel_from_amplifier", lambda c, p, ch=shifted: ch
+            "gaussclone.circuits._channel_blocks",
+            lambda circ, gram, shift=shift: (s, b - shift * np.eye(3)),
         )
         _, report = verify_circuit(profile, "amplifier")
         assert report["cp_min_eigenvalue"] == pytest.approx(cp_min_eigenvalue(shifted), abs=1e-12)
@@ -209,6 +238,20 @@ def test_verify_circuit_fails_on_negative_cp_eigenvalue(monkeypatch):
 def test_scheme_equivalence_rejects_off_surface():
     with pytest.raises(OffSurfaceError):
         scheme_equivalence_check(NoiseProfile(1, 2, np.array([0.5, 1.0])))
+
+
+def test_scheme_equivalence_bounds_covariance_relative_to_its_size(monkeypatch):
+    # noises near 289 make max|cov| about 579, so an absolute 1e-9 bound on
+    # the covariance would fail both shifts and a missing one pass both
+    profile = design_from_weights(CostWeights(np.array([1e6, 1.0, 1.0, 1.0])), 1, 4)
+    moments = circuits._feedforward_moments
+    for rel, passed in ((5e-10, True), (2e-9, False)):
+        def shifted(circ, amp_in, rel=rel):
+            amps, block = moments(circ, amp_in)
+            return amps, block + rel * np.max(np.abs(block))
+
+        monkeypatch.setattr(circuits, "_feedforward_moments", shifted)
+        assert scheme_equivalence_check(profile)["passed"] == passed
 
 
 def test_output_covariance_matches_clone_target():
@@ -374,3 +417,134 @@ def test_verify_circuit_accuracy_at_large_m():
             assert max(amp["unitarity_residual"], amp["kappa_gram_residual"]) < 1e-10
             assert amp["g_opt_residual"] < 1e-10 and ff["scheme_discrepancy"] < 1e-10
 
+
+
+# -- oracles: the dense scheme comparison and amplifier check ----------------
+
+
+def _dense_output_states(profile, alpha):
+    """Both schemes' output states as 2M x 2M matrices: the amplifier's
+    through its composed channel, the feedforward's with the splitting
+    fractions multiplied down the splitter chain."""
+    m = profile.m_out
+    amp_in = np.sqrt(profile.n_in) * alpha
+    channel = channel_from_amplifier(build_interferometer(profile), profile)
+    st_amp = apply_channel(channel, coherent_state([amp_in]))
+    ff = feedforward_params(profile)
+    t_tap = np.sqrt(1.0 - ff.r_tap**2)
+    amps = splitting_amplitudes(ff) * t_tap * amp_in + ff.gains * (ff.r_tap * amp_in)
+    mean = np.concatenate([np.sqrt(2) * amps.real, np.sqrt(2) * amps.imag])
+    block = np.eye(m) + 2.0 * np.outer(ff.gains, ff.gains)
+    z = np.zeros_like(block)
+    return st_amp, GaussianState(m, mean, np.block([[block, z], [z, block]]))
+
+
+def _dense_scheme_equivalence(profile, alpha=0.8 - 0.3j):
+    st_amp, st_ff = _dense_output_states(profile, alpha)
+    mean_diff = float(np.max(np.abs(st_amp.mean - st_ff.mean)))
+    cov_diff = float(np.max(np.abs(st_amp.cov - st_ff.cov)))
+    cov_bound = 1e-9 * max(1.0, float(np.max(np.abs(st_amp.cov))))
+    return {
+        "mean_discrepancy": mean_diff,
+        "cov_discrepancy": cov_diff,
+        "passed": mean_diff < 1e-9 and cov_diff < cov_bound,
+    }
+
+
+def test_block_moments_match_dense_oracle():
+    rng = np.random.default_rng(33)
+    profiles = [random_optimal_profile(rng, m_max=40)[0] for _ in range(200)]
+    profiles += [symmetric_profile(n, m) for m in range(2, 31) for n in range(1, m)]
+    profiles += [load_circuit(str(path))[1] for path in sorted(FIXTURES.glob("*.amplifier.json"))]
+    alpha = 0.8 - 0.3j
+    for profile in profiles:
+        st_amp, st_ff = _dense_output_states(profile, alpha)
+        amp_in = np.sqrt(profile.n_in) * alpha
+        pairs = [
+            (_clone_state(*_amplifier_moments(*_live_columns(profile), amp_in)), st_amp),
+            (amplifier_output_state(build_interferometer(profile), profile, alpha), st_amp),
+            (feedforward_output_state(feedforward_params(profile), profile.n_in, alpha), st_ff),
+        ]
+        tol = 1e-10 * max(1.0, np.max(np.abs(st_amp.cov)))
+        for state, dense in pairs:
+            assert np.max(np.abs(state.mean - dense.mean)) < tol
+            assert np.max(np.abs(state.cov - dense.cov)) < tol
+        report, dense_report = scheme_equivalence_check(profile, alpha), _dense_scheme_equivalence(profile)
+        assert report["passed"] == dense_report["passed"]
+        for key in ("mean_discrepancy", "cov_discrepancy"):
+            assert abs(report[key] - dense_report[key]) < tol
+
+
+def test_feedforward_verification_builds_no_interferometer(monkeypatch):
+    built = []
+    build = circuits.build_interferometer
+    monkeypatch.setattr(circuits, "build_interferometer", lambda p: built.append(p) or build(p))
+    profile, _ = random_optimal_profile(np.random.default_rng(34), n_in=2, m_out=7)
+    _, report = verify_circuit(profile, "feedforward")
+    assert report["passed"] and built == []
+    verify_circuit(profile, "amplifier")
+    assert len(built) == 1
+
+
+def _dense_amplifier_check(profile):
+    """V, kappa and the amplifier report as built with the Gram-Schmidt
+    projections v - C (C^T v) and the padded 2M x 2M channel."""
+    g, t = gain_and_transmittance(profile)
+    m, n, sqrt_n = profile.m_out, profile.n_in, np.sqrt(profile.n_in)
+    col_noise = np.sqrt(profile.noises / profile.n_tot)
+    lack = 1.0 - g * t * sqrt_n * col_noise
+    cols = np.empty((m, m))
+    cols[:, 0] = col_noise / np.linalg.norm(col_noise)
+    k = 1
+    for cand in [lack, *np.eye(m)]:
+        if k == m:
+            break
+        rest = cand - cols[:, :k] @ (cols[:, :k].T @ cand)
+        norm = np.linalg.norm(rest)
+        if norm > 1e-8 * np.linalg.norm(cand):
+            cols[:, k] = rest / norm
+            k += 1
+    v = np.roll(cols, -1, axis=1)
+    r = float(v[:, 0] @ lack) / sqrt_n
+    kappa = v[:, : m - 1].copy()
+    kappa[:, 0] = v[:, 0] * t - v[:, m - 1] * g * r
+    r_chan = float(v[:, m - 1] @ (t * v[:, 0] - kappa[:, 0])) / g
+    s = g * t * v[:, m - 1] + r_chan * v[:, 0]
+    b = kappa @ kappa.T + (g * g - 1.0) * np.outer(v[:, m - 1], v[:, m - 1])
+    g_chan = np.zeros((2 * m, 2 * m))
+    g_chan[:m, :m] = g_chan[m:, m:] = b
+    unitarity = float(np.max(np.abs(v.T @ v - np.eye(m))))
+    target = np.eye(m) - np.ones((m, m)) / n + noise_gram_matrix(profile)
+    kappa_resid = float(np.max(np.abs(kappa @ kappa.T - target)))
+    g_resid = float(np.max(np.abs(g_chan - g_opt_matrix(profile))))
+    p = np.eye(m) - np.outer(s, s)
+    cp_eig = float(min(np.linalg.eigvalsh(b + p)[0], np.linalg.eigvalsh(b - p)[0]))
+    cp_bound = -PSD_TOL * max(1.0, float(np.max(np.abs(g_chan))))
+    return v, kappa, {
+        "unitarity_residual": unitarity,
+        "kappa_gram_residual": kappa_resid,
+        "g_opt_residual": g_resid,
+        "cp_min_eigenvalue": cp_eig,
+        "transmittance": t,
+        "passed": bool(
+            unitarity < INVARIANT_TOL
+            and kappa_resid < INVARIANT_TOL
+            and g_resid < INVARIANT_TOL
+            and cp_eig > cp_bound
+            and t <= 1.0
+        ),
+    }
+
+
+def test_amplifier_check_matches_dense_path_bit_for_bit():
+    rng = np.random.default_rng(35)
+    profiles = [random_optimal_profile(rng, m_max=60)[0] for _ in range(100)]
+    # symmetric designs take v_1 from the canonical basis, not from lack
+    profiles += [symmetric_profile(n, m) for m, n in ((2, 1), (3, 2), (13, 1), (40, 3))]
+    profiles += [load_circuit(str(path))[1] for path in sorted(FIXTURES.glob("*.amplifier.json"))]
+    for profile in profiles:
+        circ, report = verify_circuit(profile, "amplifier")
+        v, kappa, dense_report = _dense_amplifier_check(profile)
+        assert circ.V.tobytes() == v.tobytes()
+        assert circ.kappa.tobytes() == kappa.tobytes()
+        assert report == dense_report

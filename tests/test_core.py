@@ -14,11 +14,19 @@ from gaussclone import (
     symplectic_form,
     vacuum_state,
 )
-from gaussclone.circuits import g_opt_matrix, mean_map_matrix
+from gaussclone.circuits import g_opt_matrix
 from gaussclone.core import compose_channels, husimi_q, identity_channel
 from gaussclone.design import symmetric_profile
 
 from conftest import random_optimal_profile
+
+
+def mean_map_matrix(n_in, m_out):
+    """2M x 2 matrix S replicating the collected-mode mean into every clone."""
+    s = np.zeros((2 * m_out, 2))
+    s[:m_out, 0] = 1.0 / np.sqrt(n_in)
+    s[m_out:, 1] = 1.0 / np.sqrt(n_in)
+    return s
 
 
 def random_cp_channel(rng, m_in, m_out):

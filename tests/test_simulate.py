@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,10 +15,10 @@ from gaussclone import (
     symmetric_profile,
 )
 from gaussclone import simulate
-from gaussclone.circuits import feedforward_params, splitting_amplitudes
+from gaussclone.circuits import feedforward_params
 from gaussclone.simulate import SimResult, _shard_sizes
 
-from conftest import random_optimal_profile
+from conftest import random_optimal_profile, splitting_amplitudes
 
 
 def quad_mean_target(alpha, m):
@@ -157,7 +158,7 @@ def dense_run(config, circuit, samples_path=None):
     m = profile.m_out
     amp_in = math.sqrt(profile.n_in) * config.alpha
     t_tap = math.sqrt(1.0 - circuit.r_tap**2)
-    d = splitting_amplitudes(circuit)
+    d = circuit.splitting
     gains = circuit.gains
     o_mean = circuit.r_tap * amp_in
     det_amp = d * t_tap * amp_in + gains * o_mean
@@ -281,3 +282,27 @@ def test_run_memory_does_not_grow_with_shots():
         tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
 
+
+
+def test_splitting_from_amplitudes_moves_samples_by_rounding(tmp_path):
+    # the splitting fractions used to be multiplied down the splitter chain;
+    # taking them from the clone amplitudes leaves the drawn normals as they
+    # were and moves each sample by rounding only
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        profile, _ = random_optimal_profile(rng, m_max=6)
+        circuit = feedforward_params(profile)
+        chain = dataclasses.replace(circuit, splitting=splitting_amplitudes(circuit))
+        assert np.max(np.abs(circuit.splitting - chain.splitting)) < 2e-15
+        config = SimConfig(profile=profile, alpha=0.9 - 1.7j, shots=40, seed=6, shards=2)
+        new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
+        result = run(config, circuit=circuit, samples_path=str(new_csv))
+        reference = run(config, circuit=chain, samples_path=str(old_csv))
+        with open(new_csv) as fh_new, open(old_csv) as fh_old:
+            new_rows, old_rows = list(csv.reader(fh_new)), list(csv.reader(fh_old))
+        assert new_rows[0] == old_rows[0]
+        new, old = np.array(new_rows[1:], dtype=float), np.array(old_rows[1:], dtype=float)
+        # shot, clone and the heterodyne outcome do not depend on the fractions
+        assert np.array_equal(new[:, [0, 1, 4, 5]], old[:, [0, 1, 4, 5]])
+        assert np.max(np.abs(new[:, 2:4] - old[:, 2:4])) < 1e-14
+        assert_results_close(result, reference, tol=1e-14)
