@@ -15,7 +15,6 @@ from .core import (
     cp_min_eigenvalue,
     mode_amplitudes,
     symplectic_form,
-    vacuum_state,
 )
 from .design import (
     CostWeights,
@@ -25,7 +24,6 @@ from .design import (
     design_from_weights,
     estimation_tradeoff,
     last_noise_roots,
-    reduce_perfect_clone,
     residual,
     solve_last_noise,
     symmetric_profile,

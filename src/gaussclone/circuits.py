@@ -76,18 +76,16 @@ def k_matrix(n_in: int, m_out: int) -> np.ndarray:
     return np.block([[z, p], [-p, z]])
 
 
-def a_opt_matrix(profile: NoiseProfile) -> np.ndarray:
-    """Complete-positivity matrix A_opt = G_opt + iK (Hermitian)."""
-    return g_opt_matrix(profile) + 1j * k_matrix(profile.n_in, profile.m_out)
-
-
 # -- amplifier scheme --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AmplifierCircuit:
     """Tap transmittance t, amplifier gain g, interferometer V, and the
-    effective auxiliary-mode coefficients kappa of the composite map."""
+    effective auxiliary-mode coefficients kappa of the composite map.
+
+    V[:, :M-1] is lower Hessenberg: its columns 2 to M - 1 hold exact zeros
+    above the first superdiagonal, and so do kappa's."""
 
     t: float
     g: float
@@ -123,16 +121,23 @@ def _complete_columns(cols: np.ndarray, k: int) -> np.ndarray:
     """Fill the columns of `cols` after its orthonormal first k by
     Gram-Schmidt over the canonical basis in order: e_j is kept when more
     than 1e-8 of it is left after projecting it off the columns C accepted
-    so far, and C^T e_j is row j of C."""
+    so far, and C^T e_j is row j of C.
+
+    In exact arithmetic the accepted columns span e_0, ..., e_{j-1} by the
+    time e_j is taken, so what is left of e_j is zero on the rows above j:
+    it is projected on rows j and below only, and the rows above are exact
+    zeros."""
     for j in range(cols.shape[0]):
         if k == cols.shape[1]:
             break
-        # 0 - x rather than -x leaves no negative zeros, as e_j - x does
-        rest = 0.0 - cols[:, :k] @ cols[j, :k]
-        rest[j] += 1.0
-        norm = np.linalg.norm(rest)
+        # rows j and below of e_j - C C[j, :]; 0 - x rather than -x leaves
+        # no negative zeros, as e_j - x does
+        rest = 0.0 - cols[j:, :k] @ cols[j, :k]
+        rest[0] += 1.0
+        norm = math.sqrt(rest @ rest)
         if norm > 1e-8:
-            cols[:, k] = rest / norm
+            cols[:j, k] = 0.0
+            cols[j:, k] = rest / norm
             k += 1
     return cols
 
@@ -170,7 +175,8 @@ def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
 
     Column 1 of V is the signal column and column M the noise column of
     `_live_columns`; the remaining columns are a deterministic completion
-    over the canonical basis.
+    over the canonical basis.  The completion column taken from e_j is zero
+    on the rows above j, so V is lower Hessenberg outside its noise column.
     """
     t, g, r, v_sig, v_noise = _live_columns(profile)
     m = profile.m_out
@@ -331,20 +337,26 @@ def feedforward_output_state(
     return _clone_state(*_feedforward_moments(circ, math.sqrt(n_in) * alpha))
 
 
-def scheme_equivalence_check(profile: NoiseProfile, alpha: complex = 0.8 - 0.3j) -> dict:
+def scheme_equivalence_check(
+    profile: NoiseProfile,
+    alpha: complex = 0.8 - 0.3j,
+    feedforward: FeedforwardCircuit | None = None,
+) -> dict:
     """Compare the output Gaussian states of the two circuits of `profile`.
 
     Both states have uncorrelated x and p quadratures with one covariance
     block each, so the states are compared through their clone amplitudes
     and that M x M block; the amplifier's comes from its two live columns,
-    without building V.  Returns a report with the element-wise mean and
-    covariance discrepancies and a pass flag: the mean within 1e-9, the
-    covariance within 1e-9 max(1, max|cov|).
+    without building V.  `feedforward` is the feedforward circuit of
+    `profile` when the caller has already built it.  Returns a report with
+    the element-wise mean and covariance discrepancies and a pass flag: the
+    mean within 1e-9, the covariance within 1e-9 max(1, max|cov|).
     """
-    require_on_surface(profile, RESIDUAL_TOL)
+    if feedforward is None:
+        feedforward = feedforward_params(profile)
     amp_in = math.sqrt(profile.n_in) * alpha
     amps_amp, block_amp = _amplifier_moments(*_live_columns(profile), amp_in)
-    amps_ff, block_ff = _feedforward_moments(feedforward_params(profile), amp_in)
+    amps_ff, block_ff = _feedforward_moments(feedforward, amp_in)
     mean_diff = float(np.max(np.abs(_quadrature_mean(amps_amp) - _quadrature_mean(amps_ff))))
     cov_diff = float(np.max(np.abs(block_amp - block_ff)))
     # the covariance's rounding grows with the noises, the mean's does not
@@ -406,7 +418,7 @@ def verify_circuit(
             and 0.0 <= circ.r_tap <= 1.0
         )
         gain_resid = float(np.max(np.abs(circ.gains**2 - profile.noises)))
-        equiv = scheme_equivalence_check(profile)
+        equiv = scheme_equivalence_check(profile, feedforward=circ)
         return circ, {
             "reflectances_in_range": in_range,
             "gain_noise_residual": gain_resid,

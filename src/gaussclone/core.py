@@ -52,18 +52,6 @@ class GaussianState:
         mean.setflags(write=False)
         cov.setflags(write=False)
 
-    def physicality_min_eigenvalue(self) -> float:
-        """Min eigenvalue of cov + iJ; >= -tol for a physical state."""
-        j = symplectic_form(self.num_modes)
-        return float(np.linalg.eigvalsh(self.cov + 1j * j)[0])
-
-    def is_physical(self, tol: float = PSD_TOL) -> bool:
-        return self.physicality_min_eigenvalue() >= -tol
-
-
-def vacuum_state(num_modes: int) -> GaussianState:
-    return GaussianState(num_modes, np.zeros(2 * num_modes), np.eye(2 * num_modes))
-
 
 def coherent_state(alphas) -> GaussianState:
     """Product coherent state with the given complex amplitudes (one per mode)."""
@@ -105,28 +93,11 @@ class GaussianChannel:
         G.setflags(write=False)
 
 
-def identity_channel(num_modes: int) -> GaussianChannel:
-    d = 2 * num_modes
-    return GaussianChannel(num_modes, num_modes, np.eye(d), np.zeros((d, d)))
-
-
 def apply_channel(ch: GaussianChannel, st: GaussianState) -> GaussianState:
     """Propagate a Gaussian state through a Gaussian CP map."""
     if st.num_modes != ch.m_in:
         raise ValueError(f"channel expects {ch.m_in} input modes, state has {st.num_modes}")
     return GaussianState(ch.m_out, ch.S @ st.mean, ch.S @ st.cov @ ch.S.T + ch.G)
-
-
-def compose_channels(second: GaussianChannel, first: GaussianChannel) -> GaussianChannel:
-    """Channel equivalent to applying `first` then `second`."""
-    if first.m_out != second.m_in:
-        raise ValueError("mode-count mismatch in channel composition")
-    return GaussianChannel(
-        first.m_in,
-        second.m_out,
-        second.S @ first.S,
-        second.S @ first.G @ second.S.T + second.G,
-    )
 
 
 def cp_min_eigenvalue(ch: GaussianChannel) -> float:
@@ -173,12 +144,3 @@ def clone_marginal(st: GaussianState, j: int) -> CloneMarginal:
     n = max(n, 0.0)
     alpha = (st.mean[j] + 1j * st.mean[m + j]) / np.sqrt(2)
     return CloneMarginal(complex(alpha), float(n), 1.0 / (1.0 + n))
-
-
-def husimi_q(marginal: CloneMarginal, beta: complex) -> float:
-    """Husimi Q-function of a displaced thermal clone, evaluated at beta."""
-    n = marginal.thermal_noise
-    if n < 0:
-        raise ValueError("thermal noise must be non-negative")
-    d2 = abs(marginal.coherent_amplitude - beta) ** 2
-    return float(np.exp(-d2 / (n + 1.0)) / (np.pi * (n + 1.0)))

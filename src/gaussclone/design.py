@@ -216,18 +216,3 @@ def estimation_tradeoff(n_f: float) -> EstimationTradeoffPoint:
         return EstimationTradeoffPoint(0.0, math.inf, 1.0, 0.0)
     n_g = (n_f + 1.0) ** 2 / (4.0 * n_f)
     return EstimationTradeoffPoint(n_f, n_g, 1.0 / (1.0 + n_f), 1.0 / (1.0 + n_g))
-
-
-def reduce_perfect_clone(profile: NoiseProfile) -> NoiseProfile:
-    """Strip one perfect (zero-noise) clone, giving an (N-1)->(M-1) profile.
-
-    A perfect clone just passes one input replica through, so the surface
-    residual is preserved exactly.
-    """
-    zeros = np.flatnonzero(profile.noises <= DESIGN_TOL)
-    if zeros.size == 0:
-        raise ValueError("no zero-noise clone to remove")
-    if profile.n_in < 2:
-        raise ValueError("cannot reduce below one input replica")
-    keep = np.delete(profile.noises, zeros[0])
-    return NoiseProfile(profile.n_in - 1, profile.m_out - 1, keep)

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gaussclone import CostWeights, design_from_weights
+from gaussclone import CostWeights, GaussianChannel, GaussianState, design_from_weights
+from gaussclone.circuits import g_opt_matrix, k_matrix
 
 # circuit documents written by an earlier release, which must keep verifying
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -26,6 +27,20 @@ def random_optimal_profile(rng, m_max=8, n_in=None, m_out=None):
         n_in = int(rng.integers(1, m_out))
     weights = CostWeights(rng.uniform(0.1, 10.0, m_out))
     return design_from_weights(weights, n_in, m_out), weights
+
+
+def vacuum_state(num_modes):
+    return GaussianState(num_modes, np.zeros(2 * num_modes), np.eye(2 * num_modes))
+
+
+def identity_channel(num_modes):
+    d = 2 * num_modes
+    return GaussianChannel(num_modes, num_modes, np.eye(d), np.zeros((d, d)))
+
+
+def a_opt_matrix(profile):
+    """Complete-positivity matrix A_opt = G_opt + iK (Hermitian)."""
+    return g_opt_matrix(profile) + 1j * k_matrix(profile.n_in, profile.m_out)
 
 
 def splitting_amplitudes(circ):

@@ -30,9 +30,9 @@ from gaussclone import (
     symmetric_profile,
     verify_certificate,
 )
-from gaussclone.circuits import a_opt_matrix, noise_gram_matrix
+from gaussclone.circuits import noise_gram_matrix
 
-from conftest import acceptance_lines, random_optimal_profile
+from conftest import a_opt_matrix, acceptance_lines, random_optimal_profile
 
 
 def record(num, label, ok):

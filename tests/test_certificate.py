@@ -16,9 +16,9 @@ from gaussclone import (
 )
 from gaussclone import certificate
 from gaussclone.certificate import CertifiedProblem, extremal_equation_residual
-from gaussclone.circuits import a_opt_matrix, g_opt_matrix, k_matrix, noise_gram_matrix
+from gaussclone.circuits import g_opt_matrix, k_matrix, noise_gram_matrix
 
-from conftest import random_optimal_profile
+from conftest import a_opt_matrix, random_optimal_profile
 
 
 def matrix_cost(g, weights):

@@ -156,6 +156,32 @@ def test_synth_verify_cycle(capsys, tmp_path):
         assert code == 0
 
 
+def test_amplifier_document_stores_exact_zeros_above_the_band(capsys, tmp_path):
+    m = 200
+    weights = ",".join(repr(float(w)) for w in np.random.default_rng(41).uniform(0.1, 10.0, m))
+    design, circuit = tmp_path / "design.json", tmp_path / "circ.json"
+    run_cli(capsys, "design", "--weights", weights, "--n-in", "2", "--m-out", str(m),
+            "--out", str(design))
+    code, _, _ = run_cli(
+        capsys, "synth", "--design", str(design), "--scheme", "amplifier", "--out", str(circuit)
+    )
+    assert code == 0
+    params = json.loads(circuit.read_text())["parameters"]
+    assert len(params["V"]) == m * m and len(params["kappa"]) == m * (m - 1)
+    # V[:, 1:M-1] and kappa[:, 1:] are zero above their first superdiagonal:
+    # (M - 2)(M - 3)/2 entries each, written as 0.0
+    above = (m - 2) * (m - 3) // 2
+    v = np.array(params["V"]).reshape(m, m)
+    kappa = np.array(params["kappa"]).reshape(m, m - 1)
+    assert np.count_nonzero(np.triu(v[:, 1 : m - 1], 1)) == 0
+    assert np.count_nonzero(np.triu(kappa[:, 1:], 1)) == 0
+    assert params["V"].count(0.0) >= above and params["kappa"].count(0.0) >= above
+    assert circuit.stat().st_size < 1.2e6
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+    report = json.loads(stdout)
+    assert code == 0 and report["passed"] and report["parameter_residual"] == 0.0
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
 def test_earlier_circuit_documents_still_verify(capsys, name):
     circuit = str(FIXTURES / name)
@@ -395,7 +421,7 @@ def test_synth_failed_invariant_exits_3_with_report(capsys, tmp_path, monkeypatc
     run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2", "--out", str(design))
     monkeypatch.setattr(
         "gaussclone.circuits.scheme_equivalence_check",
-        lambda profile: {"discrepancy": 1.0, "passed": False},
+        lambda profile, **_: {"discrepancy": 1.0, "passed": False},
     )
     code, stdout, stderr = run_cli(
         capsys, "synth", "--design", str(design), "--scheme", "feedforward", "--out", str(circuit)

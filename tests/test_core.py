@@ -12,13 +12,39 @@ from gaussclone import (
     cp_min_eigenvalue,
     mode_amplitudes,
     symplectic_form,
-    vacuum_state,
 )
 from gaussclone.circuits import g_opt_matrix
-from gaussclone.core import compose_channels, husimi_q, identity_channel
+from gaussclone.core import PSD_TOL
 from gaussclone.design import symmetric_profile
 
-from conftest import random_optimal_profile
+from conftest import identity_channel, random_optimal_profile, vacuum_state
+
+
+def is_physical(state, tol=PSD_TOL):
+    """Whether cov + iJ is positive semidefinite to `tol`."""
+    j = symplectic_form(state.num_modes)
+    return np.linalg.eigvalsh(state.cov + 1j * j)[0] >= -tol
+
+
+def compose_channels(second, first):
+    """Channel equivalent to applying `first` then `second`."""
+    if first.m_out != second.m_in:
+        raise ValueError("mode-count mismatch in channel composition")
+    return GaussianChannel(
+        first.m_in,
+        second.m_out,
+        second.S @ first.S,
+        second.S @ first.G @ second.S.T + second.G,
+    )
+
+
+def husimi_q(marginal, beta):
+    """Husimi Q-function of a displaced thermal clone, evaluated at beta."""
+    n = marginal.thermal_noise
+    if n < 0:
+        raise ValueError("thermal noise must be non-negative")
+    d2 = abs(marginal.coherent_amplitude - beta) ** 2
+    return float(np.exp(-d2 / (n + 1.0)) / (np.pi * (n + 1.0)))
 
 
 def mean_map_matrix(n_in, m_out):
@@ -64,7 +90,7 @@ def test_coherent_state_convention():
     st = coherent_state([1 + 2j])
     assert np.allclose(st.mean, [np.sqrt(2), 2 * np.sqrt(2)])
     assert np.allclose(st.cov, np.eye(2))
-    assert st.is_physical()
+    assert is_physical(st)
     assert mode_amplitudes(st)[0] == pytest.approx(1 + 2j)
 
 
@@ -125,7 +151,7 @@ def test_cp_channel_preserves_physicality():
     for _ in range(20):
         ch = random_cp_channel(rng, 2, 3)
         st = random_physical_state(rng, 2)
-        assert apply_channel(ch, st).is_physical(tol=1e-8)
+        assert is_physical(apply_channel(ch, st), tol=1e-8)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from gaussclone import (
     estimation_tradeoff,
     feedforward_params,
     last_noise_roots,
-    reduce_perfect_clone,
     residual,
     solve_last_noise,
     symmetric_profile,
@@ -22,6 +21,21 @@ from gaussclone.circuits import RESIDUAL_TOL, gain_and_transmittance
 from gaussclone.design import DESIGN_TOL, require_on_surface
 
 from conftest import random_optimal_profile
+
+
+def reduce_perfect_clone(profile):
+    """Strip one perfect (zero-noise) clone, giving an (N-1)->(M-1) profile.
+
+    A perfect clone just passes one input replica through, so the surface
+    residual is preserved exactly.
+    """
+    zeros = np.flatnonzero(profile.noises <= DESIGN_TOL)
+    if zeros.size == 0:
+        raise ValueError("no zero-noise clone to remove")
+    if profile.n_in < 2:
+        raise ValueError("cannot reduce below one input replica")
+    keep = np.delete(profile.noises, zeros[0])
+    return NoiseProfile(profile.n_in - 1, profile.m_out - 1, keep)
 
 
 def surface_matrix_determinant(profile):
