@@ -20,10 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import RESIDUAL_TOL, k_matrix
+from .circuits import k_matrix
+from .core import within
 from .design import CostWeights, NoiseProfile, require_on_surface
 
-CERT_TOL = 1e-9
+# an odd scan trial whose cost bound is this close to the minimum gets eigvalsh
+SCAN_PRUNE_MARGIN = 1e-9
+# floor of the |Z| |A_opt| denominator, which only a degenerate design reaches
+SCALE_FLOOR = 1e-300
 # values per stacked block of the feasible scan; larger blocks gain little
 # speed and raise peak memory
 SCAN_BLOCK_VALUES = 2**14
@@ -92,16 +96,13 @@ def _g_opt_diagonal(profile: NoiseProfile) -> np.ndarray:
 
 def build_problem(profile: NoiseProfile, weights: CostWeights) -> CertifiedProblem:
     """Check an on-surface profile and matching weights as primal SDP data."""
-    require_on_surface(profile, RESIDUAL_TOL)
+    require_on_surface(profile)
     if weights.weights.shape != (profile.m_out,):
         raise ValueError("weight vector length must equal the clone count")
     if weights.lagrange is not None:
         mismatch = extremal_equation_residual(profile, weights)
-        scale = float(np.max(weights.weights))
-        if mismatch > 1e-8 * max(1.0, scale):
-            raise ValueError(
-                f"weights are not extremal for this profile (residual {mismatch:.3g})"
-            )
+        if not within(mismatch, np.max(weights.weights)):
+            raise ValueError(f"weights are not extremal for this profile (residual {mismatch:.3g})")
     return CertifiedProblem(profile=profile, weights=weights)
 
 
@@ -133,7 +134,8 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
     G_opt + iK (relative max-entry norm), Z is PSD, the duality gap vanishes,
     and the multiplier normalization eta f^T v = -1 holds.  Each is evaluated
     from its closed form in x, f, v and eta, with B = I + 2F - H/N the blocks
-    of G_opt and P = I - H/N those of K.
+    of G_opt and P = I - H/N those of K, and held `within` its scale (see
+    the README): the gap's terms are |lam| S^2, so it rounds on |cost| S^2 / (M - N).
     """
     p = problem.profile
     n = p.n_in
@@ -159,7 +161,7 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
     z_scale = float(max(np.max(x), np.max(y_diag), -2.0 * eta * np.prod(v_hi)))
     b_off = np.abs(2.0 * np.array([np.prod(f_hi), np.prod(f_lo)]) - 1.0 / n)
     a_scale = float(max(np.max(b), np.max(b_off), 1.0 / n))
-    za_rel = za_max / max(z_scale * a_scale, 1e-300)
+    za_rel = za_max / max(z_scale * a_scale, SCALE_FLOOR)
     # eig Z = eig(X + Y) and eig(X - Y).  X + Y = -2 eta v v^T >= 0 is
     # singular.  By interlacing, X - Y = 2X + 2 eta v v^T has M - 1
     # eigenvalues >= 2 min x, and one of the sign of eps: one Newton step of
@@ -181,11 +183,11 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
         "normalization_residual": abs(eps),
     }
     passed = (
-        checks["trace_cost_discrepancy"] < CERT_TOL * max(1.0, abs(cost_opt))
-        and checks["z_annihilates_a_rel"] < CERT_TOL
-        and checks["min_eig_z"] > -CERT_TOL * max(1.0, z_scale)
-        and checks["duality_gap"] < CERT_TOL * max(1.0, abs(cost_opt))
-        and checks["normalization_residual"] < CERT_TOL * max(1.0, eps_scale)
+        within(checks["trace_cost_discrepancy"], abs(cost_opt))
+        and within(za_rel)
+        and within(min_eig_z, z_scale)
+        and within(gap, abs(cost_opt) * max(1.0, eps_scale))
+        and within(eps, eps_scale)
     )
     return {
         **checks,
@@ -194,7 +196,7 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
         "affine_constant": affine_const,
         "cost_map_residual": cost_map_resid,
         "dual_bound": cert.dual_bound,
-        "passed": bool(passed),
+        "passed": passed,
     }
 
 
@@ -239,8 +241,8 @@ def random_feasible_cost_scan(
     Cauchy interlacing mu is at most the least of them, which bounds the
     cost from below.  In each block the even trials are costed first, and
     only odd trials whose bound comes within a rounding margin of the
-    running minimum reach eigvalsh.  The margin is CERT_TOL times a bound
-    on the size of the cost's terms, far above the rounding of either side,
+    running minimum reach eigvalsh.  The margin is SCAN_PRUNE_MARGIN times a
+    bound on the size of the cost's terms, far above the rounding of either side,
     so a trial left out costs more than the minimum, and min_cost is the
     number the full evaluation gives.
     """
@@ -278,7 +280,7 @@ def random_feasible_cost_scan(
         shift = np.maximum(0.0, -_interlacing_bound(w_odd, u_odd, p.n_in))
         bound = q_diag @ diag_weights + shift * weight_sum
         q_norm = 2.0 * u_odd * np.sqrt(np.sum(squares[odd], axis=1)) + p_norm
-        margin = CERT_TOL * (np.abs(q_diag) @ diag_weights + q_norm * weight_sum)
+        margin = SCAN_PRUNE_MARGIN * (np.abs(q_diag) @ diag_weights + q_norm * weight_sum)
         live = bound <= threshold + margin
         w_live = w_odd[live]
         q = (w_live + w_live.transpose(0, 2, 1)) * u_odd[live, None, None]
@@ -292,5 +294,5 @@ def random_feasible_cost_scan(
         "min_cost": float(min_cost),
         "min_dual_pairing": float(min_cost - cert.dual_bound),
         "dual_bound": cert.dual_bound,
-        "passed": bool(min_cost >= cert.dual_bound - CERT_TOL),
+        "passed": within(min(0.0, min_cost - cert.dual_bound), abs(cert.dual_bound)),
     }

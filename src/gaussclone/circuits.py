@@ -28,13 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PSD_TOL, GaussianChannel, GaussianState
+from .core import GaussianChannel, GaussianState, within
 from .design import NoiseProfile, OffSurfaceError, require_on_surface
 
-RESIDUAL_TOL = 1e-8
-# bound on the algebraic residuals of a synthesized circuit and on the
-# difference between stored and rebuilt circuit parameters
-INVARIANT_TOL = 1e-8
+# a completion candidate keeping no more than this fraction of its norm is skipped
+COMPLETION_SKIP = 1e-8
 
 
 # -- analytic matrices of the cloner channel ---------------------------------
@@ -106,13 +104,13 @@ def gain_and_transmittance(profile: NoiseProfile) -> tuple[float, float]:
     t = sqrt((M - N) / (n_tot N))."""
     if profile.m_out <= profile.n_in:
         raise ValueError("amplifier scheme requires M > N")
-    require_on_surface(profile, RESIDUAL_TOL)
+    require_on_surface(profile)
     n_tot = profile.n_tot
     if n_tot <= 0:
         raise ValueError("M > N requires strictly positive total noise")
     g = math.sqrt(1.0 + n_tot)
     t = math.sqrt((profile.m_out - profile.n_in) / (n_tot * profile.n_in))
-    if t > 1.0 + 1e-12:
+    if not within(min(0.0, 1.0 - t)):
         raise OffSurfaceError(f"transmittance {t:.6g} > 1; profile is infeasible")
     return g, min(t, 1.0)
 
@@ -120,8 +118,8 @@ def gain_and_transmittance(profile: NoiseProfile) -> tuple[float, float]:
 def _complete_columns(cols: np.ndarray, k: int) -> np.ndarray:
     """Fill the columns of `cols` after its orthonormal first k by
     Gram-Schmidt over the canonical basis in order: e_j is kept when more
-    than 1e-8 of it is left after projecting it off the columns C accepted
-    so far, and C^T e_j is row j of C.
+    than COMPLETION_SKIP of it is left after projecting it off the columns C
+    accepted so far, and C^T e_j is row j of C.
 
     In exact arithmetic the accepted columns span e_0, ..., e_{j-1} by the
     time e_j is taken, so what is left of e_j is zero on the rows above j:
@@ -135,7 +133,7 @@ def _complete_columns(cols: np.ndarray, k: int) -> np.ndarray:
         rest = 0.0 - cols[j:, :k] @ cols[j, :k]
         rest[0] += 1.0
         norm = math.sqrt(rest @ rest)
-        if norm > 1e-8:
+        if norm > COMPLETION_SKIP:
             cols[:j, k] = 0.0
             cols[j:, k] = rest / norm
             k += 1
@@ -150,9 +148,9 @@ def _live_columns(profile: NoiseProfile):
     v_M routes the amplifier idler noise, v_M = sqrt(n / n_tot).  After the
     amplifier each clone still lacks the amplitude lack = 1 - g t sqrt(N) v_M
     (in units of the input amplitude), so v_1 is lack's direction and
-    r = v_1 . lack / sqrt(N).  When lack keeps no more than 1e-8 of its norm
-    off v_M, as at the symmetric point where nothing is lacking, v_1 is the
-    first canonical basis vector that does.
+    r = v_1 . lack / sqrt(N).  When lack keeps no more than COMPLETION_SKIP
+    of its norm off v_M, as at the symmetric point where nothing is lacking,
+    v_1 is the first canonical basis vector that does.
     """
     g, t = gain_and_transmittance(profile)
     m, sqrt_n = profile.m_out, math.sqrt(profile.n_in)
@@ -162,7 +160,7 @@ def _live_columns(profile: NoiseProfile):
     cols[:, 0] = col_noise / np.linalg.norm(col_noise)
     rest = lack - cols[:, :1] @ (cols[:, :1].T @ lack)
     norm = np.linalg.norm(rest)
-    if norm > 1e-8 * np.linalg.norm(lack):
+    if norm > COMPLETION_SKIP * np.linalg.norm(lack):
         cols[:, 1] = rest / norm
     else:
         _complete_columns(cols, 1)
@@ -295,7 +293,7 @@ def feedforward_params(profile: NoiseProfile) -> FeedforwardCircuit:
     """Tap reflectance, electronic gains g_j = sqrt(n_j), the recursive
     splitter reflectances and the splitting fractions of the feedforward
     scheme."""
-    require_on_surface(profile, RESIDUAL_TOL)
+    require_on_surface(profile)
     m, n = profile.m_out, profile.n_in
     n_tot = profile.n_tot
     excess = m - n
@@ -308,7 +306,8 @@ def feedforward_params(profile: NoiseProfile) -> FeedforwardCircuit:
     # share of the amplitude still in the beam, so a clone whose amplitude is
     # exactly zero gets exactly zero rather than sqrt of a rounding error
     amps = (math.sqrt(1.0 + n_tot) - np.sqrt(excess * profile.noises)) / math.sqrt(denom_sq)
-    if np.any(amps < -1e-12):
+    # amps is a difference of terms of size sqrt((1 + n_tot) / denom_sq)
+    if not within(min(0.0, np.min(amps)), math.sqrt((1.0 + n_tot) / denom_sq)):
         raise OffSurfaceError(f"negative clone amplitude {np.min(amps):.6g}; profile is infeasible")
     amps = np.maximum(amps, 0.0)
     beam = np.sqrt(np.cumsum(amps[::-1] ** 2)[::-1])[:-1]
@@ -349,23 +348,23 @@ def scheme_equivalence_check(
     and that M x M block; the amplifier's comes from its two live columns,
     without building V.  `feedforward` is the feedforward circuit of
     `profile` when the caller has already built it.  Returns a report with
-    the element-wise mean and covariance discrepancies and a pass flag: the
-    mean within 1e-9, the covariance within 1e-9 max(1, max|cov|).
+    the element-wise mean and covariance discrepancies and a pass flag: each
+    `within` the size of the amplifier's entries, max|mean| and max|cov|.
     """
     if feedforward is None:
         feedforward = feedforward_params(profile)
     amp_in = math.sqrt(profile.n_in) * alpha
     amps_amp, block_amp = _amplifier_moments(*_live_columns(profile), amp_in)
     amps_ff, block_ff = _feedforward_moments(feedforward, amp_in)
-    mean_diff = float(np.max(np.abs(_quadrature_mean(amps_amp) - _quadrature_mean(amps_ff))))
+    mean_amp = _quadrature_mean(amps_amp)
+    mean_diff = float(np.max(np.abs(mean_amp - _quadrature_mean(amps_ff))))
     cov_diff = float(np.max(np.abs(block_amp - block_ff)))
-    # the covariance's rounding grows with the noises, the mean's does not
-    cov_bound = 1e-9 * max(1.0, float(np.max(np.abs(block_amp))))
     return {
         "mean_discrepancy": mean_diff,
         "cov_discrepancy": cov_diff,
         "discrepancy": max(mean_diff, cov_diff),
-        "passed": mean_diff < 1e-9 and cov_diff < cov_bound,
+        "passed": within(mean_diff, np.max(np.abs(mean_amp)))
+        and within(cov_diff, np.max(np.abs(block_amp))),
     }
 
 
@@ -378,7 +377,7 @@ def verify_circuit(
     """Build the `scheme` circuit of `profile` and check its invariants.
 
     Returns the circuit and a report of every residual and margin with an
-    overall `passed` flag.
+    overall `passed` flag, each value `within` its scale (see the README).
     """
     if scheme == "amplifier":
         circ = build_interferometer(profile)
@@ -394,21 +393,18 @@ def verify_circuit(
         # (u, -iu) and (u, iu) split it into the real B + P and B - P
         p = np.eye(m) - np.outer(s, s)
         cp_eig = float(min(np.linalg.eigvalsh(b + p)[0], np.linalg.eigvalsh(b - p)[0]))
-        # the margin's rounding grows with the noises
-        cp_bound = -PSD_TOL * max(1.0, float(np.max(np.abs(b))))
+        b_max = np.max(np.abs(b))
         return circ, {
             "unitarity_residual": unitarity,
             "kappa_gram_residual": kappa_resid,
             "g_opt_residual": g_resid,
             "cp_min_eigenvalue": cp_eig,
             "transmittance": circ.t,
-            "passed": bool(
-                unitarity < INVARIANT_TOL
-                and kappa_resid < INVARIANT_TOL
-                and g_resid < INVARIANT_TOL
-                and cp_eig > cp_bound
-                and circ.t <= 1.0
-            ),
+            "passed": within(unitarity)
+            and within(kappa_resid, np.max(np.abs(target)))
+            and within(g_resid, b_max)
+            and within(min(0.0, cp_eig), b_max)
+            and circ.t <= 1.0,
         }
     if scheme == "feedforward":
         circ = feedforward_params(profile)
@@ -423,6 +419,6 @@ def verify_circuit(
             "reflectances_in_range": in_range,
             "gain_noise_residual": gain_resid,
             "scheme_discrepancy": equiv["discrepancy"],
-            "passed": bool(in_range and gain_resid < INVARIANT_TOL and equiv["passed"]),
+            "passed": in_range and within(gain_resid, np.max(profile.noises)) and equiv["passed"],
         }
     raise ValueError(f"unknown scheme {scheme!r}")

@@ -34,9 +34,9 @@ from .certificate import (
     verify_certificate,
     weights_from_profile,
 )
-from .circuits import INVARIANT_TOL, feedforward_params, verify_circuit
+from .circuits import feedforward_params, verify_circuit
+from .core import within
 from .design import (
-    DESIGN_TOL,
     CostWeights,
     InfeasibleDesignError,
     NoiseProfile,
@@ -127,7 +127,8 @@ def load_design(path: str) -> tuple[NoiseProfile, CostWeights | None]:
     if "weights" in doc and len(doc["weights"]) != doc["M"]:
         raise CliError(f"design document: 'weights' must have M = {doc['M']} entries")
     profile = NoiseProfile(doc["N"], doc["M"], np.array(doc["noises"], dtype=float))
-    if abs(residual(profile) - doc["residual"]) > DESIGN_TOL:
+    s2 = float(np.sum(np.sqrt(profile.noises))) ** 2
+    if not within(residual(profile) - doc["residual"], s2):
         raise CliError("stored residual does not match recomputed value")
     weights = None
     if "weights" in doc:
@@ -192,21 +193,20 @@ def load_circuit(path: str):
 
 def stored_parameter_check(doc: dict, profile: NoiseProfile, circ) -> dict:
     """Compare a circuit document's parameters and design hash with the ones
-    rebuilt from its embedded design, whose circuit is `circ`.  The parameter
-    residual is inf when a key or a shape differs or a value is NaN."""
+    rebuilt from its embedded design, whose circuit is `circ`, each key `within`
+    its rebuilt max|value|.  The parameter residual, the largest difference,
+    is inf when a key or a shape differs or a value is NaN."""
     stored = doc["parameters"]
     rebuilt = circuit_parameters(doc["scheme"], circ)
-    resid = 0.0 if stored.keys() == rebuilt.keys() else math.inf
+    hash_ok = doc.get("provenance") == {"design_sha256": design_hash(design_document(profile))}
+    keys_ok = stored.keys() == rebuilt.keys()
+    resid, match = (0.0 if keys_ok else math.inf), keys_ok and hash_ok
     for key, want in rebuilt.items():
         got = np.asarray(stored.get(key), dtype=float)
         diff = float(np.max(np.abs(got - want))) if got.shape == np.shape(want) else math.inf
         resid = max(resid, math.inf if math.isnan(diff) else diff)
-    hash_ok = doc.get("provenance") == {"design_sha256": design_hash(design_document(profile))}
-    return {
-        "parameter_residual": resid,
-        "design_hash_matches": hash_ok,
-        "parameters_match": bool(resid < INVARIANT_TOL and hash_ok),
-    }
+        match = match and within(diff, np.max(np.abs(want)))
+    return {"parameter_residual": resid, "design_hash_matches": hash_ok, "parameters_match": match}
 
 
 # -- commands ----------------------------------------------------------------

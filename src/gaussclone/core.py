@@ -16,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
-PSD_TOL = 1e-9
+# relative tolerance of every verdict; see `within`
+TOL = 1e-9
+
+
+def within(value: float, scale: float = 1.0) -> bool:
+    """Whether |value| <= TOL max(1, scale): the residual of an identity whose
+    terms have size `scale` is at rounding level.  NaN and +-inf fail."""
+    return bool(abs(value) <= TOL * max(1.0, scale))
 
 
 def symplectic_form(num_modes: int) -> np.ndarray:
@@ -45,7 +51,7 @@ class GaussianState:
             raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        if not np.allclose(cov, cov.T, atol=DEFAULT_TOL):
+        if not within(np.max(np.abs(cov - cov.T)), np.max(np.abs(cov))):
             raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -85,7 +91,7 @@ class GaussianChannel:
             )
         if G.shape != (2 * self.m_out, 2 * self.m_out):
             raise ValueError(f"G must have shape {(2 * self.m_out,) * 2}, got {G.shape}")
-        if not np.allclose(G, G.T, atol=DEFAULT_TOL):
+        if not within(np.max(np.abs(G - G.T)), np.max(np.abs(G))):
             raise ValueError("G must be symmetric")
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "G", G)
@@ -103,7 +109,7 @@ def apply_channel(ch: GaussianChannel, st: GaussianState) -> GaussianState:
 def cp_min_eigenvalue(ch: GaussianChannel) -> float:
     """Min eigenvalue of G + iK with K = J_out - S J_in S^T.
 
-    The channel is completely positive iff the returned value is >= -PSD_TOL.
+    The channel is completely positive iff within(min(0.0, value), max|G|).
     """
     k = symplectic_form(ch.m_out) - ch.S @ symplectic_form(ch.m_in) @ ch.S.T
     return float(np.linalg.eigvalsh(ch.G + 1j * k)[0])
@@ -122,24 +128,21 @@ def clone_marginal(st: GaussianState, j: int) -> CloneMarginal:
     """Extract clone j's amplitude, thermal noise n_j and fidelity 1/(1+n_j).
 
     Requires the mode's 2x2 covariance block to be isotropic (equal x and p
-    variances, no cross term, to 1e-8 of its scale); anything else signals
-    a non-covariant circuit.
+    variances and no cross term, `within` the variances' size) and at or
+    above vacuum; anything else signals a non-covariant circuit.
     """
-    tol = 1e-8
     m = st.num_modes
     if not 0 <= j < m:
         raise IndexError(f"mode index {j} out of range for {m} modes")
-    vx = st.cov[j, j]
-    vp = st.cov[m + j, m + j]
-    cxp = st.cov[j, m + j]
-    scale = max(1.0, abs(vx), abs(vp))
-    if abs(vx - vp) > tol * scale or abs(cxp) > tol * scale:
+    vx, vp, cxp = st.cov[j, j], st.cov[m + j, m + j], st.cov[j, m + j]
+    scale = max(abs(vx), abs(vp))
+    if not (within(vx - vp, scale) and within(cxp, scale)):
         raise ValueError(
             f"mode {j} covariance block is not isotropic: "
             f"var_x={vx:.6g}, var_p={vp:.6g}, cross={cxp:.6g}"
         )
     n = (vx - 1.0) / 2.0
-    if n < -tol:
+    if not within(min(0.0, n), scale):
         raise ValueError(f"mode {j} has sub-vacuum variance {vx:.6g}")
     n = max(n, 0.0)
     alpha = (st.mean[j] + 1j * st.mean[m + j]) / np.sqrt(2)

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DESIGN_TOL = 1e-9
+from .core import TOL, within
+
+# a discriminant this small is a double root's 0: its rounding gives sqrt-size root error
+ROOT_SNAP = 1e-12
+# a completion root u = sqrt(n_M) down to this is a zero-noise clone, kept as 0
+ROOT_FLOOR = -1e-14
+# the multiplier's Newton steps stop once a step is a few ulps of it
+NEWTON_STOP = 4.0 * np.finfo(float).eps
 
 
 class InfeasibleDesignError(ValueError):
@@ -93,16 +100,16 @@ def residual(profile: NoiseProfile) -> float:
     return s * s - (profile.m_out - profile.n_in) * (profile.n_tot + 1.0)
 
 
-def require_on_surface(profile: NoiseProfile, tol: float):
-    """Raise OffSurfaceError unless |residual| <= tol max(1, S^2), S = sum sqrt(n_k).
+def require_on_surface(profile: NoiseProfile):
+    """Raise OffSurfaceError unless the surface residual is `within` S^2.
 
     The residual is a difference of terms of size S^2, so its rounding
     grows with S^2.
     """
     s2 = float(np.sum(np.sqrt(profile.noises))) ** 2
     r = residual(profile)
-    if abs(r) > tol * max(1.0, s2):
-        raise OffSurfaceError(f"profile residual {r:.3g} exceeds {tol:.0e} max(1, S^2 = {s2:.3g})")
+    if not within(r, s2):
+        raise OffSurfaceError(f"profile residual {r:.3g} exceeds {TOL:.0e} max(1, S^2 = {s2:.3g})")
 
 
 def last_noise_roots(partial, n_in: int, m_out: int) -> list[float]:
@@ -133,9 +140,7 @@ def last_noise_roots(partial, n_in: int, m_out: int) -> list[float]:
         roots = [u]
     else:
         disc = s * s - a * c
-        # a double root has an exactly zero discriminant; rounding noise in
-        # s^2 - ac would otherwise blow up to sqrt-size error in the root
-        if abs(disc) < 1e-12 * max(1.0, s * s, abs(a * c)):
+        if abs(disc) < ROOT_SNAP * max(1.0, s * s, abs(a * c)):
             disc = 0.0
         if disc < 0:
             raise InfeasibleDesignError(
@@ -143,7 +148,7 @@ def last_noise_roots(partial, n_in: int, m_out: int) -> list[float]:
             )
         sq = math.sqrt(disc)
         roots = [(s - sq) / a, (s + sq) / a]
-    roots = sorted({u * u for u in roots if u >= -1e-14})
+    roots = sorted({u * u for u in roots if u >= ROOT_FLOOR})
     if not roots:
         raise InfeasibleDesignError("no non-negative completion exists")
     return [max(0.0, r) for r in roots]
@@ -189,7 +194,7 @@ def design_from_weights(w: CostWeights, n_in: int, m_out: int) -> NoiseProfile:
     for _ in range(100):
         d = lam * excess - x
         step = (float(np.sum(lam / d)) - 1.0) / float(np.sum(-x / d**2))
-        if step <= 4.0 * np.finfo(float).eps * abs(lam):
+        if step <= NEWTON_STOP * abs(lam):
             break
         lam -= step
     coeff = lam / (lam * excess - x)
@@ -198,7 +203,7 @@ def design_from_weights(w: CostWeights, n_in: int, m_out: int) -> NoiseProfile:
         raise RuntimeError("degenerate scale equation; multiplier solve failed")
     s = math.sqrt(excess / denom)
     profile = NoiseProfile(n_in, m_out, (s * coeff) ** 2)
-    require_on_surface(profile, DESIGN_TOL)
+    require_on_surface(profile)
     w.lagrange = float(lam)
     return profile
 

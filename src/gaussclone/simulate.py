@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import RESIDUAL_TOL, FeedforwardCircuit, feedforward_params
+from .circuits import FeedforwardCircuit, feedforward_params
 from .design import NoiseProfile, require_on_surface
 
 
@@ -44,7 +44,7 @@ class SimConfig:
             raise ValueError("need at least one shard")
         if not np.isfinite(self.alpha):
             raise ValueError("input amplitude must be finite")
-        require_on_surface(self.profile, RESIDUAL_TOL)
+        require_on_surface(self.profile)
 
 
 @dataclass(frozen=True)

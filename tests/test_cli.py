@@ -388,7 +388,9 @@ def test_design_and_certify_with_one_huge_weight(capsys, tmp_path):
     # with the weight first, the two schemes' covariances differ by 1.2e-9:
     # rounding on entries of size 2.2e4, which absolute 1e-9 bounds rejected;
     # at 3.2e11 first the certificate's normalization residual reads 1.2e-9,
-    # rounding on S^2 / (M - N) = 4.0e6
+    # rounding on S^2 / (M - N) = 4.0e6; at 1e12 the duality gap reads 0.067
+    # on a cost of 5.6e7, rounding on |cost| S^2 / (M - N) = 4.0e14, which a
+    # bound on |cost| alone rejected
     design = tmp_path / "design.json"
     circuit = tmp_path / "circ.json"
     huge = (
@@ -397,6 +399,8 @@ def test_design_and_certify_with_one_huge_weight(capsys, tmp_path):
         ["1e11"] + ["1"] * 199,
         ["1"] * 199 + ["1e11"],
         ["3.2e11"] + ["1"] * 199,
+        ["1e12"] + ["1"] * 199,
+        ["1"] * 199 + ["1e12"],
     )
     for weights in huge:
         code, _, _ = run_cli(

@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
+
+import gaussclone
 
 from gaussclone import (
     CloneMarginal,
@@ -14,13 +19,13 @@ from gaussclone import (
     symplectic_form,
 )
 from gaussclone.circuits import g_opt_matrix
-from gaussclone.core import PSD_TOL
+from gaussclone.core import TOL, within
 from gaussclone.design import symmetric_profile
 
 from conftest import identity_channel, random_optimal_profile, vacuum_state
 
 
-def is_physical(state, tol=PSD_TOL):
+def is_physical(state, tol=TOL):
     """Whether cov + iJ is positive semidefinite to `tol`."""
     j = symplectic_form(state.num_modes)
     return np.linalg.eigvalsh(state.cov + 1j * j)[0] >= -tol
@@ -84,6 +89,55 @@ def test_state_validation():
         GaussianState(1, np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         GaussianState(1, np.zeros(3), np.eye(2))
+
+
+def test_symmetry_checks_scale_with_the_entries():
+    # np.allclose let both through: its default rtol of 1e-5 of the entry
+    # came on top of a stated absolute bound of 1e-10
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianState(1, np.zeros(2), np.array([[1e3, 100.0], [100.0 + 5e-4, 1e3]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianChannel(1, 1, np.eye(2), np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]]))
+    # rounding on the scale of the entries still passes
+    GaussianState(1, np.zeros(2), np.array([[1e3, 100.0], [100.0 + 1e-10, 1e3]]))
+    GaussianChannel(1, 1, np.eye(2), np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]]))
+
+
+def test_within_holds_at_the_boundary_and_fails_on_non_finite_values():
+    for scale in (0.0, 0.5, 1.0, 7.0, 1e6):
+        bound = TOL * max(1.0, scale)
+        assert within(bound, scale) and within(-bound, scale)
+        above = np.nextafter(bound, np.inf)
+        assert not within(above, scale) and not within(-above, scale)
+    for value in (np.nan, np.inf, -np.inf):
+        assert not within(value) and not within(value, 1e300)
+    assert within(min(0.0, 3.0)) and not within(min(0.0, -2e-9))
+
+
+def _small_float_literals(tree):
+    """Float literals 0 < |x| < 1e-6 of a module, except those in the value of
+    a module-level assignment to a name."""
+    named = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and all(isinstance(t, ast.Name) for t in stmt.targets):
+            named.update(map(id, ast.walk(stmt.value)))
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0.0 < abs(node.value) < 1e-6 and id(node) not in named
+    ]
+
+
+def test_small_float_literals_are_named_module_constants():
+    """Verdicts go through core.within; a threshold that picks a computation
+    is a named module constant, so no tolerance hides in a literal."""
+    stray = []
+    for path in sorted(Path(gaussclone.__file__).parent.glob("*.py")):
+        for node in _small_float_literals(ast.parse(path.read_text())):
+            stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not stray, stray
+    tree = ast.parse("A = -1e-14\ndef f(x):\n    return x < 1e-12\n")
+    assert [node.value for node in _small_float_literals(tree)] == [1e-12]
 
 
 def test_coherent_state_convention():

@@ -17,8 +17,9 @@ from gaussclone import (
     solve_last_noise,
     symmetric_profile,
 )
-from gaussclone.circuits import RESIDUAL_TOL, gain_and_transmittance
-from gaussclone.design import DESIGN_TOL, require_on_surface
+from gaussclone.circuits import gain_and_transmittance
+from gaussclone.core import TOL
+from gaussclone.design import require_on_surface
 
 from conftest import random_optimal_profile
 
@@ -29,7 +30,7 @@ def reduce_perfect_clone(profile):
     A perfect clone just passes one input replica through, so the surface
     residual is preserved exactly.
     """
-    zeros = np.flatnonzero(profile.noises <= DESIGN_TOL)
+    zeros = np.flatnonzero(profile.noises <= TOL)
     if zeros.size == 0:
         raise ValueError("no zero-noise clone to remove")
     if profile.n_in < 2:
@@ -224,7 +225,7 @@ def test_design_at_extreme_weight_ratio(n_in, m_out, index, log_ratio):
     x[index] = 10.0**log_ratio
     w = CostWeights(x)
     profile = design_from_weights(w, n_in, m_out)
-    assert abs(residual(profile)) <= DESIGN_TOL
+    assert abs(residual(profile)) <= TOL
     lam = w.lagrange
     assert lam < 0
     assert np.sum(lam / (lam * (m_out - n_in) - x)) == pytest.approx(1.0, abs=1e-12)
@@ -235,7 +236,7 @@ def test_surface_checks_reject_criterion_7_perturbations():
     moves off the surface by a residual of +-0.05."""
     rng = np.random.default_rng(16)
     checks = (
-        lambda p, w: require_on_surface(p, RESIDUAL_TOL),
+        lambda p, w: require_on_surface(p),
         lambda p, w: gain_and_transmittance(p),
         lambda p, w: feedforward_params(p),
         lambda p, w: build_problem(p, w),
