@@ -183,8 +183,7 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
         "normalization_residual": abs(eps),
     }
     passed = (
-        within(checks["trace_cost_discrepancy"], abs(cost_opt))
-        and within(za_rel)
+        within(za_rel)
         and within(min_eig_z, z_scale)
         and within(gap, abs(cost_opt) * max(1.0, eps_scale))
         and within(eps, eps_scale)

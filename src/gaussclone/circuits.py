@@ -403,8 +403,7 @@ def verify_circuit(
             "passed": within(unitarity)
             and within(kappa_resid, np.max(np.abs(target)))
             and within(g_resid, b_max)
-            and within(min(0.0, cp_eig), b_max)
-            and circ.t <= 1.0,
+            and within(min(0.0, cp_eig), b_max),
         }
     if scheme == "feedforward":
         circ = feedforward_params(profile)

@@ -7,6 +7,8 @@ Infinity); indented documents from earlier releases load the same.  Bulk
 outputs are CSV.  All randomness flows through an explicit --seed.
 Exit codes: 0 success, 2 invalid input or failed precondition, 3 failed
 verification or certification (reports are still written).
+One parser is built per process, on the first `main` call; command X runs
+the module-level `cmd_X`, looked up when the command runs.
 
 Circuits are built and checked by `circuits.verify_circuit`; this module
 writes and reads their documents and compares the stored parameters with
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -323,7 +326,9 @@ def cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, shared by every `main` call: never add to it."""
     parser = argparse.ArgumentParser(
         prog="gaussclone",
         description="Optimal N-to-M asymmetric Gaussian cloning of coherent states",
@@ -336,31 +341,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-in", type=int, required=True)
     p.add_argument("--m-out", type=int, required=True)
     p.add_argument("--out", help="write design document JSON here")
-    p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("solve", help="complete M-1 noises to the optimal surface")
     p.add_argument("--noises", required=True, help="comma-separated first M-1 noises")
     p.add_argument("--n-in", type=int, required=True)
     p.add_argument("--m-out", type=int, required=True)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("synth", help="synthesize a physical circuit")
     p.add_argument("--design", required=True)
     p.add_argument("--scheme", choices=("amplifier", "feedforward"), required=True)
     p.add_argument("--out", help="write circuit document JSON here")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="re-check circuit invariants")
     p.add_argument("--circuit", required=True)
     p.add_argument("--out", help="write verification report JSON here")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="verify the SDP dual optimality certificate")
     p.add_argument("--design", required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write certification report JSON here")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="Monte Carlo of the feedforward scheme")
     p.add_argument("--circuit", required=True)
@@ -370,21 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--out", help="stream per-shot samples to this CSV")
     p.add_argument("--summary-out", help="write the summary JSON here")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tradeoff", help="export the partial-estimation tradeoff curve")
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--out", help="write the curve to this CSV")
-    p.set_defaults(func=cmd_tradeoff)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -26,6 +26,12 @@ def within(value: float, scale: float = 1.0) -> bool:
     return bool(abs(value) <= TOL * max(1.0, scale))
 
 
+def _require_finite(**arrays: np.ndarray) -> None:
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def symplectic_form(num_modes: int) -> np.ndarray:
     """Commutator matrix J = [[0, I], [-I, 0]] in xxpp ordering."""
     eye = np.eye(num_modes)
@@ -51,6 +57,7 @@ class GaussianState:
             raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
+        _require_finite(mean=mean, cov=cov)
         if not within(np.max(np.abs(cov - cov.T)), np.max(np.abs(cov))):
             raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "mean", mean)
@@ -91,6 +98,7 @@ class GaussianChannel:
             )
         if G.shape != (2 * self.m_out, 2 * self.m_out):
             raise ValueError(f"G must have shape {(2 * self.m_out,) * 2}, got {G.shape}")
+        _require_finite(S=S, G=G)
         if not within(np.max(np.abs(G - G.T)), np.max(np.abs(G))):
             raise ValueError("G must be symmetric")
         object.__setattr__(self, "S", S)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -550,3 +551,62 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_one_parser_serves_every_main_call(capsys, monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *a, **k: made.append(1) or init(self, *a, **k),
+    )
+    gaussclone.cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2")[0] == 0
+        assert run_cli(capsys, "tradeoff", "--points", "0")[0] == 2
+    # the top-level parser and one per command, built by the first call only
+    assert len(made) == 8
+
+
+def test_cli_import_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gaussclone.__file__)))
+    code = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = (\n"
+        "    lambda self, *a, **k: made.append(1) or init(self, *a, **k))\n"
+        "import gaussclone.cli\n"
+        "print(len(made), gaussclone.cli.build_parser.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "0"]
+
+
+def spy_on(monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(gaussclone.cli, f"cmd_{command}", lambda args: calls.append(args) or 0)
+    return calls
+
+
+def test_options_do_not_leak_between_calls(capsys, monkeypatch):
+    first = run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "3")
+    second = run_cli(capsys, "design", "--weights", "1,1,1", "--n-in", "1", "--m-out", "3")
+    assert first[0] == second[0] == 0
+    assert json.loads(first[1])["noises"] == pytest.approx(json.loads(second[1])["noises"])
+    calls = spy_on(monkeypatch, "simulate")
+    main(["simulate", "--circuit", "c.json", "--shots", "5", "--out", "x.csv"])
+    main(["simulate", "--circuit", "c.json", "--shots", "5"])
+    assert [args.out for args in calls] == ["x.csv", None]
+
+
+def test_commands_run_the_module_function_patched_after_a_call(capsys, tmp_path, monkeypatch):
+    design = tmp_path / "design.json"
+    run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2", "--out", str(design))
+    calls = spy_on(monkeypatch, "certify")
+    code, stdout, _ = run_cli(capsys, "certify", "--design", str(design), "--trials", "7")
+    assert code == 0 and stdout == ""
+    assert [(args.design, args.trials, args.seed) for args in calls] == [(str(design), 7, 0)]

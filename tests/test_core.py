@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,31 @@ def test_symmetry_checks_scale_with_the_entries():
     # rounding on the scale of the entries still passes
     GaussianState(1, np.zeros(2), np.array([[1e3, 100.0], [100.0 + 1e-10, 1e3]]))
     GaussianChannel(1, 1, np.eye(2), np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]]))
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", ["mean", "cov"])
+def test_state_rejects_non_finite_entries(name, bad):
+    arrays = {"mean": np.zeros(2), "cov": np.eye(2)}
+    arrays[name][1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GaussianState(1, **arrays)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", ["S", "G"])
+def test_channel_rejects_non_finite_entries(name, bad):
+    arrays = {"S": np.eye(2), "G": np.eye(2)}
+    arrays[name][0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GaussianChannel(1, 1, **arrays)
 
 
 def test_within_holds_at_the_boundary_and_fails_on_non_finite_values():
