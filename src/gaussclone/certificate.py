@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import k_matrix
-from .core import within
+from .core import within, xp_matrix
 from .design import CostWeights, NoiseProfile, require_on_surface
 
 # an odd scan trial whose cost bound is this close to the minimum gets eigvalsh
@@ -31,6 +31,8 @@ SCALE_FLOOR = 1e-300
 # values per stacked block of the feasible scan; larger blocks gain little
 # speed and raise peak memory
 SCAN_BLOCK_VALUES = 2**14
+# multiplier scale of weights_from_profile; any negative value gives extremal weights
+PROFILE_LAGRANGE = -1.0
 
 
 @dataclass(frozen=True)
@@ -57,25 +59,22 @@ class DualCertificate:
     def Z(self) -> np.ndarray:
         """The dense 2M x 2M certificate matrix, built on each access."""
         x = np.diag(self.x)
-        y = -x - 2.0 * self.eta * np.outer(self.v, self.v)
-        return np.block([[x, 1j * y], [-1j * y, x]])
+        return xp_matrix(x, 1j * (-x - 2.0 * self.eta * np.outer(self.v, self.v)))
 
 
-def weights_from_profile(profile: NoiseProfile, lam: float = -1.0) -> CostWeights:
+def weights_from_profile(profile: NoiseProfile) -> CostWeights:
     """Cost weights for which the given on-surface profile is extremal.
 
     Inverts the extremal equations x_j = -lam (S / sqrt(n_j) - (M - N)) at
-    the chosen multiplier scale.  Requires every n_j > 0.
+    the multiplier lam = PROFILE_LAGRANGE.  Requires every n_j > 0.
     """
-    if lam >= 0:
-        raise ValueError("multiplier must be negative")
     if np.any(profile.noises <= 0):
         raise ValueError("weights are only defined for strictly noisy clones")
     s = float(np.sum(np.sqrt(profile.noises)))
-    x = -lam * (s / np.sqrt(profile.noises) - (profile.m_out - profile.n_in))
+    x = -PROFILE_LAGRANGE * (s / np.sqrt(profile.noises) - (profile.m_out - profile.n_in))
     if np.any(x <= 0):
         raise ValueError("profile admits no strictly positive extremal weights")
-    return CostWeights(weights=x, lagrange=lam)
+    return CostWeights(weights=x, lagrange=PROFILE_LAGRANGE)
 
 
 def extremal_equation_residual(profile: NoiseProfile, weights: CostWeights) -> float:

@@ -28,11 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianChannel, GaussianState, within
+from .core import GaussianChannel, GaussianState, quadrature_mean, read_only, within, xp_matrix
 from .design import NoiseProfile, OffSurfaceError, require_on_surface
 
 # a completion candidate keeping no more than this fraction of its norm is skipped
 COMPLETION_SKIP = 1e-8
+# input amplitude at which scheme_equivalence_check compares the two schemes
+EQUIVALENCE_ALPHA = 0.8 - 0.3j
 
 
 # -- analytic matrices of the cloner channel ---------------------------------
@@ -44,15 +46,9 @@ def noise_gram_matrix(profile: NoiseProfile) -> np.ndarray:
     return np.outer(w, w)
 
 
-def _blkdiag(block: np.ndarray) -> np.ndarray:
-    """blkdiag(block, block): the same block in the x and the p quadratures."""
-    z = np.zeros_like(block)
-    return np.block([[block, z], [z, block]])
-
-
 def clone_output_cov(profile: NoiseProfile) -> np.ndarray:
     """Output covariance of the M clones: blkdiag(I + 2F, I + 2F)."""
-    return _blkdiag(np.eye(profile.m_out) + 2.0 * noise_gram_matrix(profile))
+    return xp_matrix(np.eye(profile.m_out) + 2.0 * noise_gram_matrix(profile), 0.0)
 
 
 def _g_opt_block(profile: NoiseProfile) -> np.ndarray:
@@ -63,15 +59,12 @@ def _g_opt_block(profile: NoiseProfile) -> np.ndarray:
 
 def g_opt_matrix(profile: NoiseProfile) -> np.ndarray:
     """Channel noise matrix of the optimal cloner: blocks I + 2F - H/N."""
-    return _blkdiag(_g_opt_block(profile))
+    return xp_matrix(_g_opt_block(profile), 0.0)
 
 
 def k_matrix(n_in: int, m_out: int) -> np.ndarray:
     """K = J_M - S J_1 S^T for the mean-replicating S."""
-    m = m_out
-    p = np.eye(m) - np.ones((m, m)) / n_in
-    z = np.zeros_like(p)
-    return np.block([[z, p], [-p, z]])
+    return xp_matrix(0.0, np.eye(m_out) - np.ones((m_out, m_out)) / n_in)
 
 
 # -- amplifier scheme --------------------------------------------------------
@@ -91,12 +84,7 @@ class AmplifierCircuit:
     kappa: np.ndarray
 
     def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
-        kappa = np.asarray(self.kappa, dtype=float)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "kappa", kappa)
-        V.setflags(write=False)
-        kappa.setflags(write=False)
+        read_only(self, "V", "kappa")
 
 
 def gain_and_transmittance(profile: NoiseProfile) -> tuple[float, float]:
@@ -220,11 +208,8 @@ def channel_from_amplifier(circ: AmplifierCircuit, profile: NoiseProfile) -> Gau
     G = blkdiag(B, B) with the blocks of `_channel_blocks`.  On the surface
     these are the mean-replicating S and B = I + 2F - H/N.
     """
-    m = profile.m_out
     s, b = _channel_blocks(circ, circ.kappa @ circ.kappa.T)
-    s_chan = np.zeros((2 * m, 2))
-    s_chan[:m, 0] = s_chan[m:, 1] = s
-    return GaussianChannel(m_in=1, m_out=m, S=s_chan, G=_blkdiag(b))
+    return GaussianChannel(1, profile.m_out, xp_matrix(s[:, None], 0.0), xp_matrix(b, 0.0))
 
 
 def _amplifier_moments(t, g, r, v_sig, v_noise, amp_in: complex):
@@ -244,15 +229,10 @@ def _amplifier_moments(t, g, r, v_sig, v_noise, amp_in: complex):
     return s * amp_in, np.eye(s.size) + (vecs.T * weights) @ vecs
 
 
-def _quadrature_mean(amps: np.ndarray) -> np.ndarray:
-    """Mean quadrature vector (x, p) of modes with complex amplitudes `amps`."""
-    return np.sqrt(2) * np.concatenate([amps.real, amps.imag])
-
-
 def _clone_state(amps: np.ndarray, block: np.ndarray) -> GaussianState:
     """State of M clones with complex amplitudes `amps` whose x and p
     quadratures are uncorrelated, each with covariance `block`."""
-    return GaussianState(amps.size, _quadrature_mean(amps), _blkdiag(block))
+    return GaussianState(amps.size, quadrature_mean(amps), xp_matrix(block, 0.0))
 
 
 def amplifier_output_state(
@@ -283,10 +263,7 @@ class FeedforwardCircuit:
     splitting: np.ndarray
 
     def __post_init__(self):
-        for name in ("gains", "reflectances", "splitting"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, value)
-            value.setflags(write=False)
+        read_only(self, "gains", "reflectances", "splitting")
 
 
 def feedforward_params(profile: NoiseProfile) -> FeedforwardCircuit:
@@ -337,11 +314,10 @@ def feedforward_output_state(
 
 
 def scheme_equivalence_check(
-    profile: NoiseProfile,
-    alpha: complex = 0.8 - 0.3j,
-    feedforward: FeedforwardCircuit | None = None,
+    profile: NoiseProfile, feedforward: FeedforwardCircuit | None = None
 ) -> dict:
-    """Compare the output Gaussian states of the two circuits of `profile`.
+    """Compare the output Gaussian states of the two circuits of `profile`
+    on the input amplitude EQUIVALENCE_ALPHA.
 
     Both states have uncorrelated x and p quadratures with one covariance
     block each, so the states are compared through their clone amplitudes
@@ -353,11 +329,11 @@ def scheme_equivalence_check(
     """
     if feedforward is None:
         feedforward = feedforward_params(profile)
-    amp_in = math.sqrt(profile.n_in) * alpha
+    amp_in = math.sqrt(profile.n_in) * EQUIVALENCE_ALPHA
     amps_amp, block_amp = _amplifier_moments(*_live_columns(profile), amp_in)
     amps_ff, block_ff = _feedforward_moments(feedforward, amp_in)
-    mean_amp = _quadrature_mean(amps_amp)
-    mean_diff = float(np.max(np.abs(mean_amp - _quadrature_mean(amps_ff))))
+    mean_amp = quadrature_mean(amps_amp)
+    mean_diff = float(np.max(np.abs(mean_amp - quadrature_mean(amps_ff))))
     cov_diff = float(np.max(np.abs(block_amp - block_ff)))
     return {
         "mean_discrepancy": mean_diff,

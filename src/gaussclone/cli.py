@@ -20,7 +20,6 @@ rejected as invalid input.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -72,12 +71,15 @@ def _dump_json(doc: dict, path: str | None):
 # -- design documents --------------------------------------------------------
 
 
+def design_block(profile: NoiseProfile) -> dict:
+    """The design fields N, M and noises of every document."""
+    return {"N": profile.n_in, "M": profile.m_out, "noises": list(map(float, profile.noises))}
+
+
 def design_document(profile: NoiseProfile, weights: CostWeights | None = None) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "N": profile.n_in,
-        "M": profile.m_out,
-        "noises": list(map(float, profile.noises)),
+        **design_block(profile),
         "residual": residual(profile),
         "fidelities": list(map(float, profile.fidelities())),
     }
@@ -139,11 +141,9 @@ def load_design(path: str) -> tuple[NoiseProfile, CostWeights | None]:
     return profile, weights
 
 
-def design_hash(doc: dict) -> str:
-    canonical = json.dumps(
-        {k: doc[k] for k in ("schema_version", "N", "M", "noises")}, sort_keys=True
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def design_hash(profile: NoiseProfile) -> str:
+    block = {"schema_version": SCHEMA_VERSION, **design_block(profile)}
+    return hashlib.sha256(json.dumps(block, sort_keys=True).encode()).hexdigest()
 
 
 # -- circuit documents -------------------------------------------------------
@@ -162,12 +162,8 @@ def circuit_document(profile: NoiseProfile, scheme: str, circ) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "scheme": scheme,
-        "design": {
-            "N": profile.n_in,
-            "M": profile.m_out,
-            "noises": list(map(float, profile.noises)),
-        },
-        "provenance": {"design_sha256": design_hash(design_document(profile))},
+        "design": design_block(profile),
+        "provenance": {"design_sha256": design_hash(profile)},
         "parameters": {
             k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in params.items()
         },
@@ -201,7 +197,7 @@ def stored_parameter_check(doc: dict, profile: NoiseProfile, circ) -> dict:
     is inf when a key or a shape differs or a value is NaN."""
     stored = doc["parameters"]
     rebuilt = circuit_parameters(doc["scheme"], circ)
-    hash_ok = doc.get("provenance") == {"design_sha256": design_hash(design_document(profile))}
+    hash_ok = doc.get("provenance") == {"design_sha256": design_hash(profile)}
     keys_ok = stored.keys() == rebuilt.keys()
     resid, match = (0.0 if keys_ok else math.inf), keys_ok and hash_ok
     for key, want in rebuilt.items():
@@ -314,13 +310,9 @@ def cmd_tradeoff(args) -> int:
     for n_f in np.geomspace(1e-3, 1e3, points):
         pt = estimation_tradeoff(float(n_f))
         rows.append((pt.n_f, pt.n_g, pt.fidelity_quantum, pt.fidelity_estimate))
-    out = args.out
-    if out:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n_F", "n_G", "F", "G"])
-            for row in rows:
-                writer.writerow([f"{v:.17g}" for v in row])
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write("n_F,n_G,F,G\r\n" + "".join("%.17g,%.17g,%.17g,%.17g\r\n" % r for r in rows))
     for row in rows:
         print(",".join(f"{v:.12g}" for v in row))
     return EXIT_OK
@@ -379,7 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error or --help: argparse's exit code
+        return exc.code
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (CliError, ValueError, OSError, KeyError) as exc:

@@ -32,11 +32,43 @@ def _require_finite(**arrays: np.ndarray) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+# quadratures per unit of amplitude: <x> + i <p> = QUADRATURE_SCALE <a>
+QUADRATURE_SCALE = np.sqrt(2)
+
+
+def xp_matrix(a, c) -> np.ndarray:
+    """[[a, c], [-c, a]] in xxpp ordering, from M x M blocks a and c; either
+    may be the scalar 0.  A phase-insensitive map has this shape."""
+    a, c = np.broadcast_arrays(a, c)
+    # 0.0 - c rather than -c: a zero block c gives no negative zeros
+    return np.block([[a, c], [0.0 - c, a]])
+
+
+def quadrature_mean(amps: np.ndarray) -> np.ndarray:
+    """Mean quadrature vector (x, p) of modes with complex amplitudes `amps`."""
+    return QUADRATURE_SCALE * np.concatenate([amps.real, amps.imag])
+
+
+def amplitudes(mean: np.ndarray) -> np.ndarray:
+    """Complex amplitudes (x + i p) / sqrt(2) of a mean quadrature vector (x, p)."""
+    m = mean.size // 2
+    return (mean[:m] + 1j * mean[m:]) / QUADRATURE_SCALE
+
+
+def read_only(obj, *names: str) -> list[np.ndarray]:
+    """Store each named field of the frozen dataclass `obj` as a read-only
+    float array, and return the arrays.  Called after validation, so a
+    construction that fails leaves the caller's arrays writable."""
+    arrays = [np.asarray(getattr(obj, name), dtype=float) for name in names]
+    for name, array in zip(names, arrays):
+        object.__setattr__(obj, name, array)
+        array.setflags(write=False)
+    return arrays
+
+
 def symplectic_form(num_modes: int) -> np.ndarray:
     """Commutator matrix J = [[0, I], [-I, 0]] in xxpp ordering."""
-    eye = np.eye(num_modes)
-    zero = np.zeros((num_modes, num_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    return xp_matrix(0.0, np.eye(num_modes))
 
 
 @dataclass(frozen=True)
@@ -60,24 +92,18 @@ class GaussianState:
         _require_finite(mean=mean, cov=cov)
         if not within(np.max(np.abs(cov - cov.T)), np.max(np.abs(cov))):
             raise ValueError("covariance matrix must be symmetric")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
+        read_only(self, "mean", "cov")
 
 
 def coherent_state(alphas) -> GaussianState:
     """Product coherent state with the given complex amplitudes (one per mode)."""
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    m = alphas.size
-    mean = np.concatenate([np.sqrt(2) * alphas.real, np.sqrt(2) * alphas.imag])
-    return GaussianState(m, mean, np.eye(2 * m))
+    return GaussianState(alphas.size, quadrature_mean(alphas), np.eye(2 * alphas.size))
 
 
 def mode_amplitudes(state: GaussianState) -> np.ndarray:
     """Complex amplitudes <a_j> = (<x_j> + i <p_j>) / sqrt(2)."""
-    m = state.num_modes
-    return (state.mean[:m] + 1j * state.mean[m:]) / np.sqrt(2)
+    return amplitudes(state.mean)
 
 
 @dataclass(frozen=True)
@@ -101,10 +127,7 @@ class GaussianChannel:
         _require_finite(S=S, G=G)
         if not within(np.max(np.abs(G - G.T)), np.max(np.abs(G))):
             raise ValueError("G must be symmetric")
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "G", G)
-        S.setflags(write=False)
-        G.setflags(write=False)
+        read_only(self, "S", "G")
 
 
 def apply_channel(ch: GaussianChannel, st: GaussianState) -> GaussianState:
@@ -153,5 +176,4 @@ def clone_marginal(st: GaussianState, j: int) -> CloneMarginal:
     if not within(min(0.0, n), scale):
         raise ValueError(f"mode {j} has sub-vacuum variance {vx:.6g}")
     n = max(n, 0.0)
-    alpha = (st.mean[j] + 1j * st.mean[m + j]) / np.sqrt(2)
-    return CloneMarginal(complex(alpha), float(n), 1.0 / (1.0 + n))
+    return CloneMarginal(complex(amplitudes(st.mean)[j]), float(n), 1.0 / (1.0 + n))

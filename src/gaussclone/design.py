@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TOL, within
+from .core import TOL, read_only, within
 
 # a discriminant this small is a double root's 0: its rounding gives sqrt-size root error
 ROOT_SNAP = 1e-12
@@ -53,8 +53,7 @@ class NoiseProfile:
             raise ValueError(f"expected {self.m_out} noises, got shape {noises.shape}")
         if not np.all(np.isfinite(noises) & (noises >= 0)):
             raise ValueError("thermal noises must be finite and non-negative")
-        object.__setattr__(self, "noises", noises)
-        noises.setflags(write=False)
+        read_only(self, "noises")
 
     @property
     def n_tot(self) -> float:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import FeedforwardCircuit, feedforward_params
+from .circuits import FeedforwardCircuit, _feedforward_moments, feedforward_params
+from .core import QUADRATURE_SCALE, amplitudes, quadrature_mean
 from .design import NoiseProfile, require_on_surface
 
 
@@ -84,23 +85,17 @@ def run(
     if circuit is None:
         circuit = feedforward_params(profile)
     amp_in = math.sqrt(profile.n_in) * config.alpha
-    t_tap = math.sqrt(1.0 - circuit.r_tap**2)
-    d = circuit.splitting
-    gains = circuit.gains
     o_mean = circuit.r_tap * amp_in
     # deterministic part of the clone means; the noise part is accumulated
     # separately so the sample covariance is independent of alpha exactly
-    det_amp = d * t_tap * amp_in + gains * o_mean
-    det_x = np.sqrt(2) * det_amp.real
-    det_p = np.sqrt(2) * det_amp.imag
+    det = quadrature_mean(_feedforward_moments(circuit, amp_in)[0])
 
     # shot row z = (o_x, o_p, vacuum x, vacuum p) maps to noise quads z B:
     # the outcome, in quadrature units with sd 1, times the gains, plus
     # vacuum of variance 1/2 per quadrature
     width = 2 * m + 2
     basis = np.zeros((width, 2 * m))
-    basis[0, :m] = gains
-    basis[1, m:] = gains
+    basis[0, :m] = basis[1, m:] = circuit.gains
     basis[2:] = math.sqrt(0.5) * np.eye(2 * m)
     buf = np.empty((max(1, CHUNK_VALUES // width), width))
     z_sum = np.zeros(width)
@@ -122,10 +117,10 @@ def run(
                     table[:, :, 0] = np.arange(count, count + len(z))[:, None]
                     table[:, :, 1] = np.arange(m)
                     vac = z[:, 2:] * math.sqrt(0.5)
-                    table[:, :, 2] = vac[:, :m] + np.outer(z[:, 0], basis[0, :m]) + det_x
-                    table[:, :, 3] = vac[:, m:] + np.outer(z[:, 1], basis[1, m:]) + det_p
-                    table[:, :, 4] = (z[:, 0] / np.sqrt(2) + o_mean.real)[:, None]
-                    table[:, :, 5] = (z[:, 1] / np.sqrt(2) + o_mean.imag)[:, None]
+                    table[:, :, 2] = vac[:, :m] + np.outer(z[:, 0], basis[0, :m]) + det[:m]
+                    table[:, :, 3] = vac[:, m:] + np.outer(z[:, 1], basis[1, m:]) + det[m:]
+                    table[:, :, 4] = (z[:, 0] / QUADRATURE_SCALE + o_mean.real)[:, None]
+                    table[:, :, 5] = (z[:, 1] / QUADRATURE_SCALE + o_mean.imag)[:, None]
                     rows = _CSV_ROW * (len(z) * m)
                     csv_file.write(rows % tuple(table.ravel().tolist()))
                 count += len(z)
@@ -138,8 +133,7 @@ def run(
     else:
         raw_cov = np.zeros((2 * m, 2 * m))
     clone_cov = 2.0 * raw_cov
-    mean = noise_mean + np.concatenate([det_x, det_p])
-    clone_means = (mean[:m] + 1j * mean[m:]) / np.sqrt(2)
+    clone_means = amplitudes(noise_mean + det)
     mean_se = np.sqrt(np.maximum(np.diag(raw_cov), 0.0) / count)
     denom = max(count - 1, 1)
     cov_se = np.sqrt(

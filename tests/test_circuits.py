@@ -476,7 +476,7 @@ def test_block_moments_match_dense_oracle():
         for state, dense in pairs:
             assert np.max(np.abs(state.mean - dense.mean)) < tol
             assert np.max(np.abs(state.cov - dense.cov)) < tol
-        report, dense_report = scheme_equivalence_check(profile, alpha), _dense_scheme_equivalence(profile)
+        report, dense_report = scheme_equivalence_check(profile), _dense_scheme_equivalence(profile)
         assert report["passed"] == dense_report["passed"]
         for key in ("mean_discrepancy", "cov_discrepancy"):
             assert abs(report[key] - dense_report[key]) < tol

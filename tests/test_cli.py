@@ -610,3 +610,33 @@ def test_commands_run_the_module_function_patched_after_a_call(capsys, tmp_path,
     code, stdout, _ = run_cli(capsys, "certify", "--design", str(design), "--trials", "7")
     assert code == 0 and stdout == ""
     assert [(args.design, args.trials, args.seed) for args in calls] == [(str(design), 7, 0)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--n-in", "1"],
+        ["nonsense"],
+        ["synth", "--design", "d.json", "--scheme", "bad"],
+    ],
+)
+def test_usage_errors_return_2(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == "" and "usage:" in stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"]])
+def test_help_returns_0(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 0
+    assert stdout.startswith("usage:") and stderr == ""
+
+
+def test_console_script_exit_codes_are_unchanged():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gaussclone.__file__)))
+    for argv, want in ((["design", "--n-in", "1"], 2), (["--help"], 0)):
+        out = subprocess.run(
+            [sys.executable, "-m", "gaussclone.cli", *argv], env=env, capture_output=True
+        )
+        assert out.returncode == want

@@ -19,11 +19,21 @@ from gaussclone import (
     mode_amplitudes,
     symplectic_form,
 )
-from gaussclone.circuits import g_opt_matrix
-from gaussclone.core import TOL, within
-from gaussclone.design import symmetric_profile
+from gaussclone.certificate import build_certificate, build_problem
+from gaussclone.circuits import (
+    build_interferometer,
+    channel_from_amplifier,
+    clone_output_cov,
+    feedforward_params,
+    g_opt_matrix,
+    k_matrix,
+)
+from gaussclone.core import TOL, amplitudes, quadrature_mean, within, xp_matrix
+from gaussclone.design import CostWeights, NoiseProfile, design_from_weights, symmetric_profile
 
 from conftest import identity_channel, random_optimal_profile, vacuum_state
+
+EPS = np.finfo(float).eps
 
 
 def is_physical(state, tol=TOL):
@@ -164,6 +174,107 @@ def test_small_float_literals_are_named_module_constants():
     assert not stray, stray
     tree = ast.parse("A = -1e-14\ndef f(x):\n    return x < 1e-12\n")
     assert [node.value for node in _small_float_literals(tree)] == [1e-12]
+
+
+# the hand-written layouts that the core helpers replace
+OWNED_BY_CORE = ("np.block(", "sqrt(2)", "setflags(", "object.__setattr__")
+
+
+def _owned_by_core(text):
+    """The lines of a module's source that spell out the quadrature layout,
+    the sqrt(2) amplitude scale or a read-only field by hand."""
+    return [line for line in text.splitlines() if any(p in line for p in OWNED_BY_CORE)]
+
+
+def test_quadrature_layout_and_read_only_fields_are_written_only_in_core():
+    stray = []
+    for path in sorted(Path(gaussclone.__file__).parent.glob("*.py")):
+        if path.name != "core.py":
+            lines = _owned_by_core(path.read_text())
+            stray += [f"{path.name}: {line.strip()}" for line in lines]
+    assert not stray, stray
+    text = "z = np.block([[a]])\nm = x / math.sqrt(2)\ny = 1\nobject.__setattr__(s, 'a', a)\n"
+    assert len(_owned_by_core(text)) == 3
+
+
+def test_amplitude_and_quadrature_helpers_round_trip():
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 7):
+        amps = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        mean = quadrature_mean(amps)
+        x, p = np.sqrt(2) * amps.real, np.sqrt(2) * amps.imag
+        assert np.array_equal(mean, np.concatenate([x, p]))
+        back = quadrature_mean(amplitudes(mean))
+        assert np.max(np.abs(amplitudes(mean) - amps)) <= 4 * EPS * np.max(np.abs(amps))
+        assert np.max(np.abs(back - mean)) <= 4 * EPS * np.max(np.abs(mean))
+        st = GaussianState(m, mean, np.eye(2 * m))
+        assert np.array_equal(coherent_state(amps).mean, mean)
+        assert np.array_equal(mode_amplitudes(st), (mean[:m] + 1j * mean[m:]) / np.sqrt(2))
+        marginals = [clone_marginal(st, j).coherent_amplitude for j in range(m)]
+        assert marginals == list(amplitudes(mean))
+
+
+def test_xp_matrix_gives_the_dense_blocks_entry_by_entry():
+    a, c = np.arange(4.0).reshape(2, 2), np.arange(4.0, 8.0).reshape(2, 2)
+    want = [[0, 1, 4, 5], [2, 3, 6, 7], [-4, -5, 0, 1], [-6, -7, 2, 3]]
+    assert np.array_equal(xp_matrix(a, c), want)
+    for m in (1, 2, 5):
+        eye, zero = np.eye(m), np.zeros((m, m))
+        assert np.array_equal(symplectic_form(m), np.block([[zero, eye], [-eye, zero]]))
+        for n in range(1, m + 1):
+            p = eye - np.ones((m, m)) / n
+            assert np.array_equal(k_matrix(n, m), np.block([[zero, p], [-p, zero]]))
+    weights = CostWeights(np.array([1.0, 2.0, 3.0, 5.0]))
+    profile = design_from_weights(weights, 2, 4)
+    f, zero = np.sqrt(profile.noises), np.zeros((4, 4))
+    blocks = {
+        "g_opt": (g_opt_matrix(profile), np.eye(4) + 2 * np.outer(f, f) - np.ones((4, 4)) / 2),
+        "cov": (clone_output_cov(profile), np.eye(4) + 2 * np.outer(f, f)),
+    }
+    for name, (dense, block) in blocks.items():
+        assert np.array_equal(dense, np.block([[block, zero], [zero, block]])), name
+        assert not np.signbit(dense[4:, :4]).any(), name  # no negative zeros
+    s = channel_from_amplifier(build_interferometer(profile), profile).S
+    col, zero_col = s[:4, :1], np.zeros((4, 1))
+    assert np.array_equal(s, np.block([[col, zero_col], [zero_col, col]]))
+    cert = build_certificate(build_problem(profile, weights))
+    x = np.diag(cert.x)
+    y = -x - 2.0 * cert.eta * np.outer(cert.v, cert.v)
+    assert np.array_equal(cert.Z, np.block([[x, 1j * y], [-1j * y, x]]))
+
+
+def test_array_fields_are_read_only_floats():
+    profile = NoiseProfile(1, 3, [2, 2, 2])
+    assert profile.noises.dtype == np.float64
+    profile = symmetric_profile(1, 3)
+    for obj, names in (
+        (profile, ["noises"]),
+        (coherent_state([1.0, 2j]), ["mean", "cov"]),
+        (identity_channel(2), ["S", "G"]),
+        (build_interferometer(profile), ["V", "kappa"]),
+        (feedforward_params(profile), ["gains", "reflectances", "splitting"]),
+    ):
+        for name in names:
+            value = getattr(obj, name)
+            assert value.dtype == np.float64, (type(obj), name)
+            with pytest.raises(ValueError, match="read-only"):
+                value[(0,) * value.ndim] = 1.0
+
+
+def test_failed_construction_leaves_the_callers_array_writable():
+    bad_cov = np.array([[1.0, 0.5], [0.0, 1.0]])
+    bad_noises = np.array([0.5, -1.0])
+    for build, array in (
+        (lambda: GaussianState(1, np.zeros(2), bad_cov), bad_cov),
+        (lambda: GaussianChannel(1, 1, np.eye(2), bad_cov), bad_cov),
+        (lambda: NoiseProfile(1, 2, bad_noises), bad_noises),
+    ):
+        with pytest.raises(ValueError):
+            build()
+        assert array.flags.writeable
+    # a construction that succeeds stores the caller's float array itself
+    cov = np.eye(2)
+    assert GaussianState(1, np.zeros(2), cov).cov is cov and not cov.flags.writeable
 
 
 def test_coherent_state_convention():
