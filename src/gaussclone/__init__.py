@@ -9,12 +9,9 @@ from .core import (
     CloneMarginal,
     GaussianChannel,
     GaussianState,
-    apply_channel,
     clone_marginal,
     coherent_state,
-    cp_min_eigenvalue,
     mode_amplitudes,
-    symplectic_form,
 )
 from .design import (
     CostWeights,
@@ -36,7 +33,6 @@ from .circuits import (
     build_interferometer,
     channel_from_amplifier,
     clone_output_cov,
-    feedforward_output_state,
     feedforward_params,
     g_opt_matrix,
     gain_and_transmittance,

@@ -305,14 +305,6 @@ def _feedforward_moments(circ: FeedforwardCircuit, amp_in: complex):
     return amps, np.eye(circ.gains.size) + 2.0 * np.outer(circ.gains, circ.gains)
 
 
-def feedforward_output_state(
-    circ: FeedforwardCircuit, n_in: int, alpha: complex
-) -> GaussianState:
-    """Exact output Gaussian state of the feedforward scheme, including the
-    classical correlations induced by the shared heterodyne outcome."""
-    return _clone_state(*_feedforward_moments(circ, math.sqrt(n_in) * alpha))
-
-
 def scheme_equivalence_check(
     profile: NoiseProfile, feedforward: FeedforwardCircuit | None = None
 ) -> dict:

@@ -55,20 +55,13 @@ def amplitudes(mean: np.ndarray) -> np.ndarray:
     return (mean[:m] + 1j * mean[m:]) / QUADRATURE_SCALE
 
 
-def read_only(obj, *names: str) -> list[np.ndarray]:
+def read_only(obj, *names: str) -> None:
     """Store each named field of the frozen dataclass `obj` as a read-only
-    float array, and return the arrays.  Called after validation, so a
-    construction that fails leaves the caller's arrays writable."""
-    arrays = [np.asarray(getattr(obj, name), dtype=float) for name in names]
-    for name, array in zip(names, arrays):
-        object.__setattr__(obj, name, array)
+    float copy, so the caller's own array stays writable."""
+    for name in names:
+        array = np.array(getattr(obj, name), dtype=float)
         array.setflags(write=False)
-    return arrays
-
-
-def symplectic_form(num_modes: int) -> np.ndarray:
-    """Commutator matrix J = [[0, I], [-I, 0]] in xxpp ordering."""
-    return xp_matrix(0.0, np.eye(num_modes))
+        object.__setattr__(obj, name, array)
 
 
 @dataclass(frozen=True)
@@ -128,22 +121,6 @@ class GaussianChannel:
         if not within(np.max(np.abs(G - G.T)), np.max(np.abs(G))):
             raise ValueError("G must be symmetric")
         read_only(self, "S", "G")
-
-
-def apply_channel(ch: GaussianChannel, st: GaussianState) -> GaussianState:
-    """Propagate a Gaussian state through a Gaussian CP map."""
-    if st.num_modes != ch.m_in:
-        raise ValueError(f"channel expects {ch.m_in} input modes, state has {st.num_modes}")
-    return GaussianState(ch.m_out, ch.S @ st.mean, ch.S @ st.cov @ ch.S.T + ch.G)
-
-
-def cp_min_eigenvalue(ch: GaussianChannel) -> float:
-    """Min eigenvalue of G + iK with K = J_out - S J_in S^T.
-
-    The channel is completely positive iff within(min(0.0, value), max|G|).
-    """
-    k = symplectic_form(ch.m_out) - ch.S @ symplectic_form(ch.m_in) @ ch.S.T
-    return float(np.linalg.eigvalsh(ch.G + 1j * k)[0])
 
 
 @dataclass(frozen=True)

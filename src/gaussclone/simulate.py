@@ -13,13 +13,18 @@ and B^T (z^T z) B.  Rows are drawn and written in chunks of CHUNK_VALUES
 numbers, so memory does not grow with the shot count.
 
 Shots are partitioned deterministically into shards with independent
-counter-derived substreams; results depend on (seed, shots, shards) only,
-never on execution order.
+counter-derived substreams.  Each shard's sum and z^T z are accumulated from
+zero and folded into the totals in shard order.  Without a sample file the
+shards are drawn in parallel on up to min(shards, cores) threads (the
+generator fills and the BLAS products release the GIL); with one, or with
+shards too small to pay for a thread, they are drawn on the calling thread.
+Results depend on (seed, shots, shards) only, never on the core count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -59,12 +64,63 @@ class SimResult:
 
 # normals drawn per chunk of shot rows; bounds memory whatever the shot count and M
 CHUNK_VALUES = 1 << 18
+# smaller shards are drawn faster on the calling thread than handed to a pool
+# (crossover measured at 1/32 to 1/16 of a chunk, 2 cores)
+THREAD_MIN_VALUES = CHUNK_VALUES // 16
 _CSV_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g\r\n"
 
 
 def _shard_sizes(shots: int, shards: int) -> list[int]:
     base, extra = divmod(shots, shards)
     return [base + (1 if i < extra else 0) for i in range(shards)]
+
+
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _shard_moments(seed: int, shard: int, size: int, width: int, on_chunk=None):
+    """Sum and z^T z of one shard's `size` shot rows of `width` normals, drawn
+    from its own substream in chunks of CHUNK_VALUES numbers; `on_chunk` is
+    called with each chunk of rows in turn."""
+    rng = np.random.default_rng([seed, shard])
+    buf = np.empty((max(1, min(size, CHUNK_VALUES // width)), width))
+    z_sum = np.zeros(width)
+    gram = np.zeros((width, width))
+    for start in range(0, size, len(buf)):
+        z = rng.standard_normal(out=buf[: size - start])
+        z_sum += z.sum(axis=0)
+        gram += z.T @ z
+        if on_chunk is not None:
+            on_chunk(z)
+    return z_sum, gram
+
+
+def _moments_in_shard_order(seed: int, sizes: list[int], width: int, on_chunk=None):
+    """Yield each shard's (sum, z^T z) in shard order.  The shards run on up
+    to min(shards, cores) threads, at most that many in flight, unless
+    `on_chunk` is given, so that it sees every chunk in order, or the
+    largest shard has fewer than THREAD_MIN_VALUES numbers: then they run
+    on the calling thread."""
+    workers = min(len(sizes), _available_cores())
+    if workers == 1 or on_chunk is not None or sizes[0] * width < THREAD_MIN_VALUES:
+        for shard, size in enumerate(sizes):
+            yield _shard_moments(seed, shard, size, width, on_chunk)
+        return
+    # imported here: it loads logging, which start-up need not pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = []
+        for shard, size in enumerate(sizes):
+            pending.append(pool.submit(_shard_moments, seed, shard, size, width))
+            if len(pending) == workers:
+                yield pending.pop(0).result()
+        for future in pending:
+            yield future.result()
 
 
 def run(
@@ -97,33 +153,35 @@ def run(
     basis = np.zeros((width, 2 * m))
     basis[0, :m] = basis[1, m:] = circuit.gains
     basis[2:] = math.sqrt(0.5) * np.eye(2 * m)
-    buf = np.empty((max(1, CHUNK_VALUES // width), width))
+    count = config.shots
     z_sum = np.zeros(width)
     gram = np.zeros((width, width))
-    count = 0
     sink = nullcontext() if samples_path is None else open(samples_path, "w", newline="")
     with sink as csv_file:
+        write_rows = None
         if csv_file is not None:
             csv_file.write("shot,clone,x,p,o_re,o_im\r\n")
-        for shard, size in enumerate(_shard_sizes(config.shots, config.shards)):
-            rng = np.random.default_rng([config.seed, shard])
-            for start in range(0, size, len(buf)):
-                z = rng.standard_normal(out=buf[: size - start])
-                z_sum += z.sum(axis=0)
-                gram += z.T @ z
-                if csv_file is not None:
-                    # operations in this order keep the digits of the per-row writer
-                    table = np.empty((len(z), m, 6))
-                    table[:, :, 0] = np.arange(count, count + len(z))[:, None]
-                    table[:, :, 1] = np.arange(m)
-                    vac = z[:, 2:] * math.sqrt(0.5)
-                    table[:, :, 2] = vac[:, :m] + np.outer(z[:, 0], basis[0, :m]) + det[:m]
-                    table[:, :, 3] = vac[:, m:] + np.outer(z[:, 1], basis[1, m:]) + det[m:]
-                    table[:, :, 4] = (z[:, 0] / QUADRATURE_SCALE + o_mean.real)[:, None]
-                    table[:, :, 5] = (z[:, 1] / QUADRATURE_SCALE + o_mean.imag)[:, None]
-                    rows = _CSV_ROW * (len(z) * m)
-                    csv_file.write(rows % tuple(table.ravel().tolist()))
-                count += len(z)
+            first_shot = 0
+
+            def write_rows(z):
+                nonlocal first_shot
+                # operations in this order keep the digits of the per-row writer
+                table = np.empty((len(z), m, 6))
+                table[:, :, 0] = np.arange(first_shot, first_shot + len(z))[:, None]
+                table[:, :, 1] = np.arange(m)
+                vac = z[:, 2:] * math.sqrt(0.5)
+                table[:, :, 2] = vac[:, :m] + np.outer(z[:, 0], basis[0, :m]) + det[:m]
+                table[:, :, 3] = vac[:, m:] + np.outer(z[:, 1], basis[1, m:]) + det[m:]
+                table[:, :, 4] = (z[:, 0] / QUADRATURE_SCALE + o_mean.real)[:, None]
+                table[:, :, 5] = (z[:, 1] / QUADRATURE_SCALE + o_mean.imag)[:, None]
+                rows = _CSV_ROW * (len(z) * m)
+                csv_file.write(rows % tuple(table.ravel().tolist()))
+                first_shot += len(z)
+
+        sizes = _shard_sizes(config.shots, config.shards)
+        for shard_sum, shard_gram in _moments_in_shard_order(config.seed, sizes, width, write_rows):
+            z_sum += shard_sum
+            gram += shard_gram
 
     noise_mean = z_sum @ basis / count
     if count > 1:

@@ -1,9 +1,11 @@
+import math
 from pathlib import Path
 
 import numpy as np
 
 from gaussclone import CostWeights, GaussianChannel, GaussianState, design_from_weights
-from gaussclone.circuits import g_opt_matrix, k_matrix
+from gaussclone.circuits import _clone_state, _feedforward_moments, g_opt_matrix, k_matrix
+from gaussclone.core import xp_matrix
 
 # circuit documents written by an earlier release, which must keep verifying
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -54,3 +56,31 @@ def splitting_amplitudes(circ):
         trans *= np.sqrt(1.0 - circ.reflectances[j] ** 2)
     d[m - 1] = trans
     return d
+
+
+# -- reference Gaussian algebra that only the tests use ----------------------
+
+
+def symplectic_form(num_modes):
+    """Commutator matrix J = [[0, I], [-I, 0]] in xxpp ordering."""
+    return xp_matrix(0.0, np.eye(num_modes))
+
+
+def apply_channel(ch, st):
+    """Propagate a Gaussian state through a Gaussian CP map."""
+    if st.num_modes != ch.m_in:
+        raise ValueError(f"channel expects {ch.m_in} input modes, state has {st.num_modes}")
+    return GaussianState(ch.m_out, ch.S @ st.mean, ch.S @ st.cov @ ch.S.T + ch.G)
+
+
+def cp_min_eigenvalue(ch):
+    """Min eigenvalue of G + iK with K = J_out - S J_in S^T; the channel is
+    completely positive iff within(min(0.0, value), max|G|)."""
+    k = symplectic_form(ch.m_out) - ch.S @ symplectic_form(ch.m_in) @ ch.S.T
+    return float(np.linalg.eigvalsh(ch.G + 1j * k)[0])
+
+
+def feedforward_output_state(circ, n_in, alpha):
+    """Exact output Gaussian state of the feedforward scheme, including the
+    classical correlations induced by the shared heterodyne outcome."""
+    return _clone_state(*_feedforward_moments(circ, math.sqrt(n_in) * alpha))

@@ -10,9 +10,7 @@ from gaussclone import (
     channel_from_amplifier,
     clone_marginal,
     clone_output_cov,
-    cp_min_eigenvalue,
     design_from_weights,
-    feedforward_output_state,
     feedforward_params,
     g_opt_matrix,
     gain_and_transmittance,
@@ -28,13 +26,15 @@ from gaussclone.circuits import _amplifier_moments, _clone_state, _live_columns
 from gaussclone.core import (
     GaussianChannel,
     GaussianState,
-    apply_channel,
     coherent_state,
     within,
 )
 
 from conftest import (
     FIXTURES,
+    apply_channel,
+    cp_min_eigenvalue,
+    feedforward_output_state,
     identity_channel,
     random_optimal_profile,
     splitting_amplitudes,

@@ -553,6 +553,19 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_thread_pool_or_logging():
+    # simulate imports its thread pool when a run needs it; the pool loads logging
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gaussclone.__file__)))
+    code = (
+        "import gaussclone.cli, sys; "
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_one_parser_serves_every_main_call(capsys, monkeypatch):
     made = []
     init = argparse.ArgumentParser.__init__

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -12,12 +13,9 @@ from gaussclone import (
     CloneMarginal,
     GaussianChannel,
     GaussianState,
-    apply_channel,
     clone_marginal,
     coherent_state,
-    cp_min_eigenvalue,
     mode_amplitudes,
-    symplectic_form,
 )
 from gaussclone.certificate import build_certificate, build_problem
 from gaussclone.circuits import (
@@ -31,7 +29,14 @@ from gaussclone.circuits import (
 from gaussclone.core import TOL, amplitudes, quadrature_mean, within, xp_matrix
 from gaussclone.design import CostWeights, NoiseProfile, design_from_weights, symmetric_profile
 
-from conftest import identity_channel, random_optimal_profile, vacuum_state
+from conftest import (
+    apply_channel,
+    cp_min_eigenvalue,
+    identity_channel,
+    random_optimal_profile,
+    symplectic_form,
+    vacuum_state,
+)
 
 EPS = np.finfo(float).eps
 
@@ -272,9 +277,24 @@ def test_failed_construction_leaves_the_callers_array_writable():
         with pytest.raises(ValueError):
             build()
         assert array.flags.writeable
-    # a construction that succeeds stores the caller's float array itself
+    # a construction that succeeds stores a read-only copy of the caller's
+    # float array and leaves the array itself writable
     cov = np.eye(2)
-    assert GaussianState(1, np.zeros(2), cov).cov is cov and not cov.flags.writeable
+    state = GaussianState(1, np.zeros(2), cov)
+    assert state.cov is not cov and not np.shares_memory(state.cov, cov)
+    assert cov.flags.writeable and not state.cov.flags.writeable
+    cov[0, 0] = 2.0
+    assert state.cov[0, 0] == 1.0
+    noises = np.array([0.5, 0.5])
+    gains = np.array([1.0, 1.0])
+    for obj, name, array in (
+        (GaussianChannel(1, 1, np.eye(2), cov.T), "G", cov.T),
+        (NoiseProfile(1, 2, noises), "noises", noises),
+        (dataclasses.replace(feedforward_params(symmetric_profile(1, 2)), gains=gains),
+         "gains", gains),
+    ):
+        assert not np.shares_memory(getattr(obj, name), array)
+        assert array.flags.writeable
 
 
 def test_coherent_state_convention():

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -306,3 +307,73 @@ def test_splitting_from_amplitudes_moves_samples_by_rounding(tmp_path):
         assert np.array_equal(new[:, [0, 1, 4, 5]], old[:, [0, 1, 4, 5]])
         assert np.max(np.abs(new[:, 2:4] - old[:, 2:4])) < 1e-14
         assert_results_close(result, reference, tol=1e-14)
+
+
+# -- shards on a thread pool ---------------------------------------------------
+
+# shots per shard of a 1->2 run (rows of 2 * 2 + 2 normals) that go to the pool
+POOLED_SHARD = simulate.THREAD_MIN_VALUES // 6 + 1
+
+
+def assert_results_equal(result, reference):
+    assert result.shots_used == reference.shots_used
+    for name in ("clone_means", "clone_cov", "mean_se", "cov_se"):
+        assert np.array_equal(getattr(result, name), getattr(reference, name)), name
+
+
+@pytest.mark.parametrize("shards", [1, 3, 4, 16])
+def test_result_does_not_depend_on_the_core_count(monkeypatch, shards):
+    profile = symmetric_profile(2, 5)
+    config = SimConfig(profile=profile, alpha=0.4 - 0.9j, shots=2 * 10**5 + 3, seed=17,
+                       shards=shards)
+    results = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_available_cores", lambda: cores)
+        results.append(run(config))
+    for result in results[1:]:
+        assert_results_equal(result, results[0])
+
+
+def test_run_starts_no_more_threads_than_cores(monkeypatch):
+    before = threading.active_count()
+    seen = []
+    shard_moments = simulate._shard_moments
+
+    def counting(*args, **kwargs):
+        seen.append(threading.active_count())
+        return shard_moments(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_shard_moments", counting)
+    profile = symmetric_profile(1, 2)
+    # (cores, shards, shots per shard, most threads started)
+    for cores, shards, size, threads in (
+        (3, 64, POOLED_SHARD, 3),
+        (3, 2, POOLED_SHARD, 2),
+        (1, 64, POOLED_SHARD, 0),
+        (3, 64, POOLED_SHARD // 2, 0),
+    ):
+        monkeypatch.setattr(simulate, "_available_cores", lambda: cores)
+        seen.clear()
+        run(SimConfig(profile=profile, alpha=1.0, shots=shards * size, seed=4, shards=shards))
+        assert len(seen) == shards
+        assert max(seen) - before <= threads
+        assert (max(seen) > before) == (threads > 0)
+        assert threading.active_count() == before
+
+
+def test_an_error_in_a_shard_reaches_the_caller(monkeypatch):
+    before = threading.active_count()
+    shard_moments = simulate._shard_moments
+
+    def failing(seed, shard, *args, **kwargs):
+        if shard == 5:
+            raise RuntimeError("shard 5 failed")
+        return shard_moments(seed, shard, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_shard_moments", failing)
+    monkeypatch.setattr(simulate, "_available_cores", lambda: 2)
+    config = SimConfig(profile=symmetric_profile(1, 2), alpha=1.0, shots=8 * POOLED_SHARD, seed=4,
+                       shards=8)
+    with pytest.raises(RuntimeError, match="shard 5 failed"):
+        run(config)
+    assert threading.active_count() == before
