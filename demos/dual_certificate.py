@@ -9,7 +9,6 @@ random scan over feasible noise matrices shows none undercuts the bound.
 import numpy as np
 
 from gaussclone import (
-    CostWeights,
     build_certificate,
     build_problem,
     design_from_weights,
@@ -19,8 +18,7 @@ from gaussclone import (
 
 
 def main():
-    weights = CostWeights(np.array([1.0, 2.0, 5.0]))
-    profile = design_from_weights(weights, 1, 3)
+    profile, weights = design_from_weights(np.array([1.0, 2.0, 5.0]), 1, 3)
     print("designed 1->3 noises:", np.round(profile.noises, 6))
     print("lagrange multiplier: ", weights.lagrange)
 

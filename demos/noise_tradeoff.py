@@ -9,7 +9,6 @@ the infinite-M partial-estimation limit.
 import numpy as np
 
 from gaussclone import (
-    CostWeights,
     InfeasibleDesignError,
     design_from_weights,
     estimation_tradeoff,
@@ -38,8 +37,7 @@ def main():
 
     print("\n== designing from cost weights ==")
     for weights in ([1.0, 1.0], [1.0, 4.0], [1.0, 10.0]):
-        w = CostWeights(np.array(weights))
-        p = design_from_weights(w, 1, 2)
+        p, _ = design_from_weights(weights, 1, 2)
         print(
             f"  weights {weights}: noises = {np.round(p.noises, 6)}, "
             f"fidelities = {np.round(p.fidelities(), 6)}"

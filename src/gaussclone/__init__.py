@@ -15,7 +15,6 @@ from .core import (
 )
 from .design import (
     CostWeights,
-    EstimationTradeoffPoint,
     InfeasibleDesignError,
     NoiseProfile,
     design_from_weights,

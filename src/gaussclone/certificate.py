@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import k_matrix
 from .core import within, xp_matrix
 from .design import CostWeights, NoiseProfile, require_on_surface
 
@@ -47,11 +46,10 @@ class CertifiedProblem:
 @dataclass(frozen=True)
 class DualCertificate:
     """Dual certificate Z = [[X, iY], [-iY, X]] with X = diag(x),
-    Y = -X - 2 eta v v^T and multiplier lam < 0."""
+    Y = -X - 2 eta v v^T and eta = 1 / (lam (M - N)) < 0."""
 
     x: np.ndarray
     v: np.ndarray
-    lam: float
     eta: float
     dual_bound: float
 
@@ -60,6 +58,11 @@ class DualCertificate:
         """The dense 2M x 2M certificate matrix, built on each access."""
         x = np.diag(self.x)
         return xp_matrix(x, 1j * (-x - 2.0 * self.eta * np.outer(self.v, self.v)))
+
+
+def k_matrix(n_in: int, m_out: int) -> np.ndarray:
+    """K = J_M - S J_1 S^T for the mean-replicating S."""
+    return xp_matrix(0.0, np.eye(m_out) - np.ones((m_out, m_out)) / n_in)
 
 
 def weights_from_profile(profile: NoiseProfile) -> CostWeights:
@@ -74,13 +77,11 @@ def weights_from_profile(profile: NoiseProfile) -> CostWeights:
     x = -PROFILE_LAGRANGE * (s / np.sqrt(profile.noises) - (profile.m_out - profile.n_in))
     if np.any(x <= 0):
         raise ValueError("profile admits no strictly positive extremal weights")
-    return CostWeights(weights=x, lagrange=PROFILE_LAGRANGE)
+    return CostWeights(x, PROFILE_LAGRANGE)
 
 
 def extremal_equation_residual(profile: NoiseProfile, weights: CostWeights) -> float:
     """Max residual of x_j sqrt(n_j) - lam (M-N) sqrt(n_j) + lam sum sqrt(n_k)."""
-    if weights.lagrange is None:
-        raise ValueError("weights carry no solved multiplier")
     w = np.sqrt(profile.noises)
     lam = weights.lagrange
     res = weights.weights * w - lam * (profile.m_out - profile.n_in) * w + lam * np.sum(w)
@@ -98,22 +99,16 @@ def build_problem(profile: NoiseProfile, weights: CostWeights) -> CertifiedProbl
     require_on_surface(profile)
     if weights.weights.shape != (profile.m_out,):
         raise ValueError("weight vector length must equal the clone count")
-    if weights.lagrange is not None:
-        mismatch = extremal_equation_residual(profile, weights)
-        if not within(mismatch, np.max(weights.weights)):
-            raise ValueError(f"weights are not extremal for this profile (residual {mismatch:.3g})")
+    mismatch = extremal_equation_residual(profile, weights)
+    if not within(mismatch, np.max(weights.weights)):
+        raise ValueError(f"weights are not extremal for this profile (residual {mismatch:.3g})")
     return CertifiedProblem(profile=profile, weights=weights)
 
 
 def build_certificate(problem: CertifiedProblem) -> DualCertificate:
-    """Closed-form dual certificate from the solved Lagrange multiplier."""
-    lam = problem.weights.lagrange
-    if lam is None:
-        raise ValueError("weights carry no solved multiplier; solve the design first")
-    if lam >= 0:
-        raise ValueError(f"invalid multiplier {lam}; must be negative")
+    """Closed-form dual certificate from the weights' Lagrange multiplier."""
     p = problem.profile
-    eta = 1.0 / (lam * (p.m_out - p.n_in))
+    eta = 1.0 / (problem.weights.lagrange * (p.m_out - p.n_in))
     x = problem.weights.weights
     v = x * np.sqrt(p.noises)
     # -i Tr[Z K] = -2 (Tr Y - 1^T Y 1 / N), with the sum of Y off its
@@ -123,7 +118,7 @@ def build_certificate(problem: CertifiedProblem) -> DualCertificate:
     n = p.n_in
     trace_y = -float(np.sum(x + 2.0 * eta * v * v))
     dual_bound = -2.0 * (1.0 - 1.0 / n) * trace_y - 8.0 * eta * pairs / n
-    return DualCertificate(x=x, v=v, lam=float(lam), eta=float(eta), dual_bound=dual_bound)
+    return DualCertificate(x=x, v=v, eta=eta, dual_bound=dual_bound)
 
 
 def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict:

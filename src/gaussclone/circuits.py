@@ -62,11 +62,6 @@ def g_opt_matrix(profile: NoiseProfile) -> np.ndarray:
     return xp_matrix(_g_opt_block(profile), 0.0)
 
 
-def k_matrix(n_in: int, m_out: int) -> np.ndarray:
-    """K = J_M - S J_1 S^T for the mean-replicating S."""
-    return xp_matrix(0.0, np.eye(m_out) - np.ones((m_out, m_out)) / n_in)
-
-
 # -- amplifier scheme --------------------------------------------------------
 
 

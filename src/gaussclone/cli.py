@@ -85,8 +85,7 @@ def design_document(profile: NoiseProfile, weights: CostWeights | None = None) -
     }
     if weights is not None:
         doc["weights"] = list(map(float, weights.weights))
-        if weights.lagrange is not None:
-            doc["lambda"] = weights.lagrange
+        doc["lambda"] = weights.lagrange
     return doc
 
 
@@ -127,18 +126,18 @@ def _read_document(path: str, kind: str, fields: dict) -> dict:
 def load_design(path: str) -> tuple[NoiseProfile, CostWeights | None]:
     fields = {**DESIGN_FIELDS, "residual": NUMBER, "weights?": [NUMBER], "lambda?": NUMBER}
     doc = _read_document(path, "design", fields)
-    if "lambda" in doc and "weights" not in doc:
-        raise CliError("design document: 'lambda' is given without 'weights'")
+    for given, needed in (("lambda", "weights"), ("weights", "lambda")):
+        if given in doc and needed not in doc:
+            raise CliError(f"design document: {given!r} is given without {needed!r}")
     if "weights" in doc and len(doc["weights"]) != doc["M"]:
         raise CliError(f"design document: 'weights' must have M = {doc['M']} entries")
     profile = NoiseProfile(doc["N"], doc["M"], np.array(doc["noises"], dtype=float))
     s2 = float(np.sum(np.sqrt(profile.noises))) ** 2
     if not within(residual(profile) - doc["residual"], s2):
         raise CliError("stored residual does not match recomputed value")
-    weights = None
-    if "weights" in doc:
-        weights = CostWeights(np.array(doc["weights"], dtype=float), doc.get("lambda"))
-    return profile, weights
+    if "weights" not in doc:
+        return profile, None
+    return profile, CostWeights(doc["weights"], doc["lambda"])
 
 
 def design_hash(profile: NoiseProfile) -> str:
@@ -218,9 +217,8 @@ def cmd_design(args) -> int:
         profile = symmetric_profile(args.n_in, args.m_out)
         weights = None
     else:
-        values = np.array([float(v) for v in args.weights.split(",")])
-        weights = CostWeights(values)
-        profile = design_from_weights(weights, args.n_in, args.m_out)
+        values = [float(v) for v in args.weights.split(",")]
+        profile, weights = design_from_weights(values, args.n_in, args.m_out)
     doc = design_document(profile, weights)
     print(_dump_json(doc, args.out))
     return EXIT_OK
@@ -259,7 +257,7 @@ def cmd_verify(args) -> int:
 
 def cmd_certify(args) -> int:
     profile, weights = load_design(args.design)
-    if weights is None or weights.lagrange is None:
+    if weights is None:
         weights = weights_from_profile(profile)
     problem = build_problem(profile, weights)
     cert = build_certificate(problem)

@@ -13,7 +13,7 @@ multiplier, and the infinite-copy partial-estimation limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,24 +63,31 @@ class NoiseProfile:
         return 1.0 / (1.0 + self.noises)
 
 
-@dataclass
-class CostWeights:
-    """Strictly positive weights x_j of the linear noise cost sum x_j n_j.
+def _checked_weights(weights) -> np.ndarray:
+    """`weights` as a float vector, checked to be non-empty, finite and positive."""
+    x = np.asarray(weights, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("weights must be a non-empty vector")
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise ValueError("all cost weights must be finite and strictly positive")
+    return x
 
-    The Lagrange multiplier of the constrained minimization is stored in
-    ``lagrange`` after solving (always negative).
-    """
+
+@dataclass(frozen=True)
+class CostWeights:
+    """Strictly positive weights x_j of the linear noise cost sum x_j n_j and
+    the multiplier lam < 0 at which a profile is extremal for them: the one
+    `design_from_weights` solves for, or lam = -1 from
+    `certificate.weights_from_profile`.  The weights are a read-only copy."""
 
     weights: np.ndarray
-    lagrange: float | None = field(default=None)
+    lagrange: float
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("weights must be a non-empty vector")
-        if not np.all(np.isfinite(weights) & (weights > 0)):
-            raise ValueError("all cost weights must be finite and strictly positive")
-        self.weights = weights
+        _checked_weights(self.weights)
+        if not (math.isfinite(self.lagrange) and self.lagrange < 0):
+            raise ValueError(f"invalid multiplier {self.lagrange}; must be finite and negative")
+        read_only(self, "weights")
 
 
 @dataclass(frozen=True)
@@ -166,8 +173,9 @@ def symmetric_profile(n_in: int, m_out: int) -> NoiseProfile:
     return NoiseProfile(n_in, m_out, np.full(m_out, n))
 
 
-def design_from_weights(w: CostWeights, n_in: int, m_out: int) -> NoiseProfile:
-    """Minimize sum x_j n_j over the optimal surface.
+def design_from_weights(weights, n_in: int, m_out: int) -> tuple[NoiseProfile, CostWeights]:
+    """Minimize sum x_j n_j over the optimal surface for the weight vector x;
+    return the optimal profile and x with the multiplier lam of the solve.
 
     The extremal equations give sqrt(n_j) = lam * S / (lam (M-N) - x_j) with
     S = sum sqrt(n_k); S cancels from its own defining sum, leaving the
@@ -175,7 +183,7 @@ def design_from_weights(w: CostWeights, n_in: int, m_out: int) -> NoiseProfile:
     multiplier lam < 0.  The overall scale of the noises is then fixed by
     the surface constraint.
     """
-    x = w.weights
+    x = _checked_weights(weights)
     if x.shape != (m_out,):
         raise ValueError(f"expected {m_out} weights, got shape {x.shape}")
     if m_out <= n_in:
@@ -203,8 +211,7 @@ def design_from_weights(w: CostWeights, n_in: int, m_out: int) -> NoiseProfile:
     s = math.sqrt(excess / denom)
     profile = NoiseProfile(n_in, m_out, (s * coeff) ** 2)
     require_on_surface(profile)
-    w.lagrange = float(lam)
-    return profile
+    return profile, CostWeights(x, lam)
 
 
 def estimation_tradeoff(n_f: float) -> EstimationTradeoffPoint:

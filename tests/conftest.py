@@ -3,8 +3,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gaussclone import CostWeights, GaussianChannel, GaussianState, design_from_weights
-from gaussclone.circuits import _clone_state, _feedforward_moments, g_opt_matrix, k_matrix
+from gaussclone import GaussianChannel, GaussianState, design_from_weights
+from gaussclone.certificate import k_matrix
+from gaussclone.circuits import _clone_state, _feedforward_moments, g_opt_matrix
 from gaussclone.core import xp_matrix
 
 # circuit documents written by an earlier release, which must keep verifying
@@ -27,8 +28,7 @@ def random_optimal_profile(rng, m_max=8, n_in=None, m_out=None):
         m_out = int(rng.integers(2, m_max + 1))
     if n_in is None:
         n_in = int(rng.integers(1, m_out))
-    weights = CostWeights(rng.uniform(0.1, 10.0, m_out))
-    return design_from_weights(weights, n_in, m_out), weights
+    return design_from_weights(rng.uniform(0.1, 10.0, m_out), n_in, m_out)
 
 
 def vacuum_state(num_modes):

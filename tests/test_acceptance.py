@@ -8,7 +8,6 @@ tolerance here is deliberate and should not be loosened.
 import numpy as np
 
 from gaussclone import (
-    CostWeights,
     NoiseProfile,
     SimConfig,
     amplifier_output_state,
@@ -146,8 +145,7 @@ def test_criterion_8_certificate_suite():
     for _ in range(100):
         m = int(rng.integers(2, 7))
         n = int(rng.integers(1, m))
-        weights = CostWeights(rng.uniform(0.1, 10.0, m))
-        profile = design_from_weights(weights, n, m)
+        profile, weights = design_from_weights(rng.uniform(0.1, 10.0, m), n, m)
         problem = build_problem(profile, weights)
         cert = build_certificate(problem)
         report = verify_certificate(problem, cert)

@@ -15,8 +15,8 @@ from gaussclone import (
     weights_from_profile,
 )
 from gaussclone import certificate
-from gaussclone.certificate import CertifiedProblem, extremal_equation_residual
-from gaussclone.circuits import g_opt_matrix, k_matrix, noise_gram_matrix
+from gaussclone.certificate import CertifiedProblem, extremal_equation_residual, k_matrix
+from gaussclone.circuits import g_opt_matrix, noise_gram_matrix
 
 from conftest import a_opt_matrix, random_optimal_profile
 
@@ -64,9 +64,7 @@ def block_diagonalize_unitary(m):
 
 
 def solved_instance(weights_values, n, m):
-    w = CostWeights(np.asarray(weights_values, dtype=float))
-    profile = design_from_weights(w, n, m)
-    problem = build_problem(profile, w)
+    problem = build_problem(*design_from_weights(weights_values, n, m))
     return problem, build_certificate(problem)
 
 
@@ -102,7 +100,7 @@ def test_noise_gram_always_psd():
 
 def test_certificate_symmetric_1_to_2():
     problem, cert = solved_instance([1.0, 1.0], 1, 2)
-    assert cert.lam == pytest.approx(-1.0, abs=1e-10)
+    assert problem.weights.lagrange == pytest.approx(-1.0, abs=1e-10)
     assert cert.eta == pytest.approx(-1.0, abs=1e-10)
     z = cert.Z
     assert np.allclose(z[:2, 2:], 1j * np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-10)
@@ -363,10 +361,8 @@ def test_dual_scale_covariance():
     rng = np.random.default_rng(39)
     x = rng.uniform(0.1, 10.0, 3)
     for c in (0.5, 3.0):
-        w1 = CostWeights(x.copy())
-        w2 = CostWeights(c * x)
-        p1 = design_from_weights(w1, 1, 3)
-        p2 = design_from_weights(w2, 1, 3)
+        p1, w1 = design_from_weights(x, 1, 3)
+        p2, w2 = design_from_weights(c * x, 1, 3)
         assert np.allclose(p1.noises, p2.noises, atol=1e-9)
         c1 = build_certificate(build_problem(p1, w1))
         c2 = build_certificate(build_problem(p2, w2))
@@ -382,16 +378,8 @@ def test_weights_from_profile_roundtrip():
     assert verify_certificate(problem, cert)["passed"]
 
 
-def test_build_certificate_requires_solved_multiplier():
-    profile = symmetric_profile(1, 2)
-    w = CostWeights(np.array([1.0, 1.0]))  # no multiplier attached
-    problem = build_problem(profile, w)
-    with pytest.raises(ValueError):
-        build_certificate(problem)
-
-
 def test_build_problem_rejects_off_surface():
-    w = CostWeights(np.array([1.0, 1.0]))
+    w = CostWeights(np.array([1.0, 1.0]), -1.0)
     with pytest.raises(ValueError):
         build_problem(NoiseProfile(1, 2, np.array([0.5, 1.0])), w)
 
@@ -445,8 +433,7 @@ def test_closed_forms_match_dense_oracle_at_extreme_ratios(n_in, excess, index, 
     m_out = n_in + excess
     x = np.ones(m_out)
     x[index % m_out] = 10.0**log_ratio
-    weights = CostWeights(x)
-    profile = design_from_weights(weights, n_in, m_out)
+    profile, weights = design_from_weights(x, n_in, m_out)
     assert assert_matches_dense_oracle(CertifiedProblem(profile, weights))["passed"]
 
 
@@ -469,8 +456,7 @@ def test_certificate_at_large_m():
     rng = np.random.default_rng(42)
     for m_out in (10**3, 10**4, 10**5):
         for n_in in (1, 3):
-            weights = CostWeights(rng.uniform(0.1, 10.0, m_out))
-            profile = design_from_weights(weights, n_in, m_out)
+            profile, weights = design_from_weights(rng.uniform(0.1, 10.0, m_out), n_in, m_out)
             tracemalloc.start()
             try:
                 problem = build_problem(profile, weights)

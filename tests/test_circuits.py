@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gaussclone import (
-    CostWeights,
     NoiseProfile,
     OffSurfaceError,
     amplifier_output_state,
@@ -184,7 +183,7 @@ CHAIN_FAILURES = [
 def test_feedforward_passes_with_a_reflectance_near_one(n_in, m_out, log_weight):
     weights = np.ones(m_out)
     weights[-1] = 10.0**log_weight
-    profile = design_from_weights(CostWeights(weights), n_in, m_out)
+    profile, _ = design_from_weights(weights, n_in, m_out)
     assert not _dense_scheme_equivalence(profile)["passed"]
     _, report = verify_circuit(profile, "feedforward")
     assert report["passed"] and report["scheme_discrepancy"] < 1e-12
@@ -250,7 +249,7 @@ def test_scheme_equivalence_rejects_off_surface():
 def test_scheme_equivalence_bounds_covariance_relative_to_its_size(monkeypatch):
     # noises near 289 make max|cov| about 579, so an absolute 1e-9 bound on
     # the covariance would fail both shifts and a missing one pass both
-    profile = design_from_weights(CostWeights(np.array([1e6, 1.0, 1.0, 1.0])), 1, 4)
+    profile, _ = design_from_weights(np.array([1e6, 1.0, 1.0, 1.0]), 1, 4)
     moments = circuits._feedforward_moments
     for rel, passed in ((5e-10, True), (2e-9, False)):
         def shifted(circ, amp_in, rel=rel):
@@ -403,7 +402,7 @@ def test_verify_circuit_passes_on_symmetric_and_near_symmetric_designs():
         for eps in (0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4):
             weights = np.ones(m)
             weights[-1] += eps
-            profiles.append(design_from_weights(CostWeights(weights), n, m))
+            profiles.append(design_from_weights(weights, n, m)[0])
     for profile in profiles:
         for scheme in ("amplifier", "feedforward"):
             _, report = verify_circuit(profile, scheme)
@@ -575,7 +574,7 @@ def _extreme_weight_profiles():
                 for pos in (0, -1):
                     weights = np.ones(m)
                     weights[pos] = 10.0**log_weight
-                    profiles.append(design_from_weights(CostWeights(weights), n, m))
+                    profiles.append(design_from_weights(weights, n, m)[0])
     return profiles
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gaussclone
-from gaussclone import residual, symmetric_profile
+from gaussclone import design_from_weights, residual, symmetric_profile
 from gaussclone.circuits import verify_circuit
 from gaussclone.cli import _dump_json, circuit_document, load_circuit, load_design, main
 
@@ -69,12 +69,21 @@ def test_design_at_extreme_weight_ratio(capsys):
 
 
 def test_design_roundtrip_residual(capsys, tmp_path):
+    """A written design reads back with the noises, weights and multiplier
+    that the design solve returned, bit for bit, also at M = N + 1 and with
+    one weight at 1e+-12."""
     out = tmp_path / "design.json"
-    run_cli(capsys, "design", "--weights", "1,2,3", "--n-in", "1", "--m-out", "3", "--out", str(out))
-    profile, weights = load_design(str(out))
-    doc = json.loads(out.read_text())
-    assert residual(profile) == pytest.approx(doc["residual"], abs=1e-12)
-    assert weights is not None and weights.lagrange is not None
+    for text, n_in in (("1,2,3", 1), ("1,2,5", 2), ("1e12,1", 1), ("1,1e-12,1", 2)):
+        values = [float(v) for v in text.split(",")]
+        argv = ["--n-in", str(n_in), "--m-out", str(len(values)), "--out", str(out)]
+        run_cli(capsys, "design", "--weights", text, *argv)
+        profile, weights = load_design(str(out))
+        doc = json.loads(out.read_text())
+        assert residual(profile) == pytest.approx(doc["residual"], abs=1e-12)
+        solved, expected = design_from_weights(values, n_in, len(values))
+        assert profile.noises.tobytes() == solved.noises.tobytes(), text
+        assert weights.weights.tobytes() == expected.weights.tobytes(), text
+        assert weights.lagrange.hex() == expected.lagrange.hex(), text
 
 
 def test_design_output_byte_stable(capsys, tmp_path):
@@ -357,9 +366,15 @@ def lambda_without_weights(doc):
     doc["lambda"] = -5.0
 
 
+def weights_without_lambda(doc):
+    # rejected, not replaced by the weights for which the profile is extremal
+    del doc["lambda"]
+    doc["weights"] = [7.0, 7.0, 7.0]
+
+
 @pytest.mark.parametrize(
     "edit", [weights_as_string, n_in_as_float, lambda_as_list, without_residual,
-             one_weight_too_many, lambda_without_weights]
+             one_weight_too_many, lambda_without_weights, weights_without_lambda]
 )
 def test_certify_and_synth_reject_malformed_design_document(capsys, tmp_path, edit):
     design = tmp_path / "design.json"
@@ -371,6 +386,19 @@ def test_certify_and_synth_reject_malformed_design_document(capsys, tmp_path, ed
     for argv in (["certify", "--trials", "10"], ["synth", "--scheme", "amplifier"]):
         code, stdout, stderr = run_cli(capsys, *argv, "--design", str(design))
         assert code == 2 and stdout == "" and stderr.startswith("error: design document")
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, math.nan, -math.inf])
+def test_certify_and_synth_reject_a_non_negative_or_non_finite_multiplier(capsys, tmp_path, lam):
+    design = tmp_path / "design.json"
+    argv = ["design", "--weights", "1,2,5", "--n-in", "1", "--m-out", "3", "--out", str(design)]
+    run_cli(capsys, *argv)
+    doc = json.loads(design.read_text())
+    doc["lambda"] = lam
+    design.write_text(json.dumps(doc))
+    for argv in (["certify", "--trials", "10"], ["synth", "--scheme", "feedforward"]):
+        code, stdout, stderr = run_cli(capsys, *argv, "--design", str(design))
+        assert code == 2 and stdout == "" and stderr.startswith("error: invalid multiplier")
 
 
 @pytest.mark.parametrize(

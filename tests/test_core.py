@@ -17,17 +17,16 @@ from gaussclone import (
     coherent_state,
     mode_amplitudes,
 )
-from gaussclone.certificate import build_certificate, build_problem
+from gaussclone.certificate import build_certificate, build_problem, k_matrix
 from gaussclone.circuits import (
     build_interferometer,
     channel_from_amplifier,
     clone_output_cov,
     feedforward_params,
     g_opt_matrix,
-    k_matrix,
 )
 from gaussclone.core import TOL, amplitudes, quadrature_mean, within, xp_matrix
-from gaussclone.design import CostWeights, NoiseProfile, design_from_weights, symmetric_profile
+from gaussclone.design import NoiseProfile, design_from_weights, symmetric_profile
 
 from conftest import (
     apply_channel,
@@ -229,8 +228,7 @@ def test_xp_matrix_gives_the_dense_blocks_entry_by_entry():
         for n in range(1, m + 1):
             p = eye - np.ones((m, m)) / n
             assert np.array_equal(k_matrix(n, m), np.block([[zero, p], [-p, zero]]))
-    weights = CostWeights(np.array([1.0, 2.0, 3.0, 5.0]))
-    profile = design_from_weights(weights, 2, 4)
+    profile, weights = design_from_weights(np.array([1.0, 2.0, 3.0, 5.0]), 2, 4)
     f, zero = np.sqrt(profile.noises), np.zeros((4, 4))
     blocks = {
         "g_opt": (g_opt_matrix(profile), np.eye(4) + 2 * np.outer(f, f) - np.ones((4, 4)) / 2),

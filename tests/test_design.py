@@ -1,7 +1,13 @@
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
 
+import gaussclone
 from gaussclone import (
     CostWeights,
     InfeasibleDesignError,
@@ -133,17 +139,14 @@ def test_symmetric_profile_values():
 
 
 def test_design_from_weights_known_solutions():
-    w = CostWeights(np.array([1.0, 1.0]))
-    p = design_from_weights(w, 1, 2)
+    p, w = design_from_weights(np.array([1.0, 1.0]), 1, 2)
     assert np.allclose(p.noises, 0.5, atol=1e-10)
     assert w.lagrange == pytest.approx(-1.0, abs=1e-10)
 
-    w = CostWeights(np.array([1.0, 1.0, 1.0]))
-    p = design_from_weights(w, 1, 3)
+    p, _ = design_from_weights(np.array([1.0, 1.0, 1.0]), 1, 3)
     assert np.allclose(p.noises, 2 / 3, atol=1e-10)
 
-    w = CostWeights(np.array([1.0, 2.0]))
-    p = design_from_weights(w, 1, 2)
+    p, _ = design_from_weights(np.array([1.0, 2.0]), 1, 2)
     assert p.noises[0] == pytest.approx(1 / np.sqrt(2), abs=1e-10)
     assert p.noises[1] == pytest.approx(np.sqrt(2) / 4, abs=1e-10)
 
@@ -155,8 +158,7 @@ def test_design_from_weights_matches_constrained_minimizer():
         m = int(rng.integers(2, 5))
         n = int(rng.integers(1, m))
         x = rng.uniform(0.1, 10.0, m)
-        w = CostWeights(x.copy())
-        designed = design_from_weights(w, n, m)
+        designed, _ = design_from_weights(x, n, m)
         start = symmetric_profile(n, m).noises
         sol = minimize(
             lambda v: x @ v,
@@ -205,8 +207,7 @@ def test_design_matches_brentq_oracle():
         m = int(rng.integers(2, 60))
         n = int(rng.integers(1, m))
         x = rng.uniform(0.1, 10.0, m)
-        w = CostWeights(x.copy())
-        profile = design_from_weights(w, n, m)
+        profile, w = design_from_weights(x, n, m)
         lam, noises = brentq_design(x, n, m)
         assert w.lagrange == pytest.approx(lam, rel=1e-12, abs=0)
         assert np.max(np.abs(profile.noises - noises) / noises) <= 1e-12
@@ -223,8 +224,7 @@ EXTREME_CASES = [(1, 2, i, 12.0) for i in range(2)] + [
 def test_design_at_extreme_weight_ratio(n_in, m_out, index, log_ratio):
     x = np.ones(m_out)
     x[index] = 10.0**log_ratio
-    w = CostWeights(x)
-    profile = design_from_weights(w, n_in, m_out)
+    profile, w = design_from_weights(x, n_in, m_out)
     assert abs(residual(profile)) <= TOL
     lam = w.lagrange
     assert lam < 0
@@ -255,23 +255,67 @@ def test_surface_checks_reject_criterion_7_perturbations():
 def test_design_permutation_equivariance():
     rng = np.random.default_rng(14)
     x = rng.uniform(0.1, 10.0, 4)
-    p = design_from_weights(CostWeights(x.copy()), 1, 4)
+    p, _ = design_from_weights(x, 1, 4)
     perm = rng.permutation(4)
-    p_perm = design_from_weights(CostWeights(x[perm]), 1, 4)
+    p_perm, _ = design_from_weights(x[perm], 1, 4)
     assert np.allclose(p_perm.noises, p.noises[perm], atol=1e-10)
 
 
+# the design solve and the weights type share one weight check
+WEIGHT_CHECKS = (lambda x: design_from_weights(x, 1, x.size), lambda x: CostWeights(x, -1.0))
+
+
 def test_design_rejects_nonpositive_weights():
-    with pytest.raises(ValueError):
-        CostWeights(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        CostWeights(np.array([1.0, -1.0]))
+    for check in WEIGHT_CHECKS:
+        with pytest.raises(ValueError):
+            check(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            check(np.array([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_weights_reject_non_finite(bad):
-    with pytest.raises(ValueError, match="finite"):
-        CostWeights(np.array([bad, 1.0, 2.0]))
+    for check in WEIGHT_CHECKS:
+        with pytest.raises(ValueError, match="finite"):
+            check(np.array([bad, 1.0, 2.0]))
+
+
+def test_cost_weights_reject_a_missing_non_finite_or_non_negative_multiplier():
+    x = np.array([1.0, 2.0])
+    with pytest.raises(TypeError):
+        CostWeights(x)
+    for lam in (None, np.nan, -np.inf, np.inf, 0.0, 2.0):
+        with pytest.raises((TypeError, ValueError)):
+            CostWeights(x, lam)
+
+
+def test_every_package_dataclass_is_frozen():
+    modules = [
+        importlib.import_module(f"gaussclone.{info.name}")
+        for info in pkgutil.iter_modules(gaussclone.__path__)
+    ]
+    classes = {
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and cls.__module__ == module.__name__
+        and dataclasses.is_dataclass(cls)
+    }
+    assert {CostWeights, NoiseProfile, SimConfig} <= classes
+    assert [c.__name__ for c in classes if not c.__dataclass_params__.frozen] == []
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CostWeights(np.ones(2), -1.0).lagrange = -2.0
+
+
+def test_design_from_weights_leaves_the_callers_weights_unchanged_and_writable():
+    x = np.array([1.0, 2.0, 5.0])
+    before = x.copy()
+    _, weights = design_from_weights(x, 1, 3)
+    assert np.array_equal(x, before)
+    assert x.flags.writeable
+    assert not weights.weights.flags.writeable and not np.shares_memory(weights.weights, x)
+    x[0] = 7.0
+    assert weights.weights[0] == 1.0
 
 
 def test_estimation_tradeoff_points():

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussclone import (
-    CostWeights,
     NoiseProfile,
     SimConfig,
     build_certificate,
@@ -17,8 +16,7 @@ from gaussclone import (
     simulate,
     verify_certificate,
 )
-from gaussclone.certificate import _interlacing_bound
-from gaussclone.circuits import k_matrix
+from gaussclone.certificate import _interlacing_bound, k_matrix
 
 from test_simulate import assert_results_close
 
@@ -58,8 +56,7 @@ def test_certificate_passes_at_extreme_weight_ratios(n_in, excess, index, log_ra
     m_out = n_in + excess
     x = np.ones(m_out)
     x[index % m_out] = 10.0**log_ratio
-    weights = CostWeights(x)
-    problem = build_problem(design_from_weights(weights, n_in, m_out), weights)
+    problem = build_problem(*design_from_weights(x, n_in, m_out))
     cert = build_certificate(problem)
     assert verify_certificate(problem, cert)["passed"]
     scan = random_feasible_cost_scan(problem, cert, 50, np.random.default_rng(0))
