@@ -10,14 +10,17 @@ A shot is a row z of 2M + 2 standard normals whose clone noise quadratures
 are z B, B a fixed (2M + 2) x 2M matrix, so only the sufficient statistics
 sum(z) and z^T z are accumulated; the mean and scatter follow as (sum z) B
 and B^T (z^T z) B.  Rows are drawn and written in chunks of CHUNK_VALUES
-numbers, so memory does not grow with the shot count.
+numbers, so memory does not grow with the shot count.  A chunk of the sample
+CSV is formatted in one pass, each shot's two outcome fields once for all of
+its M rows; the bytes are those of a writer that formats every row in full.
 
 Shots are partitioned deterministically into shards with independent
-counter-derived substreams.  Each shard's sum and z^T z are accumulated from
-zero and folded into the totals in shard order.  Without a sample file the
-shards are drawn in parallel on up to min(shards, cores) threads (the
-generator fills and the BLAS products release the GIL); with one, or with
-shards too small to pay for a thread, they are drawn on the calling thread.
+counter-derived substreams; shards beyond the shot count would be empty and
+are skipped.  Each shard's sum and z^T z are accumulated from zero and folded
+into the totals in shard order.  Without a sample file the shards are drawn
+in parallel on up to min(shards, cores) threads (the generator fills and the
+BLAS products release the GIL); with one, or with shards too small to pay
+for a thread, they are drawn on the calling thread.
 Results depend on (seed, shots, shards) only, never on the core count.
 """
 
@@ -67,12 +70,17 @@ CHUNK_VALUES = 1 << 18
 # smaller shards are drawn faster on the calling thread than handed to a pool
 # (crossover measured at 1/32 to 1/16 of a chunk, 2 cores)
 THREAD_MIN_VALUES = CHUNK_VALUES // 16
-_CSV_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g\r\n"
+# a CSV row per clone of a shot, its clone index a literal of the format; each
+# shot's outcome fields are formatted once and end every one of its rows
+_CSV_CLONE_ROW = "%d,{},%.17g,%.17g,%s"
+_CSV_OUTCOME = "%.17g,%.17g\r\n"
 
 
 def _shard_sizes(shots: int, shards: int) -> list[int]:
+    """Shots of each shard in shard order; shards from index `shots` on would
+    be empty and are left out."""
     base, extra = divmod(shots, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
+    return [base + (1 if i < extra else 0) for i in range(min(shards, shots))]
 
 
 def _available_cores() -> int:
@@ -161,21 +169,30 @@ def run(
         write_rows = None
         if csv_file is not None:
             csv_file.write("shot,clone,x,p,o_re,o_im\r\n")
+            shot_format = "".join(map(_CSV_CLONE_ROW.format, range(m)))
+            stride = 4 * m
             first_shot = 0
 
             def write_rows(z):
                 nonlocal first_shot
                 # operations in this order keep the digits of the per-row writer
-                table = np.empty((len(z), m, 6))
-                table[:, :, 0] = np.arange(first_shot, first_shot + len(z))[:, None]
-                table[:, :, 1] = np.arange(m)
                 vac = z[:, 2:] * math.sqrt(0.5)
-                table[:, :, 2] = vac[:, :m] + np.outer(z[:, 0], basis[0, :m]) + det[:m]
-                table[:, :, 3] = vac[:, m:] + np.outer(z[:, 1], basis[1, m:]) + det[m:]
-                table[:, :, 4] = (z[:, 0] / QUADRATURE_SCALE + o_mean.real)[:, None]
-                table[:, :, 5] = (z[:, 1] / QUADRATURE_SCALE + o_mean.imag)[:, None]
-                rows = _CSV_ROW * (len(z) * m)
-                csv_file.write(rows % tuple(table.ravel().tolist()))
+                x = vac[:, :m] + np.outer(z[:, 0], basis[0, :m]) + det[:m]
+                p = vac[:, m:] + np.outer(z[:, 1], basis[1, m:]) + det[m:]
+                o_re = z[:, 0] / QUADRATURE_SCALE + o_mean.real
+                o_im = z[:, 1] / QUADRATURE_SCALE + o_mean.imag
+                outcomes = list(map(_CSV_OUTCOME.__mod__, zip(o_re.tolist(), o_im.tolist())))
+                del vac, o_re, o_im
+                # args[stride * shot + 4 * clone:][:4] are one row's arguments
+                args = [None] * (stride * len(z))
+                shots = range(first_shot, first_shot + len(z))
+                for c, (x_c, p_c) in enumerate(zip(x.T.tolist(), p.T.tolist())):
+                    args[4 * c :: stride] = shots
+                    args[4 * c + 1 :: stride] = x_c
+                    args[4 * c + 2 :: stride] = p_c
+                    args[4 * c + 3 :: stride] = outcomes
+                del x, p, x_c, p_c, outcomes
+                csv_file.write(shot_format * len(z) % tuple(args))
                 first_shot += len(z)
 
         sizes = _shard_sizes(config.shots, config.shards)

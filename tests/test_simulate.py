@@ -12,6 +12,7 @@ from gaussclone import (
     SimConfig,
     clone_output_cov,
     coherent_state,
+    design_from_weights,
     run,
     symmetric_profile,
 )
@@ -91,6 +92,27 @@ def test_shard_count_changes_stream_but_not_statistics():
 def test_shard_partition_is_deterministic():
     assert _shard_sizes(10, 3) == [4, 3, 3]
     assert sum(_shard_sizes(10**6, 7)) == 10**6
+    assert _shard_sizes(5, 7) == [1] * 5
+
+
+def test_shards_beyond_the_shot_count_are_skipped(tmp_path, monkeypatch):
+    drawn = []
+    shard_moments = simulate._shard_moments
+
+    def recording(seed, shard, size, *args, **kwargs):
+        drawn.append((shard, size))
+        return shard_moments(seed, shard, size, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_shard_moments", recording)
+    config = SimConfig(profile=symmetric_profile(1, 2), alpha=1.0, shots=5, seed=4, shards=5)
+    reference = run(config, samples_path=str(tmp_path / "reference.csv"))
+    for extra in (1, 10**5):
+        drawn.clear()
+        path = tmp_path / "samples.csv"
+        result = run(dataclasses.replace(config, shards=5 + extra), samples_path=str(path))
+        assert drawn == [(shard, 1) for shard in range(5)]
+        assert_results_equal(result, reference)
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_covariance_independent_of_alpha():
@@ -237,11 +259,14 @@ def assert_results_close(result, reference, tol=1e-12):
 
 
 ASYMMETRIC = NoiseProfile(1, 2, np.array([0.25, 1.0]))
+# the size of the benchmark's 2 -> 8 circuit, with unequal clones
+ASYMMETRIC_2_TO_8 = design_from_weights(np.array([1.0, 2.0, 3.0, 0.5, 1.5, 4.0, 0.7, 2.2]), 2, 8)[0]
 # circuit None lets run build its own; the CLI passes a prebuilt one
 ORACLE_CASES = [
     (symmetric_profile(1, 2), 1.0 - 0.5j, None),
     (ASYMMETRIC, 0.3 + 0.8j, feedforward_params(ASYMMETRIC)),
     (symmetric_profile(2, 5), -0.4 + 0.2j, None),
+    (ASYMMETRIC_2_TO_8, -1.1 + 0.3j, None),
 ]
 
 
@@ -260,6 +285,25 @@ def test_chunked_run_matches_dense_oracle(tmp_path, monkeypatch, profile, alpha,
     assert_results_close(result, reference)
 
 
+# (shots, shards, shots per chunk or None for the default): a single shot, and
+# chunks of a single shot, so that a chunk writes the rows of one shot only
+@pytest.mark.parametrize("shots, shards, chunk_shots", [(1, 1, None), (10, 3, 1)])
+@pytest.mark.parametrize("profile, alpha, circuit", ORACLE_CASES)
+def test_single_shot_chunks_match_dense_oracle(
+    tmp_path, monkeypatch, profile, alpha, circuit, shots, shards, chunk_shots
+):
+    if chunk_shots is not None:
+        monkeypatch.setattr(simulate, "CHUNK_VALUES", chunk_shots * (2 * profile.m_out + 2))
+    config = SimConfig(profile=profile, alpha=alpha, shots=shots, seed=19, shards=shards)
+    new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
+    result = run(config, circuit=circuit, samples_path=str(new_csv))
+    circuit = feedforward_params(profile) if circuit is None else circuit
+    reference = dense_run(config, circuit, samples_path=str(old_csv))
+    assert new_csv.read_bytes() == old_csv.read_bytes()
+    assert new_csv.read_bytes().count(b"\r\n") == 1 + shots * profile.m_out
+    assert_results_close(result, reference)
+
+
 def test_chunked_run_matches_dense_oracle_at_default_chunk():
     profile = NoiseProfile(1, 3, np.array([2.0, 0.5, 0.5]))
     config = SimConfig(profile=profile, alpha=0.7j, shots=2 * 10**5, seed=21, shards=2)
@@ -268,21 +312,35 @@ def test_chunked_run_matches_dense_oracle_at_default_chunk():
     assert_results_close(run(config, circuit=circuit), dense_run(config, circuit))
 
 
-def test_run_memory_does_not_grow_with_shots():
+def traced_peaks(shot_counts, samples_path=None):
+    """tracemalloc peak above the starting level of a 1 -> 2 run at each shot
+    count, after a first run at the first count, whose one-time allocations
+    (numpy.random is imported on first use, about 0.8 MB) are left out."""
     profile = symmetric_profile(1, 2)
     circuit = feedforward_params(profile)
     peaks = []
     tracemalloc.start()
     try:
-        for shots in (10**5, 10**6):
+        for shots in (shot_counts[0], *shot_counts):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            run(SimConfig(profile=profile, alpha=1.0, shots=shots, seed=3), circuit=circuit)
+            config = SimConfig(profile=profile, alpha=1.0, shots=shots, seed=3)
+            run(config, circuit=circuit, samples_path=samples_path)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
+    return peaks[1:]
+
+
+def test_run_memory_does_not_grow_with_shots():
+    peaks = traced_peaks((10**5, 10**6))
     assert peaks[1] <= 1.1 * peaks[0]
 
+
+def test_run_memory_does_not_grow_with_shots_when_writing_samples(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "CHUNK_VALUES", 256 * 6)  # 256 shots per chunk
+    peaks = traced_peaks((2000, 20000), samples_path=str(tmp_path / "samples.csv"))
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_splitting_from_amplitudes_moves_samples_by_rounding(tmp_path):
