@@ -16,6 +16,7 @@ memory; the dense 2M x 2M matrix Z is built only on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,14 @@ class DualCertificate:
 def k_matrix(n_in: int, m_out: int) -> np.ndarray:
     """K = J_M - S J_1 S^T for the mean-replicating S."""
     return xp_matrix(0.0, np.eye(m_out) - np.ones((m_out, m_out)) / n_in)
+
+
+def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """v 2^-e and e, with the largest entry of v 2^-e in [1/2, 1): a product
+    of two entries then neither overflows nor underflows at any scale of the
+    weights, and 2^2e scales it back exactly."""
+    e = math.frexp(np.max(v))[1]
+    return np.ldexp(v, -e), e
 
 
 def weights_from_profile(profile: NoiseProfile) -> CostWeights:
@@ -114,10 +123,11 @@ def build_certificate(problem: CertifiedProblem) -> DualCertificate:
     # -i Tr[Z K] = -2 (Tr Y - 1^T Y 1 / N), with the sum of Y off its
     # diagonal, -4 eta sum_{i<j} v_i v_j, taken from suffix sums of v: the
     # shorter (sum v)^2 - |v|^2 cancels at extreme weight ratios
-    pairs = float(v[:-1] @ np.cumsum(v[::-1])[::-1][1:])
+    u, e = _unit_scaled(v)
+    pairs = float(u[:-1] @ np.cumsum(u[::-1])[::-1][1:])
     n = p.n_in
     trace_y = -float(np.sum(x + 2.0 * eta * v * v))
-    dual_bound = -2.0 * (1.0 - 1.0 / n) * trace_y - 8.0 * eta * pairs / n
+    dual_bound = -2.0 * (1.0 - 1.0 / n) * trace_y - 8.0 * math.ldexp(eta, 2 * e) * pairs / n
     return DualCertificate(x=x, v=v, eta=eta, dual_bound=dual_bound)
 
 
@@ -152,7 +162,8 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
     # off the diagonal the extremes pair the two largest entries of v, f, -f
     v_hi, f_hi, f_lo = np.partition(v, -2)[-2:], np.partition(f, -2)[-2:], np.partition(f, 1)[:2]
     y_diag = np.abs(x + 2.0 * eta * v * v)
-    z_scale = float(max(np.max(x), np.max(y_diag), -2.0 * eta * np.prod(v_hi)))
+    u_hi, e = _unit_scaled(v_hi)
+    z_scale = float(max(np.max(x), np.max(y_diag), -2.0 * math.ldexp(eta, 2 * e) * np.prod(u_hi)))
     b_off = np.abs(2.0 * np.array([np.prod(f_hi), np.prod(f_lo)]) - 1.0 / n)
     a_scale = float(max(np.max(b), np.max(b_off), 1.0 / n))
     za_rel = za_max / max(z_scale * a_scale, SCALE_FLOOR)

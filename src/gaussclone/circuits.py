@@ -67,14 +67,15 @@ def g_opt_matrix(profile: NoiseProfile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AmplifierCircuit:
-    """Tap transmittance t, amplifier gain g, interferometer V, and the
-    effective auxiliary-mode coefficients kappa of the composite map.
+    """Tap transmittance t, amplifier gain g, tap reflectance r, interferometer
+    V, and the effective auxiliary-mode coefficients kappa of the composite map.
 
     V[:, :M-1] is lower Hessenberg: its columns 2 to M - 1 hold exact zeros
     above the first superdiagonal, and so do kappa's."""
 
     t: float
     g: float
+    r: float
     V: np.ndarray
     kappa: np.ndarray
 
@@ -152,7 +153,7 @@ def _live_columns(profile: NoiseProfile):
 
 
 def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
-    """Synthesize the amplifier-scheme circuit {t, g, V, kappa}.
+    """Synthesize the amplifier-scheme circuit {t, g, r, V, kappa}.
 
     Column 1 of V is the signal column and column M the noise column of
     `_live_columns`; the remaining columns are a deterministic completion
@@ -169,18 +170,7 @@ def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
     # kappa_j1 = v_j1 t - v_jM g r, kappa_jk = v_jk otherwise
     kappa = v[:, : m - 1].copy()
     kappa[:, 0] = v[:, 0] * t - v[:, m - 1] * g * r
-    return AmplifierCircuit(t=t, g=g, V=v, kappa=kappa)
-
-
-def _circuit_columns(circ: AmplifierCircuit):
-    """(t, g, r, v_1, v_M) of a built amplifier circuit, as `_live_columns`."""
-    m = circ.V.shape[0]
-    t, g = circ.t, circ.g
-    v_sig, v_noise = circ.V[:, 0], circ.V[:, m - 1]
-    # r from kappa_1 = t v_1 - g r v_M; sqrt(1 - t^2) loses half the digits
-    # near t = 1
-    r = float(v_noise @ (t * v_sig - circ.kappa[:, 0])) / g
-    return t, g, r, v_sig, v_noise
+    return AmplifierCircuit(t=t, g=g, r=r, V=v, kappa=kappa)
 
 
 def _channel_blocks(circ: AmplifierCircuit, kappa_gram: np.ndarray):
@@ -190,8 +180,8 @@ def _channel_blocks(circ: AmplifierCircuit, kappa_gram: np.ndarray):
     s = g t v_M + r v_1, and B = kappa kappa^T + (g^2 - 1) v_M v_M^T: the
     vacuum modes b_k and the amplifier idler.
     """
-    t, g, r, v_sig, v_noise = _circuit_columns(circ)
-    s = g * t * v_noise + r * v_sig
+    g, v_sig, v_noise = circ.g, circ.V[:, 0], circ.V[:, -1]
+    s = g * circ.t * v_noise + circ.r * v_sig
     return s, kappa_gram + (g * g - 1.0) * np.outer(v_noise, v_noise)
 
 
@@ -236,7 +226,8 @@ def amplifier_output_state(
     """Exact output Gaussian state of the amplifier scheme on N copies of
     |alpha> (after signal collection into one mode)."""
     amp_in = math.sqrt(profile.n_in) * alpha
-    return _clone_state(*_amplifier_moments(*_circuit_columns(circ), amp_in))
+    v_sig, v_noise = circ.V[:, 0], circ.V[:, -1]
+    return _clone_state(*_amplifier_moments(circ.t, circ.g, circ.r, v_sig, v_noise, amp_in))
 
 
 # -- feedforward scheme ------------------------------------------------------

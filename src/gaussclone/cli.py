@@ -124,17 +124,25 @@ def _read_document(path: str, kind: str, fields: dict) -> dict:
 
 
 def load_design(path: str) -> tuple[NoiseProfile, CostWeights | None]:
-    fields = {**DESIGN_FIELDS, "residual": NUMBER, "weights?": [NUMBER], "lambda?": NUMBER}
+    fields = {
+        **DESIGN_FIELDS, "residual": NUMBER, "fidelities?": [NUMBER], "weights?": [NUMBER],
+        "lambda?": NUMBER,
+    }
     doc = _read_document(path, "design", fields)
     for given, needed in (("lambda", "weights"), ("weights", "lambda")):
         if given in doc and needed not in doc:
             raise CliError(f"design document: {given!r} is given without {needed!r}")
-    if "weights" in doc and len(doc["weights"]) != doc["M"]:
-        raise CliError(f"design document: 'weights' must have M = {doc['M']} entries")
+    for key in ("fidelities", "weights"):
+        if key in doc and len(doc[key]) != doc["M"]:
+            raise CliError(f"design document: {key!r} must have M = {doc['M']} entries")
     profile = NoiseProfile(doc["N"], doc["M"], np.array(doc["noises"], dtype=float))
     s2 = float(np.sum(np.sqrt(profile.noises))) ** 2
     if not within(residual(profile) - doc["residual"], s2):
         raise CliError("stored residual does not match recomputed value")
+    if "fidelities" in doc:
+        off = np.max(np.abs(np.array(doc["fidelities"]) - profile.fidelities()))
+        if not within(off):
+            raise CliError(f"design document: 'fidelities' are {off:.3g} off 1 / (1 + n_j)")
     if "weights" not in doc:
         return profile, None
     return profile, CostWeights(doc["weights"], doc["lambda"])

@@ -26,12 +26,6 @@ def within(value: float, scale: float = 1.0) -> bool:
     return bool(abs(value) <= TOL * max(1.0, scale))
 
 
-def _require_finite(**arrays: np.ndarray) -> None:
-    for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} must be finite")
-
-
 # quadratures per unit of amplitude: <x> + i <p> = QUADRATURE_SCALE <a>
 QUADRATURE_SCALE = np.sqrt(2)
 
@@ -64,6 +58,23 @@ def read_only(obj, *names: str) -> None:
         object.__setattr__(obj, name, array)
 
 
+def _store_arrays(obj, symmetric: str, **shapes: tuple[int, ...]) -> None:
+    """Store the array fields `shapes` of the frozen dataclass `obj`
+    `read_only`, after checking that each has its shape and finite entries
+    and that field `symmetric` is symmetric `within` the size of its entries."""
+    arrays = {name: np.asarray(getattr(obj, name), dtype=float) for name in shapes}
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {arrays[name].shape}")
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} must be finite")
+    a = arrays[symmetric]
+    if not within(np.max(np.abs(a - a.T)), np.max(np.abs(a))):
+        raise ValueError(f"{symmetric} must be symmetric")
+    read_only(obj, *shapes)
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Mean quadrature vector and covariance matrix of a Gaussian state."""
@@ -73,19 +84,10 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        d = 2 * self.num_modes
         if self.num_modes < 1:
             raise ValueError("need at least one mode")
-        if mean.shape != (d,):
-            raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
-        if cov.shape != (d, d):
-            raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        _require_finite(mean=mean, cov=cov)
-        if not within(np.max(np.abs(cov - cov.T)), np.max(np.abs(cov))):
-            raise ValueError("covariance matrix must be symmetric")
-        read_only(self, "mean", "cov")
+        d = 2 * self.num_modes
+        _store_arrays(self, "cov", mean=(d,), cov=(d, d))
 
 
 def coherent_state(alphas) -> GaussianState:
@@ -109,18 +111,8 @@ class GaussianChannel:
     G: np.ndarray
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
-        G = np.asarray(self.G, dtype=float)
-        if S.shape != (2 * self.m_out, 2 * self.m_in):
-            raise ValueError(
-                f"S must have shape ({2 * self.m_out}, {2 * self.m_in}), got {S.shape}"
-            )
-        if G.shape != (2 * self.m_out, 2 * self.m_out):
-            raise ValueError(f"G must have shape {(2 * self.m_out,) * 2}, got {G.shape}")
-        _require_finite(S=S, G=G)
-        if not within(np.max(np.abs(G - G.T)), np.max(np.abs(G))):
-            raise ValueError("G must be symmetric")
-        read_only(self, "S", "G")
+        d_in, d_out = 2 * self.m_in, 2 * self.m_out
+        _store_arrays(self, "G", S=(d_out, d_in), G=(d_out, d_out))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,17 @@ class OffSurfaceError(ValueError):
     """The noise profile does not lie on the optimal surface."""
 
 
+def _checked_noises(noises, count: int) -> np.ndarray:
+    """`noises` as a float vector, checked to hold `count` finite and
+    non-negative thermal noises."""
+    noises = np.asarray(noises, dtype=float)
+    if noises.shape != (count,):
+        raise ValueError(f"expected {count} noises, got shape {noises.shape}")
+    if not np.all(np.isfinite(noises) & (noises >= 0)):
+        raise ValueError("thermal noises must be finite and non-negative")
+    return noises
+
+
 @dataclass(frozen=True)
 class NoiseProfile:
     """A design point: input count N, output count M, per-clone noises n_j."""
@@ -44,15 +55,11 @@ class NoiseProfile:
     noises: np.ndarray
 
     def __post_init__(self):
-        noises = np.asarray(self.noises, dtype=float)
         if self.n_in < 1:
             raise ValueError("need at least one input replica")
         if self.m_out < self.n_in:
             raise ValueError("output count M must satisfy M >= N")
-        if noises.shape != (self.m_out,):
-            raise ValueError(f"expected {self.m_out} noises, got shape {noises.shape}")
-        if not np.all(np.isfinite(noises) & (noises >= 0)):
-            raise ValueError("thermal noises must be finite and non-negative")
+        _checked_noises(self.noises, self.m_out)
         read_only(self, "noises")
 
     @property
@@ -124,11 +131,7 @@ def last_noise_roots(partial, n_in: int, m_out: int) -> list[float]:
     Sorted ascending; the smallest root gives the maximum fidelity of the
     last clone and is the one marked optimal.
     """
-    partial = np.asarray(partial, dtype=float)
-    if partial.shape != (m_out - 1,):
-        raise ValueError(f"expected {m_out - 1} noises, got shape {partial.shape}")
-    if np.any(partial < 0):
-        raise ValueError("thermal noises must be non-negative")
+    partial = _checked_noises(partial, m_out - 1)
     if m_out <= n_in:
         raise ValueError("completion requires M > N")
     excess = m_out - n_in
@@ -197,21 +200,29 @@ def design_from_weights(weights, n_in: int, m_out: int) -> tuple[NoiseProfile, C
     # steps from the right end move left monotonically and never pass the
     # root; they stop once the step falls to a few ulps, or turns back
     # because rounding makes h read non-negative.
-    lam = -1.0 / float(np.sum(1.0 / x))
-    for _ in range(100):
-        d = lam * excess - x
-        step = (float(np.sum(lam / d)) - 1.0) / float(np.sum(-x / d**2))
-        if step <= NEWTON_STOP * abs(lam):
-            break
-        lam -= step
-    coeff = lam / (lam * excess - x)
-    denom = 1.0 - excess * float(np.sum(coeff**2))
-    if denom <= 0:
-        raise RuntimeError("degenerate scale equation; multiplier solve failed")
+    # x -> c x moves the root to c lam and leaves the noises, so the solve
+    # runs on u = x 2^-k, whose binary exponents centre on 1, and scales lam
+    # back: a power of two scales exactly, and d^2 then neither overflows
+    # nor underflows at any common scale of the weights.  Weights some 1e300
+    # apart overflow even so, and the NaN or inf that follows fails below.
+    with np.errstate(all="ignore"):
+        k = (math.frexp(np.max(x))[1] + math.frexp(np.min(x))[1]) // 2
+        u = np.ldexp(x, -k)
+        lam = -1.0 / np.sum(1.0 / u)
+        for _ in range(100):
+            d = lam * excess - u
+            step = (np.sum(lam / d) - 1.0) / np.sum(-u / d**2)
+            if not step > NEWTON_STOP * abs(lam):
+                break
+            lam -= step
+        coeff = lam / (lam * excess - u)
+        denom = 1.0 - excess * float(np.sum(coeff**2))
+    if not denom > 0:
+        raise ValueError("degenerate scale equation; multiplier solve failed")
     s = math.sqrt(excess / denom)
     profile = NoiseProfile(n_in, m_out, (s * coeff) ** 2)
     require_on_surface(profile)
-    return profile, CostWeights(x, lam)
+    return profile, CostWeights(x, math.ldexp(lam, k))
 
 
 def estimation_tradeoff(n_f: float) -> EstimationTradeoffPoint:

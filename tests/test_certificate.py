@@ -369,6 +369,26 @@ def test_dual_scale_covariance():
         assert c2.dual_bound == pytest.approx(c * c1.dual_bound, rel=1e-9)
 
 
+def test_certificate_is_exact_under_a_power_of_two_scale_of_the_weights():
+    # the products of two entries of v are taken on v times a power of two:
+    # in raw units they overflowed to an infinite dual bound at 2^600
+    rng = np.random.default_rng(40)
+    for m, n in ((2, 1), (5, 2), (30, 3)):
+        profile, w = design_from_weights(rng.uniform(0.1, 10.0, m), n, m)
+        problem = build_problem(profile, w)
+        cert = build_certificate(problem)
+        report = verify_certificate(problem, cert)
+        for j in (-600, -1, 1, 600):
+            scaled = CostWeights(np.ldexp(w.weights, j), np.ldexp(w.lagrange, j))
+            problem = build_problem(profile, scaled)
+            cert_scaled = build_certificate(problem)
+            assert cert_scaled.dual_bound == np.ldexp(cert.dual_bound, j)
+            scaled_report = verify_certificate(problem, cert_scaled)
+            assert scaled_report["passed"]
+            assert scaled_report["z_annihilates_a_rel"] == report["z_annihilates_a_rel"]
+            assert scaled_report["duality_gap"] == np.ldexp(report["duality_gap"], j)
+
+
 def test_weights_from_profile_roundtrip():
     profile = symmetric_profile(2, 4)
     w = weights_from_profile(profile)

@@ -521,13 +521,12 @@ def _full_projection_interferometer(profile):
     return v, kappa, sources[1:]
 
 
-def _dense_amplifier_check(profile, v, kappa):
-    """The amplifier report of the circuit (V, kappa) of `profile`, checked
-    through the padded 2M x 2M channel."""
+def _dense_amplifier_check(profile, v, kappa, r):
+    """The amplifier report of the circuit (V, kappa) of `profile` with tap
+    reflectance r, checked through the padded 2M x 2M channel."""
     g, t = gain_and_transmittance(profile)
     m, n = profile.m_out, profile.n_in
-    r_chan = float(v[:, m - 1] @ (t * v[:, 0] - kappa[:, 0])) / g
-    s = g * t * v[:, m - 1] + r_chan * v[:, 0]
+    s = g * t * v[:, m - 1] + r * v[:, 0]
     b = kappa @ kappa.T + (g * g - 1.0) * np.outer(v[:, m - 1], v[:, m - 1])
     g_chan = np.zeros((2 * m, 2 * m))
     g_chan[:m, :m] = g_chan[m:, m:] = b
@@ -562,7 +561,18 @@ def test_amplifier_check_matches_dense_path_bit_for_bit():
     profiles += [load_circuit(str(path))[1] for path in sorted(FIXTURES.glob("*.amplifier.json"))]
     for profile in profiles:
         circ, report = verify_circuit(profile, "amplifier")
-        assert report == _dense_amplifier_check(profile, circ.V, circ.kappa)
+        assert report == _dense_amplifier_check(profile, circ.V, circ.kappa, circ.r)
+
+
+def test_amplifier_circuit_carries_the_tap_reflectance_of_its_live_columns():
+    rng = np.random.default_rng(36)
+    profiles = [random_optimal_profile(rng, m_max=60)[0] for _ in range(50)]
+    profiles += [symmetric_profile(n, m) for m, n in ((2, 1), (3, 2), (13, 1), (40, 3))]
+    profiles += _extreme_weight_profiles()
+    for profile in profiles:
+        # bit for bit: the circuit stores r, it does not recover it from kappa
+        r = build_interferometer(profile).r
+        assert type(r) is float and r == _live_columns(profile)[2]
 
 
 def _extreme_weight_profiles():

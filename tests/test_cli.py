@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,35 @@ def test_solve_infeasible(capsys):
     )
     assert code == 2
     assert "infeasible" in stdout
+
+
+@pytest.mark.parametrize("noises", ["nan,0.5", "0.5,inf", "-0.1,0.5"])
+def test_solve_rejects_non_finite_or_negative_noises(capsys, noises):
+    # a NaN used to fall through to "infeasible: no non-negative completion"
+    argv = ["--n-in", "1", "--m-out", "3"]
+    code, stdout, stderr = run_cli(capsys, "solve", f"--noises={noises}", *argv)
+    assert code == 2 and stdout == ""
+    assert stderr == "error: thermal noises must be finite and non-negative\n"
+
+
+def test_design_exits_0_or_2_on_any_finite_positive_weights(capsys):
+    # from the least subnormal to the largest double, pairs and triples; a
+    # failed solve is a message, not a traceback
+    values = ["5e-324", "1e-300", "1e-200", "1e-100", "1e-12", "1", "1e12", "1e100", "1e200",
+              "1e300", "1.7976931348623157e308"]
+    cases = [[a, b] for a in values for b in values]
+    cases += [[a, "1", b] for a in values for b in values[::2]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weights in cases:
+            for n_in in range(1, len(weights)):
+                argv = ["--n-in", str(n_in), "--m-out", str(len(weights))]
+                code, stdout, stderr = run_cli(
+                    capsys, "design", "--weights", ",".join(weights), *argv
+                )
+                assert code in (0, 2), weights
+                if code == 2:
+                    assert stdout == "" and stderr.startswith("error: "), weights
 
 
 def test_synth_verify_cycle(capsys, tmp_path):
@@ -372,9 +402,15 @@ def weights_without_lambda(doc):
     doc["weights"] = [7.0, 7.0, 7.0]
 
 
+def fidelities_edited(doc):
+    # nothing else reads them, so only the check on read catches the edit
+    doc["fidelities"] = [0.99] * len(doc["fidelities"])
+
+
 @pytest.mark.parametrize(
     "edit", [weights_as_string, n_in_as_float, lambda_as_list, without_residual,
-             one_weight_too_many, lambda_without_weights, weights_without_lambda]
+             one_weight_too_many, lambda_without_weights, weights_without_lambda,
+             fidelities_edited]
 )
 def test_certify_and_synth_reject_malformed_design_document(capsys, tmp_path, edit):
     design = tmp_path / "design.json"
@@ -676,8 +712,16 @@ def test_help_returns_0(capsys, argv):
 
 def test_console_script_exit_codes_are_unchanged():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gaussclone.__file__)))
-    for argv, want in ((["design", "--n-in", "1"], 2), (["--help"], 0)):
+    design = ["design", "--n-in", "1", "--m-out", "2", "--weights"]
+    # exit 1 is an uncaught exception: a traceback, where a message belongs
+    for argv, want in (
+        (["design", "--n-in", "1"], {2}),
+        (["--help"], {0}),
+        ([*design, "1e200,1e200"], {0}),
+        ([*design, "1e-100,1"], {0, 2}),
+        (["solve", "--noises", "nan,0.5", "--n-in", "1", "--m-out", "3"], {2}),
+    ):
         out = subprocess.run(
             [sys.executable, "-m", "gaussclone.cli", *argv], env=env, capture_output=True
         )
-        assert out.returncode == want
+        assert out.returncode in want, (argv, out.stderr)

@@ -92,8 +92,10 @@ def test_residual_rejects_negative_noise():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_profile_rejects_non_finite_noise(bad):
-    with pytest.raises(ValueError, match="finite"):
-        NoiseProfile(1, 2, np.array([bad, 0.5]))
+    # the profile and the completion share one noise check
+    for check in (lambda v: NoiseProfile(1, 2, v), lambda v: last_noise_roots(v, 1, 3)):
+        with pytest.raises(ValueError, match="finite"):
+            check(np.array([bad, 0.5]))
 
 
 def test_solve_last_noise_examples():
@@ -229,6 +231,24 @@ def test_design_at_extreme_weight_ratio(n_in, m_out, index, log_ratio):
     lam = w.lagrange
     assert lam < 0
     assert np.sum(lam / (lam * (m_out - n_in) - x)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_design_is_exact_under_a_power_of_two_scale_of_the_weights():
+    # scaling x by 2^j scales lam by 2^j and leaves the noises, bit for bit;
+    # at 2^+-500 the solve in raw units overflowed or underflowed d^2
+    rng = np.random.default_rng(21)
+    cases = [(rng.uniform(0.1, 10.0, m), n) for m, n in ((2, 1), (3, 2), (7, 3), (40, 1))]
+    for m, n in ((2, 1), (3, 1), (5, 2), (20, 1)):
+        for log_weight in (-12.0, 12.0):
+            x = np.ones(m)
+            x[m // 2] = 10.0**log_weight
+            cases.append((x, n))
+    for x, n in cases:
+        profile, w = design_from_weights(x, n, x.size)
+        for j in (-900, -601, -500, -1, 1, 333, 500, 900):
+            scaled, w_scaled = design_from_weights(np.ldexp(x, j), n, x.size)
+            assert scaled.noises.tobytes() == profile.noises.tobytes(), (x, j)
+            assert w_scaled.lagrange == np.ldexp(w.lagrange, j), (x, j)
 
 
 def test_surface_checks_reject_criterion_7_perturbations():

@@ -1,5 +1,11 @@
 """Property tests, derandomized so the suite stays deterministic."""
 
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +23,7 @@ from gaussclone import (
     verify_certificate,
 )
 from gaussclone.certificate import _interlacing_bound, k_matrix
+from gaussclone.cli import design_document, main
 
 from test_simulate import assert_results_close
 
@@ -88,3 +95,70 @@ def test_interlacing_bound_bounds_the_shifted_trial(m_out, n_in, scale, seed):
     cost = np.diag(q) @ x + max(0.0, -mu) * np.sum(x)
     bound = np.diag(q) @ x + max(0.0, -block_min) * np.sum(x)
     assert bound <= cost + rounding * np.sum(x)
+
+
+def _cli(*argv):
+    """Exit code, stdout and stderr of one in-process CLI command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _synth_and_verify(design, folder):
+    """Synthesize both schemes of a design document and verify each circuit
+    document as read back; return the feedforward document's path."""
+    for scheme in ("amplifier", "feedforward"):
+        circuit = os.path.join(folder, f"{scheme}.json")
+        code, _, err = _cli("synth", "--design", design, "--scheme", scheme, "--out", circuit)
+        assert code == 0 and json.loads(err)["invariants"]["passed"], (scheme, err)
+        code, out, _ = _cli("verify", "--circuit", circuit)
+        assert code == 0 and json.loads(out)["passed"], (scheme, out)
+    return circuit
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n_in=st.integers(1, 3),
+    excess=st.integers(1, 4),
+    index=st.integers(0, 6),
+    log_weight=st.floats(-12.0, 12.0),
+    scale=st.integers(-600, 600).map(lambda j: 2.0**j),
+)
+# excess = 1 is M = N + 1; the examples pin three inputs the solve in raw
+# units failed: a ZeroDivisionError, an off-surface exit 2 on a design that
+# exists, and a RuntimeError traceback
+@example(n_in=1, excess=1, index=0, log_weight=0.0, scale=1e200)
+@example(n_in=1, excess=1, index=0, log_weight=0.0, scale=1e-200)
+@example(n_in=1, excess=1, index=0, log_weight=-100.0, scale=1.0)
+def test_cli_pipeline_at_extreme_weights_and_scales(n_in, excess, index, log_weight, scale):
+    m_out = n_in + excess
+    x = np.full(m_out, scale)
+    x[index % m_out] = scale * 10.0**log_weight
+    with tempfile.TemporaryDirectory() as folder:
+        design = os.path.join(folder, "design.json")
+        weights = ",".join(repr(float(v)) for v in x)
+        argv = ["--weights", weights, "--n-in", str(n_in), "--m-out", str(m_out)]
+        code, _, err = _cli("design", *argv, "--out", design)
+        if abs(log_weight) > 12 and code == 2:
+            # beyond the ratios the solve resolves: a message, not a traceback
+            assert err == "error: degenerate scale equation; multiplier solve failed\n"
+            return
+        assert code == 0, err
+        circuit = _synth_and_verify(design, folder)
+        code, out, _ = _cli("certify", "--design", design, "--trials", "20")
+        assert code == 0 and json.loads(out)["certificate"]["passed"], out
+        assert json.loads(out)["feasible_scan"]["passed"], out
+        code, out, err = _cli("simulate", "--circuit", circuit, "--shots", "200")
+        assert code == 0 and json.loads(out)["shots_used"] == 200, err
+
+
+def test_zero_noise_design_synthesizes_and_verifies_but_does_not_certify():
+    profile = NoiseProfile(2, 3, np.array([0.0, 0.5, 0.5]))
+    with tempfile.TemporaryDirectory() as folder:
+        design = os.path.join(folder, "design.json")
+        with open(design, "w") as fh:
+            json.dump(design_document(profile), fh)
+        _synth_and_verify(design, folder)
+        code, out, err = _cli("certify", "--design", design, "--trials", "20")
+        assert code == 2 and out == "" and "strictly noisy" in err, err
