@@ -258,7 +258,7 @@ def random_feasible_cost_scan(
     diag_weights = np.concatenate([x, x])
     weight_sum = float(np.sum(diag_weights))
     g_opt_diag = np.tile(_g_opt_diagonal(p), 2)
-    ik = 1j * k_matrix(p.n_in, p.m_out)
+    ik = None  # built when a trial first reaches eigvalsh
     # |q + iK|_2 <= |q|_F + |P|_2 with |q|_F <= 2u|W|_F and the eigenvalues
     # of P being 1 and 1 - M/N
     p_norm = max(1.0, p.m_out / p.n_in - 1.0)
@@ -286,9 +286,12 @@ def random_feasible_cost_scan(
         q_norm = 2.0 * u_odd * np.sqrt(np.sum(squares[odd], axis=1)) + p_norm
         margin = SCAN_PRUNE_MARGIN * (np.abs(q_diag) @ diag_weights + q_norm * weight_sum)
         live = bound <= threshold + margin
-        w_live = w_odd[live]
-        q = (w_live + w_live.transpose(0, 2, 1)) * u_odd[live, None, None]
-        shift[live] = np.maximum(0.0, -np.linalg.eigvalsh(q + ik)[:, 0])
+        if live.any():
+            if ik is None:
+                ik = 1j * k_matrix(p.n_in, p.m_out)
+            w_live = w_odd[live]
+            q = (w_live + w_live.transpose(0, 2, 1)) * u_odd[live, None, None]
+            shift[live] = np.maximum(0.0, -np.linalg.eigvalsh(q + ik)[:, 0])
         # a left-out trial keeps its bound, which no minimum reaches; the
         # block is costed in one product, as BLAS rounding depends on its shape
         g_diag[odd] = q_diag + shift[:, None]

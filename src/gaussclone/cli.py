@@ -3,8 +3,10 @@ tradeoff.
 
 Structured documents and reports are single-line JSON written by the json
 module's C encoder (schema-versioned, exact double round-trip, inf as
-Infinity); indented documents from earlier releases load the same.  Bulk
-outputs are CSV.  All randomness flows through an explicit --seed.
+Infinity); indented documents from earlier releases load the same.  The
+amplifier circuit document's text is built in parts: V's rows are encoded
+once and kappa reuses V's row text, with the bytes `json.dumps` would give.  Bulk outputs are CSV.  All randomness flows through
+an explicit --seed.
 Exit codes: 0 success, 2 invalid input or failed precondition, 3 failed
 verification or certification (reports are still written).
 One parser is built per process, on the first `main` call; command X runs
@@ -60,12 +62,16 @@ class CliError(Exception):
     """Invalid input or failed precondition; maps to exit code 2."""
 
 
-def _dump_json(doc: dict, path: str | None):
-    text = json.dumps(doc)
+def _write_text(text: str, path: str | None) -> str:
+    """Write one-line document text, and a newline, to `path` if given."""
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     return text
+
+
+def _dump_json(doc: dict, path: str | None) -> str:
+    return _write_text(json.dumps(doc), path)
 
 
 # -- design documents --------------------------------------------------------
@@ -164,17 +170,37 @@ def circuit_parameters(scheme: str, circ) -> dict:
     return {"r_tap": circ.r_tap, "gains": circ.gains, "reflectances": circ.reflectances}
 
 
-def circuit_document(profile: NoiseProfile, scheme: str, circ) -> dict:
-    params = circuit_parameters(scheme, circ)
-    return {
+def circuit_text(profile: NoiseProfile, scheme: str, circ) -> str:
+    """The document of `circ`, a `scheme` circuit, as one line of JSON: the
+    text `json.dumps` gives, with the amplifier's V and kappa flattened after
+    t and g.
+
+    Each number is formatted once: V's rows are encoded together, and row j
+    of kappa is the text of kappa_j1 followed by V's row j without its first
+    and last entries, which kappa's other columns repeat."""
+    if scheme == "amplifier":
+        params = {"t": circ.t, "g": circ.g}
+    else:
+        params = {
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in circuit_parameters(scheme, circ).items()
+        }
+    text = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "scheme": scheme,
         "design": design_block(profile),
         "provenance": {"design_sha256": design_hash(profile)},
-        "parameters": {
-            k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in params.items()
-        },
-    }
+        "parameters": params,
+    })
+    if scheme != "amplifier":
+        return text
+    rows = json.dumps(circ.V.tolist())[2:-2].split("], [")
+    firsts = json.dumps(circ.kappa[:, 0].tolist())[1:-1].split(", ")
+    kappa = ", ".join(
+        first + row[row.find(", ") : row.rfind(", ")] for first, row in zip(firsts, rows)
+    )
+    # the document ends in the parameters object, after "g"
+    return f'{text[:-2]}, "V": [{", ".join(rows)}], "kappa": [{kappa}]}}}}'
 
 
 def load_circuit(path: str):
@@ -249,7 +275,7 @@ def cmd_synth(args) -> int:
     profile, _ = load_design(args.design)
     circ, checks = verify_circuit(profile, args.scheme)
     if checks["passed"]:
-        print(_dump_json(circuit_document(profile, args.scheme, circ), args.out))
+        print(_write_text(circuit_text(profile, args.scheme, circ), args.out))
     print(json.dumps({"invariants": checks}), file=sys.stderr)
     return EXIT_OK if checks["passed"] else EXIT_FAILED
 

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,9 @@ TOL = 1e-9
 
 def within(value: float, scale: float = 1.0) -> bool:
     """Whether |value| <= TOL max(1, scale): the residual of an identity whose
-    terms have size `scale` is at rounding level.  NaN and +-inf fail."""
-    return bool(abs(value) <= TOL * max(1.0, scale))
+    terms have size `scale` is at rounding level.  A NaN or +-inf value
+    fails, and so does every value when the scale is not finite."""
+    return bool(abs(value) <= TOL * max(1.0, scale)) and math.isfinite(scale)
 
 
 # quadratures per unit of amplitude: <x> + i <p> = QUADRATURE_SCALE <a>

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -324,6 +326,32 @@ def test_scan_pruning_is_exact_when_odd_trials_set_the_minimum(monkeypatch, n_in
     # solved; later blocks leave out some but not all
     assert 0 < sum(solved) < 500
     assert report["min_cost"] == pytest.approx(min_cost, rel=1e-12)
+
+
+def test_a_fully_pruned_scan_never_builds_k(monkeypatch):
+    """iK is built only for a block with an odd trial left after the prune:
+    at N = 2, M = 8 none is left in 1000 trials; at N = 1, where the
+    interlacing bound is weakest, some are."""
+    weights = np.random.default_rng(48).uniform(0.1, 10.0, 8)
+    instances = {n_in: solved_instance(weights, n_in, 8) for n_in in (1, 2)}
+    pruned = random_feasible_cost_scan(*instances[2], 1000, np.random.default_rng(11))
+
+    def no_k(*args):
+        raise AssertionError("k_matrix was built")
+
+    monkeypatch.setattr(certificate, "k_matrix", no_k)
+    solved = count_eigensolves(monkeypatch)
+    assert random_feasible_cost_scan(*instances[2], 1000, np.random.default_rng(11)) == pruned
+    assert solved == []
+    with pytest.raises(AssertionError, match="k_matrix was built"):
+        random_feasible_cost_scan(*instances[1], 1000, np.random.default_rng(11))
+
+
+def test_scan_fails_when_the_dual_bound_is_infinite():
+    problem, cert = solved_instance([1.0, 2.0, 5.0], 1, 3)
+    cert = dataclasses.replace(cert, dual_bound=math.inf)
+    report = random_feasible_cost_scan(problem, cert, 20, np.random.default_rng(0))
+    assert report["min_dual_pairing"] == -math.inf and report["passed"] is False
 
 
 def test_scan_scales_are_the_uniform_draws():

@@ -12,7 +12,17 @@ import pytest
 import gaussclone
 from gaussclone import design_from_weights, residual, symmetric_profile
 from gaussclone.circuits import verify_circuit
-from gaussclone.cli import _dump_json, circuit_document, load_circuit, load_design, main
+from gaussclone.cli import (
+    SCHEMA_VERSION,
+    _dump_json,
+    circuit_parameters,
+    circuit_text,
+    design_block,
+    design_hash,
+    load_circuit,
+    load_design,
+    main,
+)
 
 from conftest import FIXTURES
 
@@ -97,8 +107,11 @@ def test_design_output_byte_stable(capsys, tmp_path):
 def test_documents_are_one_line_and_the_file_text_equals_stdout(capsys, tmp_path):
     design, circuit = tmp_path / "design.json", tmp_path / "circ.json"
     report, summary = tmp_path / "report.json", tmp_path / "summary.json"
+    amplifier = tmp_path / "amplifier.json"
     commands = [
         (design, ["design", "--weights", "1,2,5", "--n-in", "1", "--m-out", "3", "--out"]),
+        (amplifier, ["synth", "--design", str(design), "--scheme", "amplifier", "--out"]),
+        (report, ["verify", "--circuit", str(amplifier), "--out"]),
         (circuit, ["synth", "--design", str(design), "--scheme", "feedforward", "--out"]),
         (report, ["verify", "--circuit", str(circuit), "--out"]),
         (report, ["certify", "--design", str(design), "--trials", "10", "--out"]),
@@ -116,7 +129,7 @@ def test_documents_are_one_line_and_the_file_text_equals_stdout(capsys, tmp_path
 def test_circuit_document_round_trips_floats_exactly(tmp_path):
     profile = symmetric_profile(1, 2)
     circ, _ = verify_circuit(profile, "feedforward")
-    doc = circuit_document(profile, "feedforward", circ)
+    doc = json.loads(circuit_text(profile, "feedforward", circ))
     values = [0.1, 1e-300, 5e-324, -0.0, 2.0**53 + 2, math.inf]
     doc["parameters"]["gains"] = values
     path = tmp_path / "circ.json"
@@ -124,6 +137,52 @@ def test_circuit_document_round_trips_floats_exactly(tmp_path):
     assert "Infinity" in text
     loaded = json.loads(path.read_text())["parameters"]["gains"]
     assert list(map(float.hex, loaded)) == list(map(float.hex, values))
+
+
+def dict_circuit_text(profile, scheme, circ):
+    """`json.dumps` of the circuit document as a dict of its
+    `circuit_parameters`, as earlier releases wrote it: the oracle for
+    `circuit_text`."""
+    params = circuit_parameters(scheme, circ)
+    return json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "scheme": scheme,
+        "design": design_block(profile),
+        "provenance": {"design_sha256": design_hash(profile)},
+        "parameters": {
+            k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in params.items()
+        },
+    })
+
+
+def test_circuit_text_is_the_dict_documents_text():
+    rng = np.random.default_rng(20)
+    profiles = [design_from_weights([1.0, 3.0], 1, 2)[0], symmetric_profile(2, 7)]
+    profiles += [load_circuit(str(path))[1] for path in sorted(FIXTURES.glob("*.amplifier.json"))]
+    profiles += [design_from_weights(rng.uniform(0.1, 10.0, m), 2, m)[0] for m in (50, 200)]
+    kinds = set()
+    for profile in profiles:
+        for scheme in ("feedforward", "amplifier"):
+            circ, _ = verify_circuit(profile, scheme)
+            text = circuit_text(profile, scheme, circ)
+            assert text == dict_circuit_text(profile, scheme, circ), (profile, scheme)
+        params = json.loads(text)["parameters"]
+        assert np.array(params["V"]).tobytes() == circ.V.tobytes()
+        assert np.array(params["kappa"]).tobytes() == circ.kappa.tobytes()
+        kinds.add((circ.kappa.shape[1] == 1, circ.t == 1.0))
+    # kappa with one column, and the symmetric t = 1 design
+    assert (True, False) in kinds and (False, True) in kinds
+
+
+def test_circuit_text_writes_non_finite_and_signed_values_as_json_does():
+    v = np.array([[np.inf, -0.0, 5e-324], [np.nan, 0.1, -np.inf], [1.0, 2.0**53 + 2, -1e-300]])
+    kappa = v[:, :2].copy()
+    kappa[:, 0] = [-np.inf, np.nan, -0.0]
+    circ = argparse.Namespace(t=0.5, g=np.float64(1.5), V=v, kappa=kappa)
+    profile = symmetric_profile(1, 3)
+    text = circuit_text(profile, "amplifier", circ)
+    assert text == dict_circuit_text(profile, "amplifier", circ)
+    assert "NaN" in text and "-Infinity" in text and "-0.0" in text
 
 
 def test_solve_command(capsys):

@@ -154,6 +154,13 @@ def test_within_holds_at_the_boundary_and_fails_on_non_finite_values():
     assert within(min(0.0, 3.0)) and not within(min(0.0, -2e-9))
 
 
+def test_within_fails_whenever_the_scale_is_not_finite():
+    # max(1, nan) is 1 and TOL * inf admits every value, so neither may pass
+    for value in (0.0, 1.0, np.inf, -np.inf):
+        assert not within(value, np.inf)
+    assert not within(0.0, np.nan) and not within(0.0, -np.inf)
+
+
 def _small_float_literals(tree):
     """Float literals 0 < |x| < 1e-6 of a module, except those in the value of
     a module-level assignment to a name."""

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -17,6 +18,7 @@ from gaussclone import (
     build_certificate,
     build_problem,
     design_from_weights,
+    last_noise_roots,
     random_feasible_cost_scan,
     run,
     simulate,
@@ -117,6 +119,17 @@ def _synth_and_verify(design, folder):
     return circuit
 
 
+def _zero_noise_completion(x, n_in, m_out):
+    """The profile whose clone with infinite weight in `x` is perfect: the
+    other clones' design for N - 1 -> M - 1, whose surface equation is the
+    same, completed by `last_noise_roots` to an exact zero."""
+    j = int(np.argmax(x))
+    others, _ = design_from_weights(np.delete(x, j), n_in - 1, m_out - 1)
+    zero = last_noise_roots(others.noises, n_in, m_out)[0]
+    assert zero == 0.0
+    return NoiseProfile(n_in, m_out, np.insert(others.noises, j, zero))
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     n_in=st.integers(1, 3),
@@ -131,24 +144,37 @@ def _synth_and_verify(design, folder):
 @example(n_in=1, excess=1, index=0, log_weight=0.0, scale=1e200)
 @example(n_in=1, excess=1, index=0, log_weight=0.0, scale=1e-200)
 @example(n_in=1, excess=1, index=0, log_weight=-100.0, scale=1.0)
+# an infinite weight is a zero-noise clone (see _zero_noise_completion)
+@example(n_in=2, excess=2, index=1, log_weight=math.inf, scale=1.0)
+@example(n_in=3, excess=2, index=4, log_weight=math.inf, scale=2.0**-600)
+@example(n_in=2, excess=3, index=0, log_weight=math.inf, scale=2.0**600)
 def test_cli_pipeline_at_extreme_weights_and_scales(n_in, excess, index, log_weight, scale):
     m_out = n_in + excess
     x = np.full(m_out, scale)
     x[index % m_out] = scale * 10.0**log_weight
     with tempfile.TemporaryDirectory() as folder:
         design = os.path.join(folder, "design.json")
-        weights = ",".join(repr(float(v)) for v in x)
-        argv = ["--weights", weights, "--n-in", str(n_in), "--m-out", str(m_out)]
-        code, _, err = _cli("design", *argv, "--out", design)
-        if abs(log_weight) > 12 and code == 2:
-            # beyond the ratios the solve resolves: a message, not a traceback
-            assert err == "error: degenerate scale equation; multiplier solve failed\n"
-            return
-        assert code == 0, err
+        if math.isinf(log_weight):
+            profile = _zero_noise_completion(x, n_in, m_out)
+            with open(design, "w") as fh:
+                json.dump(design_document(profile), fh)
+        else:
+            weights = ",".join(repr(float(v)) for v in x)
+            argv = ["--weights", weights, "--n-in", str(n_in), "--m-out", str(m_out)]
+            code, _, err = _cli("design", *argv, "--out", design)
+            if abs(log_weight) > 12 and code == 2:
+                # beyond the ratios the solve resolves: a message, not a traceback
+                assert err == "error: degenerate scale equation; multiplier solve failed\n"
+                return
+            assert code == 0, err
         circuit = _synth_and_verify(design, folder)
-        code, out, _ = _cli("certify", "--design", design, "--trials", "20")
-        assert code == 0 and json.loads(out)["certificate"]["passed"], out
-        assert json.loads(out)["feasible_scan"]["passed"], out
+        code, out, err = _cli("certify", "--design", design, "--trials", "20")
+        if math.isinf(log_weight):
+            # certify covers strictly noisy designs only
+            assert code == 2 and out == "" and "strictly noisy" in err, err
+        else:
+            assert code == 0 and json.loads(out)["certificate"]["passed"], out
+            assert json.loads(out)["feasible_scan"]["passed"], out
         code, out, err = _cli("simulate", "--circuit", circuit, "--shots", "200")
         assert code == 0 and json.loads(out)["shots_used"] == 200, err
 
