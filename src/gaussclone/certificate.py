@@ -109,7 +109,7 @@ def build_problem(profile: NoiseProfile, weights: CostWeights) -> CertifiedProbl
     if weights.weights.shape != (profile.m_out,):
         raise ValueError("weight vector length must equal the clone count")
     mismatch = extremal_equation_residual(profile, weights)
-    if not within(mismatch, np.max(weights.weights)):
+    if not within(mismatch, unit=np.max(weights.weights)):
         raise ValueError(f"weights are not extremal for this profile (residual {mismatch:.3g})")
     return CertifiedProblem(profile=profile, weights=weights)
 
@@ -138,8 +138,9 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
     G_opt + iK (relative max-entry norm), Z is PSD, the duality gap vanishes,
     and the multiplier normalization eta f^T v = -1 holds.  Each is evaluated
     from its closed form in x, f, v and eta, with B = I + 2F - H/N the blocks
-    of G_opt and P = I - H/N those of K, and held `within` its scale (see
-    the README): the gap's terms are |lam| S^2, so it rounds on |cost| S^2 / (M - N).
+    of G_opt and P = I - H/N those of K, and held `within` its scale in
+    units of the weights' size where it carries that size (see the README):
+    the gap's terms are |lam| S^2, so it rounds on |cost| S^2 / (M - N).
     """
     p = problem.profile
     n = p.n_in
@@ -189,8 +190,8 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
     }
     passed = (
         within(za_rel)
-        and within(min_eig_z, z_scale)
-        and within(gap, abs(cost_opt) * max(1.0, eps_scale))
+        and within(min_eig_z, unit=z_scale)
+        and within(gap, eps_scale, unit=abs(cost_opt))
         and within(eps, eps_scale)
     )
     return {
@@ -301,5 +302,5 @@ def random_feasible_cost_scan(
         "min_cost": float(min_cost),
         "min_dual_pairing": float(min_cost - cert.dual_bound),
         "dual_bound": cert.dual_bound,
-        "passed": within(min(0.0, min_cost - cert.dual_bound), abs(cert.dual_bound)),
+        "passed": within(min(0.0, min_cost - cert.dual_bound), unit=abs(cert.dual_bound)),
     }

@@ -17,8 +17,9 @@ M x M block repeated in the x and p quadratures: the amplifier's channel is
 S = blkdiag(s, s) and G = blkdiag(B, B), and its complete-positivity margin
 is that of the two real matrices B +- (I - s s^T).  Only two input ports of
 the interferometer carry light, the signal column v_1 and the amplifier-noise
-column v_M of V, so the amplifier's output state follows from those two
-columns alone, and the schemes are compared without building V.
+column v_M of V, so s and B follow from those two columns alone, the CP
+margin from two 2 x 2 compressions onto their span, and the schemes are
+compared without building V.
 """
 
 from __future__ import annotations
@@ -173,36 +174,12 @@ def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
     return AmplifierCircuit(t=t, g=g, r=r, V=v, kappa=kappa)
 
 
-def _channel_blocks(circ: AmplifierCircuit, kappa_gram: np.ndarray):
-    """Blocks s and B of the circuit's channel S = blkdiag(s, s),
-    G = blkdiag(B, B), given kappa_gram = kappa kappa^T.
+def _amplifier_moments(t, g, r, v_sig, v_noise):
+    """Amplitude gains s and per-quadrature output covariance block
+    s s^T + B of the amplifier scheme on a coherent state, from its two live
+    columns: the clones of the collected amplitude a have amplitudes s a.
 
-    s = g t v_M + r v_1, and B = kappa kappa^T + (g^2 - 1) v_M v_M^T: the
-    vacuum modes b_k and the amplifier idler.
-    """
-    g, v_sig, v_noise = circ.g, circ.V[:, 0], circ.V[:, -1]
-    s = g * circ.t * v_noise + circ.r * v_sig
-    return s, kappa_gram + (g * g - 1.0) * np.outer(v_noise, v_noise)
-
-
-def channel_from_amplifier(circ: AmplifierCircuit, profile: NoiseProfile) -> GaussianChannel:
-    """Compose tap, amplifier, and interferometer into a single (S, G) map.
-
-    The channel input is the single collected mode (carrying sqrt(N) alpha).
-    The circuit is phase-insensitive, so S = blkdiag(s, s) and
-    G = blkdiag(B, B) with the blocks of `_channel_blocks`.  On the surface
-    these are the mean-replicating S and B = I + 2F - H/N.
-    """
-    s, b = _channel_blocks(circ, circ.kappa @ circ.kappa.T)
-    return GaussianChannel(1, profile.m_out, xp_matrix(s[:, None], 0.0), xp_matrix(b, 0.0))
-
-
-def _amplifier_moments(t, g, r, v_sig, v_noise, amp_in: complex):
-    """Clone amplitudes and per-quadrature covariance block of the amplifier
-    scheme on the collected amplitude `amp_in`, from its two live columns.
-
-    The amplitudes are s amp_in with s = g t v_M + r v_1, and the block is
-    s s^T + B.  The vacuum ports' kappa kappa^T is
+    s = g t v_M + r v_1.  The vacuum ports' kappa kappa^T is
     I - v_1 v_1^T - v_M v_M^T + kappa_1 kappa_1^T with kappa_1 = t v_1 - g r v_M
     for any orthogonal completion of V, so
     B = I - v_1 v_1^T + kappa_1 kappa_1^T + (g^2 - 2) v_M v_M^T.
@@ -211,7 +188,20 @@ def _amplifier_moments(t, g, r, v_sig, v_noise, amp_in: complex):
     kappa_1 = t * v_sig - g * r * v_noise
     vecs = np.array([s, v_sig, kappa_1, v_noise])
     weights = np.array([1.0, -1.0, 1.0, g * g - 2.0])
-    return s * amp_in, np.eye(s.size) + (vecs.T * weights) @ vecs
+    return s, np.eye(s.size) + (vecs.T * weights) @ vecs
+
+
+def channel_from_amplifier(circ: AmplifierCircuit, profile: NoiseProfile) -> GaussianChannel:
+    """Compose tap, amplifier, and interferometer into a single (S, G) map.
+
+    The channel input is the single collected mode (carrying sqrt(N) alpha).
+    The circuit is phase-insensitive, so S = blkdiag(s, s) and
+    G = blkdiag(B, B) with s and B from `_amplifier_moments`.  On the surface
+    these are the mean-replicating S and B = I + 2F - H/N.
+    """
+    s, block = _amplifier_moments(circ.t, circ.g, circ.r, circ.V[:, 0], circ.V[:, -1])
+    b = block - np.outer(s, s)
+    return GaussianChannel(1, profile.m_out, xp_matrix(s[:, None], 0.0), xp_matrix(b, 0.0))
 
 
 def _clone_state(amps: np.ndarray, block: np.ndarray) -> GaussianState:
@@ -225,9 +215,8 @@ def amplifier_output_state(
 ) -> GaussianState:
     """Exact output Gaussian state of the amplifier scheme on N copies of
     |alpha> (after signal collection into one mode)."""
-    amp_in = math.sqrt(profile.n_in) * alpha
-    v_sig, v_noise = circ.V[:, 0], circ.V[:, -1]
-    return _clone_state(*_amplifier_moments(circ.t, circ.g, circ.r, v_sig, v_noise, amp_in))
+    s, block = _amplifier_moments(circ.t, circ.g, circ.r, circ.V[:, 0], circ.V[:, -1])
+    return _clone_state(s * (math.sqrt(profile.n_in) * alpha), block)
 
 
 # -- feedforward scheme ------------------------------------------------------
@@ -308,9 +297,9 @@ def scheme_equivalence_check(
     if feedforward is None:
         feedforward = feedforward_params(profile)
     amp_in = math.sqrt(profile.n_in) * EQUIVALENCE_ALPHA
-    amps_amp, block_amp = _amplifier_moments(*_live_columns(profile), amp_in)
+    s, block_amp = _amplifier_moments(*_live_columns(profile))
     amps_ff, block_ff = _feedforward_moments(feedforward, amp_in)
-    mean_amp = quadrature_mean(amps_amp)
+    mean_amp = quadrature_mean(s * amp_in)
     mean_diff = float(np.max(np.abs(mean_amp - quadrature_mean(amps_ff))))
     cov_diff = float(np.max(np.abs(block_amp - block_ff)))
     return {
@@ -337,16 +326,21 @@ def verify_circuit(
         circ = build_interferometer(profile)
         m, n = profile.m_out, profile.n_in
         unitarity = float(np.max(np.abs(circ.V.T @ circ.V - np.eye(m))))
-        gram = circ.kappa @ circ.kappa.T
         target = np.eye(m) - np.ones((m, m)) / n + noise_gram_matrix(profile)
-        kappa_resid = float(np.max(np.abs(gram - target)))
+        kappa_resid = float(np.max(np.abs(circ.kappa @ circ.kappa.T - target)))
         # the channel is S = blkdiag(s, s), G = blkdiag(B, B)
-        s, b = _channel_blocks(circ, gram)
+        s, block = _amplifier_moments(circ.t, circ.g, circ.r, circ.V[:, 0], circ.V[:, -1])
+        b = block - np.outer(s, s)
         g_resid = float(np.max(np.abs(b - _g_opt_block(profile))))
         # G + iK = [[B, iP], [-iP, B]] with P = I - s s^T; the vectors
-        # (u, -iu) and (u, iu) split it into the real B + P and B - P
-        p = np.eye(m) - np.outer(s, s)
-        cp_eig = float(min(np.linalg.eigvalsh(b + p)[0], np.linalg.eigvalsh(b - p)[0]))
+        # (u, -iu) and (u, iu) split it into the real B + P and B - P.  Off
+        # span{v_1, v_M} these are 2I and 0, so their spectra are those of
+        # their compressions onto Q = [v_1, v_M], with 2 and 0 when M > 2
+        q = circ.V[:, [0, -1]]
+        qs = q.T @ s
+        qpq = q.T @ q - np.outer(qs, qs)
+        least = np.linalg.eigvalsh(q.T @ b @ q + np.array([qpq, -qpq]))[:, 0].min()
+        cp_eig = float(min(least, 0.0) if m > 2 else least)
         b_max = np.max(np.abs(b))
         return circ, {
             "unitarity_residual": unitarity,

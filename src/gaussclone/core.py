@@ -21,11 +21,13 @@ import numpy as np
 TOL = 1e-9
 
 
-def within(value: float, scale: float = 1.0) -> bool:
-    """Whether |value| <= TOL max(1, scale): the residual of an identity whose
-    terms have size `scale` is at rounding level.  A NaN or +-inf value
-    fails, and so does every value when the scale is not finite."""
-    return bool(abs(value) <= TOL * max(1.0, scale)) and math.isfinite(scale)
+def within(value: float, scale: float = 1.0, unit: float = 1.0) -> bool:
+    """Whether |value| / unit <= TOL max(1, scale): the residual of an
+    identity whose terms have size `scale` in units of `unit`, which takes no
+    floor, is at rounding level.  A NaN or +-inf value fails, and so does
+    every value when the scale is not finite or the unit not finite and > 0."""
+    in_unit = abs(value) / unit if 0.0 < unit < math.inf else math.nan
+    return bool(in_unit <= TOL * max(1.0, scale)) and math.isfinite(scale)
 
 
 # quadratures per unit of amplitude: <x> + i <p> = QUADRATURE_SCALE <a>

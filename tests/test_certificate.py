@@ -417,6 +417,26 @@ def test_certificate_is_exact_under_a_power_of_two_scale_of_the_weights():
             assert scaled_report["duality_gap"] == np.ldexp(report["duality_gap"], j)
 
 
+@pytest.mark.parametrize("j", [-600, -200, -40, 0, 40, 600])
+def test_verdicts_fail_a_wrong_certificate_at_every_weight_scale(j):
+    # the extremality check, the duality gap, min_eig_z and the scan pairing
+    # carry the size of the weights and are held to TOL in that size: with
+    # an absolute floor of TOL, a halved dual bound, 1.001x non-extremal
+    # weights and a scan against a doubled bound all passed from j = -40 down
+    profile, w = design_from_weights(np.ldexp([1.0, 2.0, 5.0], j), 1, 3)
+    problem = build_problem(profile, w)
+    cert = build_certificate(problem)
+    assert verify_certificate(problem, cert)["passed"]
+    halved = dataclasses.replace(cert, dual_bound=cert.dual_bound / 2)
+    assert not verify_certificate(problem, halved)["passed"]
+    with pytest.raises(ValueError, match="not extremal"):
+        build_problem(profile, CostWeights(w.weights * 1.001, w.lagrange))
+    rng = np.random.default_rng(41)
+    assert random_feasible_cost_scan(problem, cert, 20, rng)["passed"]
+    doubled = dataclasses.replace(cert, dual_bound=cert.dual_bound * 2)
+    assert not random_feasible_cost_scan(problem, doubled, 20, rng)["passed"]
+
+
 def test_weights_from_profile_roundtrip():
     profile = symmetric_profile(2, 4)
     w = weights_from_profile(profile)

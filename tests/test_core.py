@@ -161,6 +161,19 @@ def test_within_fails_whenever_the_scale_is_not_finite():
     assert not within(0.0, np.nan) and not within(0.0, -np.inf)
 
 
+def test_within_takes_no_floor_on_its_unit_and_fails_on_a_bad_unit():
+    # a value in units of `unit` is held to TOL max(1, scale) of that unit,
+    # however small the unit: the floor of 1 is the scale's alone
+    for unit in (2.0**-900, 2.0**-40, 1.0, 2.0**40, 2.0**900):
+        for scale in (0.0, 7.0):
+            bound = TOL * max(1.0, scale) * unit
+            assert within(bound, scale, unit=unit)
+            assert not within(2.0 * bound, scale, unit=unit)
+    for unit in (0.0, -1.0, np.inf, np.nan):
+        assert not within(0.0, unit=unit)
+    assert not within(np.nan, unit=1e-12) and not within(1e-300, np.inf, unit=1e-12)
+
+
 def _small_float_literals(tree):
     """Float literals 0 < |x| < 1e-6 of a module, except those in the value of
     a module-level assignment to a name."""
