@@ -18,18 +18,20 @@ S = blkdiag(s, s) and G = blkdiag(B, B), and its complete-positivity margin
 is that of the two real matrices B +- (I - s s^T).  Only two input ports of
 the interferometer carry light, the signal column v_1 and the amplifier-noise
 column v_M of V, so s and B follow from those two columns alone, the CP
-margin from two 2 x 2 compressions onto their span, and the schemes are
-compared without building V.
+margin from two 2 x 2 compressions onto their span.  `AmplifierCircuit`
+holds t, g, r and those two columns, and completes V from them on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianChannel, GaussianState, quadrature_mean, read_only, within, xp_matrix
+from .core import (GaussianChannel, GaussianState, frozen, quadrature_mean, read_only, within,
+                   xp_matrix)
 from .design import NoiseProfile, OffSurfaceError, require_on_surface
 
 # a completion candidate keeping no more than this fraction of its norm is skipped
@@ -68,20 +70,52 @@ def g_opt_matrix(profile: NoiseProfile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AmplifierCircuit:
-    """Tap transmittance t, amplifier gain g, tap reflectance r, interferometer
-    V, and the effective auxiliary-mode coefficients kappa of the composite map.
-
+    """Tap transmittance t, amplifier gain g, tap reflectance r, and the
+    columns v_sig = v_1 and v_noise = v_M of the interferometer V, the only
+    two of its input ports that carry light.  V and the auxiliary-mode
+    coefficients kappa are built from them once, on first access, read-only.
     V[:, :M-1] is lower Hessenberg: its columns 2 to M - 1 hold exact zeros
     above the first superdiagonal, and so do kappa's."""
 
     t: float
     g: float
     r: float
-    V: np.ndarray
-    kappa: np.ndarray
+    v_sig: np.ndarray
+    v_noise: np.ndarray
 
     def __post_init__(self):
-        read_only(self, "V", "kappa")
+        read_only(self, "v_sig", "v_noise")
+
+    @functools.cached_property
+    def V(self) -> np.ndarray:
+        """V in circuit order (b_1, ..., b_{M-1}, a_out): v_sig, the completion, v_noise."""
+        m = self.v_sig.size
+        cols = np.empty((m, m))
+        cols[:, 0], cols[:, 1] = self.v_noise, self.v_sig
+        return frozen(np.roll(_complete_columns(cols, 2), -1, axis=1))
+
+    @functools.cached_property
+    def kappa(self) -> np.ndarray:
+        """Vacuum-mode coefficients: kappa_j1 = v_j1 t - v_jM g r, kappa_jk = v_jk otherwise."""
+        kappa = self.V[:, :-1].copy()
+        kappa[:, 0] = self.v_sig * self.t - self.v_noise * self.g * self.r
+        return frozen(kappa)
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Amplitude gains s and per-quadrature output covariance block
+        s s^T + B of the circuit on a coherent state, from its two live
+        columns: the clones of the collected amplitude a have amplitudes s a.
+
+        s = g t v_M + r v_1.  The vacuum ports' kappa kappa^T is
+        I - v_1 v_1^T - v_M v_M^T + kappa_1 kappa_1^T with
+        kappa_1 = t v_1 - g r v_M for any orthogonal completion of V, so
+        B = I - v_1 v_1^T + kappa_1 kappa_1^T + (g^2 - 2) v_M v_M^T.
+        """
+        s = self.g * self.t * self.v_noise + self.r * self.v_sig
+        kappa_1 = self.t * self.v_sig - self.g * self.r * self.v_noise
+        vecs = np.array([s, self.v_sig, kappa_1, self.v_noise])
+        weights = np.array([1.0, -1.0, 1.0, self.g * self.g - 2.0])
+        return s, np.eye(s.size) + (vecs.T * weights) @ vecs
 
 
 def gain_and_transmittance(profile: NoiseProfile) -> tuple[float, float]:
@@ -125,10 +159,9 @@ def _complete_columns(cols: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
-def _live_columns(profile: NoiseProfile):
-    """Tap transmittance t, amplifier gain g, tap reflectance r, and the
-    signal and noise columns v_1, v_M of the interferometer: the only two of
-    its input ports that carry light.
+def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
+    """Synthesize the amplifier-scheme circuit of `profile`: t, g, r and the
+    two live columns v_1, v_M, in O(M).
 
     v_M routes the amplifier idler noise, v_M = sqrt(n / n_tot).  After the
     amplifier each clone still lacks the amplitude lack = 1 - g t sqrt(N) v_M
@@ -150,45 +183,7 @@ def _live_columns(profile: NoiseProfile):
     else:
         _complete_columns(cols, 1)
     r = float(cols[:, 1] @ lack) / sqrt_n
-    return t, g, r, cols[:, 1], cols[:, 0]
-
-
-def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
-    """Synthesize the amplifier-scheme circuit {t, g, r, V, kappa}.
-
-    Column 1 of V is the signal column and column M the noise column of
-    `_live_columns`; the remaining columns are a deterministic completion
-    over the canonical basis.  The completion column taken from e_j is zero
-    on the rows above j, so V is lower Hessenberg outside its noise column.
-    """
-    t, g, r, v_sig, v_noise = _live_columns(profile)
-    m = profile.m_out
-    cols = np.empty((m, m))
-    cols[:, 0], cols[:, 1] = v_noise, v_sig
-    # circuit order (b_1, ..., b_{M-1}, a_out): the noise column goes last
-    v = np.roll(_complete_columns(cols, 2), -1, axis=1)
-    # composite coefficients of the auxiliary vacuum modes b_1..b_{M-1}:
-    # kappa_j1 = v_j1 t - v_jM g r, kappa_jk = v_jk otherwise
-    kappa = v[:, : m - 1].copy()
-    kappa[:, 0] = v[:, 0] * t - v[:, m - 1] * g * r
-    return AmplifierCircuit(t=t, g=g, r=r, V=v, kappa=kappa)
-
-
-def _amplifier_moments(t, g, r, v_sig, v_noise):
-    """Amplitude gains s and per-quadrature output covariance block
-    s s^T + B of the amplifier scheme on a coherent state, from its two live
-    columns: the clones of the collected amplitude a have amplitudes s a.
-
-    s = g t v_M + r v_1.  The vacuum ports' kappa kappa^T is
-    I - v_1 v_1^T - v_M v_M^T + kappa_1 kappa_1^T with kappa_1 = t v_1 - g r v_M
-    for any orthogonal completion of V, so
-    B = I - v_1 v_1^T + kappa_1 kappa_1^T + (g^2 - 2) v_M v_M^T.
-    """
-    s = g * t * v_noise + r * v_sig
-    kappa_1 = t * v_sig - g * r * v_noise
-    vecs = np.array([s, v_sig, kappa_1, v_noise])
-    weights = np.array([1.0, -1.0, 1.0, g * g - 2.0])
-    return s, np.eye(s.size) + (vecs.T * weights) @ vecs
+    return AmplifierCircuit(t, g, r, cols[:, 1], cols[:, 0])
 
 
 def channel_from_amplifier(circ: AmplifierCircuit, profile: NoiseProfile) -> GaussianChannel:
@@ -196,10 +191,10 @@ def channel_from_amplifier(circ: AmplifierCircuit, profile: NoiseProfile) -> Gau
 
     The channel input is the single collected mode (carrying sqrt(N) alpha).
     The circuit is phase-insensitive, so S = blkdiag(s, s) and
-    G = blkdiag(B, B) with s and B from `_amplifier_moments`.  On the surface
-    these are the mean-replicating S and B = I + 2F - H/N.
+    G = blkdiag(B, B) with s and B from `AmplifierCircuit.moments`.  On the
+    surface these are the mean-replicating S and B = I + 2F - H/N.
     """
-    s, block = _amplifier_moments(circ.t, circ.g, circ.r, circ.V[:, 0], circ.V[:, -1])
+    s, block = circ.moments()
     b = block - np.outer(s, s)
     return GaussianChannel(1, profile.m_out, xp_matrix(s[:, None], 0.0), xp_matrix(b, 0.0))
 
@@ -215,7 +210,7 @@ def amplifier_output_state(
 ) -> GaussianState:
     """Exact output Gaussian state of the amplifier scheme on N copies of
     |alpha> (after signal collection into one mode)."""
-    s, block = _amplifier_moments(circ.t, circ.g, circ.r, circ.V[:, 0], circ.V[:, -1])
+    s, block = circ.moments()
     return _clone_state(s * (math.sqrt(profile.n_in) * alpha), block)
 
 
@@ -289,7 +284,7 @@ def scheme_equivalence_check(
     Both states have uncorrelated x and p quadratures with one covariance
     block each, so the states are compared through their clone amplitudes
     and that M x M block; the amplifier's comes from its two live columns,
-    without building V.  `feedforward` is the feedforward circuit of
+    without completing V.  `feedforward` is the feedforward circuit of
     `profile` when the caller has already built it.  Returns a report with
     the element-wise mean and covariance discrepancies and a pass flag: each
     `within` the size of the amplifier's entries, max|mean| and max|cov|.
@@ -297,7 +292,7 @@ def scheme_equivalence_check(
     if feedforward is None:
         feedforward = feedforward_params(profile)
     amp_in = math.sqrt(profile.n_in) * EQUIVALENCE_ALPHA
-    s, block_amp = _amplifier_moments(*_live_columns(profile))
+    s, block_amp = build_interferometer(profile).moments()
     amps_ff, block_ff = _feedforward_moments(feedforward, amp_in)
     mean_amp = quadrature_mean(s * amp_in)
     mean_diff = float(np.max(np.abs(mean_amp - quadrature_mean(amps_ff))))
@@ -329,14 +324,14 @@ def verify_circuit(
         target = np.eye(m) - np.ones((m, m)) / n + noise_gram_matrix(profile)
         kappa_resid = float(np.max(np.abs(circ.kappa @ circ.kappa.T - target)))
         # the channel is S = blkdiag(s, s), G = blkdiag(B, B)
-        s, block = _amplifier_moments(circ.t, circ.g, circ.r, circ.V[:, 0], circ.V[:, -1])
+        s, block = circ.moments()
         b = block - np.outer(s, s)
         g_resid = float(np.max(np.abs(b - _g_opt_block(profile))))
         # G + iK = [[B, iP], [-iP, B]] with P = I - s s^T; the vectors
         # (u, -iu) and (u, iu) split it into the real B + P and B - P.  Off
         # span{v_1, v_M} these are 2I and 0, so their spectra are those of
         # their compressions onto Q = [v_1, v_M], with 2 and 0 when M > 2
-        q = circ.V[:, [0, -1]]
+        q = np.array([circ.v_sig, circ.v_noise]).T
         qs = q.T @ s
         qpq = q.T @ q - np.outer(qs, qs)
         least = np.linalg.eigvalsh(q.T @ b @ q + np.array([qpq, -qpq]))[:, 0].min()

@@ -53,13 +53,17 @@ def amplitudes(mean: np.ndarray) -> np.ndarray:
     return (mean[:m] + 1j * mean[m:]) / QUADRATURE_SCALE
 
 
+def frozen(array: np.ndarray) -> np.ndarray:
+    """`array` itself, made read-only."""
+    array.setflags(write=False)
+    return array
+
+
 def read_only(obj, *names: str) -> None:
     """Store each named field of the frozen dataclass `obj` as a read-only
     float copy, so the caller's own array stays writable."""
     for name in names:
-        array = np.array(getattr(obj, name), dtype=float)
-        array.setflags(write=False)
-        object.__setattr__(obj, name, array)
+        object.__setattr__(obj, name, frozen(np.array(getattr(obj, name), dtype=float)))
 
 
 def _store_arrays(obj, symmetric: str, **shapes: tuple[int, ...]) -> None:

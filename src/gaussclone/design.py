@@ -21,8 +21,8 @@ from .core import TOL, read_only, within
 
 # a discriminant this small is a double root's 0: its rounding gives sqrt-size root error
 ROOT_SNAP = 1e-12
-# a completion root u = sqrt(n_M) down to this is a zero-noise clone, kept as 0
-ROOT_FLOOR = -1e-14
+# a completion root u = sqrt(n_M) within ROOT_FLOOR max(1, sum sqrt(n_k)) of 0 is a perfect clone
+ROOT_FLOOR = 1e-14
 # the multiplier's Newton steps stop once a step is a few ulps of it
 NEWTON_STOP = 4.0 * np.finfo(float).eps
 
@@ -157,10 +157,11 @@ def last_noise_roots(partial, n_in: int, m_out: int) -> list[float]:
             )
         sq = math.sqrt(disc)
         roots = [(s - sq) / a, (s + sq) / a]
-    roots = sorted({u * u for u in roots if u >= ROOT_FLOOR})
+    floor = ROOT_FLOOR * max(1.0, s)
+    roots = sorted({0.0 if abs(u) <= floor else u * u for u in roots if u >= -floor})
     if not roots:
         raise InfeasibleDesignError("no non-negative completion exists")
-    return [max(0.0, r) for r in roots]
+    return roots
 
 
 def solve_last_noise(partial, n_in: int, m_out: int) -> float:

@@ -20,8 +20,8 @@ from gaussclone import (
     verify_circuit,
 )
 from gaussclone import circuits
-from gaussclone.cli import load_circuit
-from gaussclone.circuits import _amplifier_moments, _clone_state, _live_columns
+from gaussclone.cli import circuit_parameters, circuit_text, load_circuit
+from gaussclone.circuits import AmplifierCircuit, _clone_state
 from gaussclone.core import (
     GaussianChannel,
     GaussianState,
@@ -231,16 +231,16 @@ def test_verify_circuit_fails_on_negative_cp_eigenvalue(monkeypatch):
     ch = channel_from_amplifier(build_interferometer(profile), profile)
     s, b = ch.S[:3, 0], ch.G[:3, :3]
     u = np.linalg.eigh(b + np.eye(3) - np.outer(s, s))[1][:, 0]
-    moments = circuits._amplifier_moments
+    moments = AmplifierCircuit.moments
     for shift in (1e-6, 3e-9):
         dip = shift * np.outer(u, u)
         shifted = GaussianChannel(1, 3, ch.S, ch.G - np.kron(np.eye(2), dip))
 
-        def dipped(*columns, dip=dip):
-            gains, block = moments(*columns)
+        def dipped(circ, dip=dip):
+            gains, block = moments(circ)
             return gains, block - dip
 
-        monkeypatch.setattr(circuits, "_amplifier_moments", dipped)
+        monkeypatch.setattr(AmplifierCircuit, "moments", dipped)
         _, report = verify_circuit(profile, "amplifier")
         assert report["cp_min_eigenvalue"] == pytest.approx(cp_min_eigenvalue(shifted), abs=1e-12)
         assert report["cp_min_eigenvalue"] < -1e-9 and not report["passed"]
@@ -493,7 +493,7 @@ def test_block_moments_match_dense_oracle():
     for profile in profiles:
         st_amp, st_ff = _dense_output_states(profile, alpha)
         amp_in = np.sqrt(profile.n_in) * alpha
-        s, block = _amplifier_moments(*_live_columns(profile))
+        s, block = build_interferometer(profile).moments()
         pairs = [
             (_clone_state(s * amp_in, block), st_amp),
             (amplifier_output_state(build_interferometer(profile), profile, alpha), st_amp),
@@ -509,17 +509,51 @@ def test_block_moments_match_dense_oracle():
             assert abs(report[key] - dense_report[key]) < tol
 
 
+def _count_completions(monkeypatch):
+    """The list to which every completion of V, a `_complete_columns` call
+    that starts from two columns, appends its size M from now on."""
+    completions, complete = [], circuits._complete_columns
+
+    def counted(cols, k):
+        if k == 2:
+            completions.append(cols.shape[0])
+        return complete(cols, k)
+
+    monkeypatch.setattr(circuits, "_complete_columns", counted)
+    return completions
+
+
 def test_feedforward_verification_builds_no_interferometer(monkeypatch):
-    built, params = [], []
-    build, feedforward = circuits.build_interferometer, circuits.feedforward_params
-    monkeypatch.setattr(circuits, "build_interferometer", lambda p: built.append(p) or build(p))
+    completions, params = _count_completions(monkeypatch), []
+    feedforward = circuits.feedforward_params
     monkeypatch.setattr(circuits, "feedforward_params", lambda p: params.append(p) or feedforward(p))
     profile, _ = random_optimal_profile(np.random.default_rng(34), n_in=2, m_out=7)
     _, report = verify_circuit(profile, "feedforward")
     # the scheme check reuses the feedforward circuit that was verified
-    assert report["passed"] and built == [] and len(params) == 1
+    assert report["passed"] and completions == [] and len(params) == 1
     verify_circuit(profile, "amplifier")
-    assert len(built) == 1
+    assert completions == [7]
+
+
+def test_only_the_document_and_its_checks_complete_v(monkeypatch):
+    completions = _count_completions(monkeypatch)
+    profile, _ = random_optimal_profile(np.random.default_rng(37), n_in=2, m_out=40)
+    circ = build_interferometer(profile)
+    channel_from_amplifier(circ, profile)
+    amplifier_output_state(circ, profile, 0.3 + 0.1j)
+    scheme_equivalence_check(profile)
+    assert verify_circuit(profile, "feedforward")[1]["passed"] and completions == []
+    circ, report = verify_circuit(profile, "amplifier")
+    # synth writes the document and verify compares the stored arrays
+    circuit_text(profile, "amplifier", circ)
+    circuit_parameters("amplifier", circ)
+    assert report["passed"] and completions == [40]
+    for array in (circ.V, circ.kappa, circ.v_sig, circ.v_noise):
+        assert not array.flags.writeable
+    assert circ.V is circ.V and circ.kappa is circ.kappa
+    # bit for bit, signed zeros included
+    assert circ.V[:, 0].tobytes() == circ.v_sig.tobytes()
+    assert circ.V[:, -1].tobytes() == circ.v_noise.tobytes()
 
 
 def _full_projection_interferometer(profile):
@@ -614,9 +648,16 @@ def test_amplifier_circuit_carries_the_tap_reflectance_of_its_live_columns():
     profiles += [symmetric_profile(n, m) for m, n in ((2, 1), (3, 2), (13, 1), (40, 3))]
     profiles += _extreme_weight_profiles()
     for profile in profiles:
-        # bit for bit: the circuit stores r, it does not recover it from kappa
-        r = build_interferometer(profile).r
-        assert type(r) is float and r == _live_columns(profile)[2]
+        circ = build_interferometer(profile)
+        g, t = gain_and_transmittance(profile)
+        # the amplitude each clone lacks after the amplifier, as the circuit derives it
+        lack = 1.0 - g * t * np.sqrt(profile.n_in) * np.sqrt(profile.noises / profile.n_tot)
+        # r is v_1 . lack / sqrt(N) up to the rounding of the dot product
+        sqrt_n, eps = np.sqrt(profile.n_in), np.finfo(float).eps
+        bound = profile.m_out * eps * (np.abs(circ.v_sig) @ np.abs(lack)) / sqrt_n
+        assert type(circ.r) is float and abs(circ.r - circ.v_sig @ lack / sqrt_n) <= bound
+        # bit for bit: kappa is built from the stored r, it does not recover it
+        assert np.array_equal(circ.kappa[:, 0], circ.V[:, 0] * t - circ.V[:, -1] * g * circ.r)
 
 
 def _extreme_weight_profiles():

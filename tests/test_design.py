@@ -233,6 +233,20 @@ def test_design_at_extreme_weight_ratio(n_in, m_out, index, log_ratio):
     assert np.sum(lam / (lam * (m_out - n_in) - x)) == pytest.approx(1.0, abs=1e-12)
 
 
+# the widest weight ratio that solves at N = 1 (see the README): one weight
+# at 1e30 fails first at M = 20 and 200, and at 1e33 at M = 2
+@pytest.mark.parametrize("m_out", (2, 20, 200))
+@pytest.mark.parametrize("index", (0, -1))
+def test_design_solves_one_weight_at_1e29(m_out, index):
+    x = np.ones(m_out)
+    x[index] = 1e29
+    profile, w = design_from_weights(x, 1, m_out)
+    lam = w.lagrange
+    assert np.sum(lam / (lam * (m_out - 1) - x)) == pytest.approx(1.0, abs=1e-12)
+    # the heavy clone is the least noisy
+    assert np.argmin(profile.noises) == index % m_out
+
+
 def test_design_is_exact_under_a_power_of_two_scale_of_the_weights():
     # scaling x by 2^j scales lam by 2^j and leaves the noises, bit for bit;
     # at 2^+-500 the solve in raw units overflowed or underflowed d^2

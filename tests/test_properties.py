@@ -148,6 +148,10 @@ def _zero_noise_completion(x, n_in, m_out):
 @example(n_in=2, excess=2, index=1, log_weight=math.inf, scale=1.0)
 @example(n_in=3, excess=2, index=4, log_weight=math.inf, scale=2.0**-600)
 @example(n_in=2, excess=3, index=0, log_weight=math.inf, scale=2.0**600)
+# completions that once rounded to about 1e-32 rather than to an exact zero
+@example(n_in=2, excess=1, index=2, log_weight=math.inf, scale=1.0)
+@example(n_in=3, excess=1, index=0, log_weight=math.inf, scale=1.0)
+@example(n_in=2, excess=4, index=3, log_weight=math.inf, scale=1.0)
 def test_cli_pipeline_at_extreme_weights_and_scales(n_in, excess, index, log_weight, scale):
     m_out = n_in + excess
     x = np.full(m_out, scale)

@@ -1,0 +1,363 @@
+"""Run one fixed corpus of gaussclone commands against two source trees and
+report every output that differs.
+
+    python tools/same_outputs.py TREE_A TREE_B
+
+Each tree is a checkout of this repository; its `src/` is imported by one
+fresh interpreter, which runs the whole corpus in-process in a scratch
+directory of its own.  The corpus covers the CLI (design, synth, verify,
+certify, simulate, solve, tradeoff, their error and usage paths), the
+documents in `tests/fixtures`, designs with an exact zero-noise clone, and
+the demos of each tree.  For every command the exit code, stdout, stderr and
+every file it wrote are recorded.  The inputs (fixtures and hand-written
+malformed documents) come from the checkout that holds this script, so both
+trees read the same bytes.
+
+The report lists each command whose outputs differ.  For JSON outputs it
+gives each differing key, with list indices folded into `[]`, and its
+largest absolute move |a - b| and scaled move |a - b| / max(|a|, |b|); other
+text gives its first differing line.  The exit status is 0 when nothing
+differs, 1 when something does and 2 on a usage error.  A parent commit's
+tree can be taken with `git archive <commit> | tar -x -C <dir>`.
+
+Only the standard library is imported here; the child interpreters import
+numpy and gaussclone from the tree they run.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import runpy
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE.parent / "tests" / "fixtures"
+DEMOS = ("circuit_synthesis.py", "dual_certificate.py", "monte_carlo.py", "noise_tradeoff.py")
+# one BLAS thread, so that no product depends on the machine's load
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+             "PYTHONDONTWRITEBYTECODE": "1"}
+SIZES = ((1, 2), (1, 3), (2, 6), (3, 50), (2, 200), (1, 13))
+# designs whose last clone completes the symmetric (N - 1) -> (M - 1) design
+# to zero noise; the first three once completed to about 1e-32
+ZERO_NOISE_SIZES = ((2, 3), (3, 4), (2, 6), (2, 4))
+SHOTS = "60"
+# characters of a value or line that the report shows
+SHORT = 60
+
+
+def _design_args(kind: str, n: int, m: int) -> list[str]:
+    if kind == "sym":
+        return ["--symmetric"]
+    if kind == "weighted":
+        weights = [1.0 + (7 * j % 5) / 2.0 for j in range(m)]
+    else:  # one weight at 1e12, the others at 1
+        weights = [1e12] + [1.0] * (m - 1)
+    return ["--weights", ",".join(map(repr, weights))]
+
+
+def _circuit_commands(stem: str) -> list[list[str]]:
+    """synth, verify and simulate of both schemes of design `stem`.design.json."""
+    steps = []
+    for scheme, short in (("amplifier", "amp"), ("feedforward", "ff")):
+        steps.append(["synth", "--design", f"{stem}.design.json", "--scheme", scheme,
+                      "--out", f"{stem}.{short}.json"])
+        steps.append(["verify", "--circuit", f"{stem}.{short}.json",
+                      "--out", f"{stem}.{short}.verify.json"])
+    circuit = f"{stem}.ff.json"
+    steps.append(["simulate", "--circuit", circuit, "--shots", SHOTS, "--seed", "3"])
+    steps.append(["simulate", "--circuit", circuit, "--shots", SHOTS, "--seed", "3",
+                  "--shards", "3", "--out", f"{stem}.sim.csv",
+                  "--summary-out", f"{stem}.sim.json"])
+    return steps
+
+
+def corpus() -> list[list[str]]:
+    """The fixed corpus: CLI argument lists, plus two kinds of step run by
+    the child itself: ["@demo", file] and ["@zero-noise", N, M, out]."""
+    steps = []
+    for n, m in SIZES:
+        for kind in ("sym", "weighted", "big"):
+            stem = f"{kind}-{n}-{m}"
+            steps.append(["design", *_design_args(kind, n, m), "--n-in", str(n),
+                          "--m-out", str(m), "--out", f"{stem}.design.json"])
+            steps += _circuit_commands(stem)
+            steps.append(["certify", "--design", f"{stem}.design.json", "--trials", "20",
+                          "--seed", "1", "--out", f"{stem}.certify.json"])
+    for n, m in ZERO_NOISE_SIZES:
+        stem = f"zero-{n}-{m}"
+        steps.append(["@zero-noise", str(n), str(m), f"{stem}.design.json"])
+        steps += _circuit_commands(stem)
+        steps.append(["certify", "--design", f"{stem}.design.json", "--trials", "20"])
+        partial = ",".join([repr((m - n) / ((m - 1) * (n - 1)))] * (m - 1))
+        steps.append(["solve", "--noises", partial, "--n-in", str(n), "--m-out", str(m)])
+    for path in sorted(FIXTURES.glob("*.json")):
+        steps.append(["verify", "--circuit", f"fixtures/{path.name}"])
+        if path.name.endswith(".feedforward.json"):
+            steps.append(["simulate", "--circuit", f"fixtures/{path.name}", "--shots", SHOTS,
+                          "--alpha", "0.3,-0.7", "--seed", "5", "--shards", "2"])
+    steps += [
+        ["solve", "--noises", "0.5,0.5", "--n-in", "1", "--m-out", "3"],
+        ["solve", "--noises", "0.25", "--n-in", "1", "--m-out", "2"],
+        ["solve", "--noises", "0.01,0.01", "--n-in", "1", "--m-out", "3"],
+        ["solve", "--noises", "0", "--n-in", "1", "--m-out", "2"],
+        ["solve", "--noises", "nan,1", "--n-in", "1", "--m-out", "3"],
+        ["solve", "--noises", "-1,1", "--n-in", "1", "--m-out", "3"],
+        ["solve", "--noises=-1,1", "--n-in", "1", "--m-out", "3"],
+        ["solve", "--noises", "1", "--n-in", "2", "--m-out", "2"],
+        ["tradeoff", "--points", "5"],
+        ["tradeoff", "--points", "7", "--out", "curve.csv"],
+        ["tradeoff", "--points", "0"],
+        # usage errors and help, which argparse handles
+        ["--help"],
+        ["synth", "--help"],
+        ["design", "--n-in", "1"],
+        ["frobnicate"],
+        ["synth", "--design", "sym-1-2.design.json", "--scheme", "teleporter"],
+        # invalid input found by a command
+        ["design", "--n-in", "1", "--m-out", "2"],
+        ["design", "--symmetric", "--weights", "1,2", "--n-in", "1", "--m-out", "2"],
+        ["design", "--weights", "nan,1,2", "--n-in", "1", "--m-out", "3"],
+        ["design", "--weights", "1,2", "--n-in", "2", "--m-out", "2"],
+        ["design", "--weights", "1,2,3", "--n-in", "1", "--m-out", "2"],
+        ["design", "--symmetric", "--n-in", "0", "--m-out", "2"],
+        ["certify", "--design", "missing.json"],
+        ["verify", "--circuit", "missing.json"],
+        ["certify", "--design", "bad/lambda-without-weights.json"],
+        ["synth", "--design", "bad/schema-2.json", "--scheme", "amplifier"],
+        ["certify", "--design", "bad/not-json.json"],
+        ["verify", "--circuit", "bad/parameters-list.json"],
+        ["verify", "--circuit", "bad/tampered.feedforward.json"],
+        ["simulate", "--circuit", "bad/tampered.feedforward.json", "--shots", "10"],
+        ["simulate", "--circuit", "sym-1-2.amp.json", "--shots", "10"],
+        ["simulate", "--circuit", "sym-1-2.ff.json", "--shots", "0"],
+        ["simulate", "--circuit", "sym-1-2.ff.json", "--shots", "10", "--shards", "0"],
+    ]
+    steps += [["@demo", name] for name in DEMOS]
+    return steps
+
+
+def _write_inputs(work: Path) -> None:
+    """Copy the fixtures into `work` and write the malformed documents."""
+    shutil.copytree(FIXTURES, work / "fixtures")
+    bad = work / "bad"
+    bad.mkdir()
+    design = {"schema_version": 1, "N": 1, "M": 2, "noises": [0.5, 0.5], "residual": 0.0}
+    docs = {
+        "lambda-without-weights.json": {**design, "lambda": -5.0},
+        "schema-2.json": {**design, "schema_version": 2},
+    }
+    circuit = json.loads((FIXTURES / "random_1to4.feedforward.json").read_text())
+    docs["parameters-list.json"] = {**circuit, "parameters": [1.0, 2.0]}
+    gains = circuit["parameters"]["gains"]
+    tampered = [gains[0] * (1.0 + 1e-6), *gains[1:]]
+    docs["tampered.feedforward.json"] = {
+        **circuit, "parameters": {**circuit["parameters"], "gains": tampered}}
+    for name, doc in docs.items():
+        (bad / name).write_text(json.dumps(doc) + "\n")
+    (bad / "not-json.json").write_text("{not json\n")
+
+
+# -- the child interpreter ---------------------------------------------------
+
+
+def _snapshot(work: Path) -> dict[str, tuple[int, int]]:
+    return {str(p.relative_to(work)): (p.stat().st_mtime_ns, p.stat().st_size)
+            for p in work.rglob("*") if p.is_file()}
+
+
+def _zero_noise_design(n: int, m: int, out: str) -> None:
+    """Write the design whose last clone completes the symmetric
+    (N - 1) -> (M - 1) design to zero noise, and print that noise."""
+    import numpy as np
+
+    from gaussclone.cli import design_document
+    from gaussclone.design import NoiseProfile, last_noise_roots, symmetric_profile
+
+    others = symmetric_profile(n - 1, m - 1).noises
+    zero = last_noise_roots(others, n, m)[0]
+    with open(out, "w") as fh:
+        json.dump(design_document(NoiseProfile(n, m, np.append(others, zero))), fh)
+    print(repr(zero))
+
+
+def _run_step(step: list[str], tree: Path) -> int | str:
+    from gaussclone import cli
+
+    try:
+        if step[0] == "@demo":
+            runpy.run_path(str(tree / "demos" / step[1]), run_name="__main__")
+            return 0
+        if step[0] == "@zero-noise":
+            _zero_noise_design(int(step[1]), int(step[2]), step[3])
+            return 0
+        return cli.main(step)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
+    except Exception as exc:  # an uncaught error is an output too
+        print(f"uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
+        return "uncaught"
+
+
+def child_main() -> None:
+    """Run the steps read from stdin in the current directory against the
+    tree named by argv[1], whose src/ is on the path, and write the
+    records as JSON to the file named by argv[2]."""
+    tree, results = Path(sys.argv[1]), Path(sys.argv[2])
+    steps = json.load(sys.stdin)
+    work = Path.cwd()
+    records = []
+    for step in steps:
+        before = _snapshot(work)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _run_step(step, tree)
+        after = _snapshot(work)
+        files = {name: (work / name).read_text(errors="replace")
+                 for name in sorted(after) if after[name] != before.get(name)}
+        records.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                        "files": files})
+    results.write_text(json.dumps(records))
+
+
+def _start(tree: Path, steps: list[list[str]], scratch: Path) -> tuple[subprocess.Popen, Path]:
+    work = scratch / "work"
+    work.mkdir()
+    _write_inputs(work)
+    results = scratch / "results.json"
+    code = (f"import sys; sys.path.append({str(HERE)!r}); "
+            "import same_outputs; same_outputs.child_main()")
+    env = {**os.environ, **CHILD_ENV, "PYTHONPATH": str(tree.resolve() / "src")}
+    proc = subprocess.Popen([sys.executable, "-c", code, str(tree.resolve()), str(results)],
+                            cwd=work, env=env, stdin=subprocess.PIPE, text=True)
+    proc.stdin.write(json.dumps(steps))
+    proc.stdin.close()
+    return proc, results
+
+
+def run_trees(trees: list[Path], steps: list[list[str]]) -> list[list[dict]]:
+    """The records of `steps` on each tree, the trees run side by side."""
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        started = []
+        for i, tree in enumerate(trees):
+            scratch = Path(tmp) / str(i)
+            scratch.mkdir()
+            started.append(_start(tree, steps, scratch))
+        codes = [proc.wait() for proc, _ in started]
+        for code, tree in zip(codes, trees):
+            if code != 0:
+                raise RuntimeError(f"the run on {tree} exited {code}")
+        return [json.loads(results.read_text()) for _, results in started]
+
+
+# -- comparison --------------------------------------------------------------
+
+
+def _moves(a, b, key: str, out: dict) -> None:
+    """Record in `out` every difference of the JSON values a and b under
+    `key`: numbers as [max abs move, max scaled move], others as a note."""
+    number = (int, float)  # exact types: true and false are not numbers
+    if type(a) in number and type(b) in number:
+        if a == b or (a != a and b != b):
+            return
+        move = abs(a - b)
+        if math.isnan(move):
+            move = math.inf
+        top = max(abs(a), abs(b))
+        scaled = move / top if top > 0 and math.isfinite(top) else math.inf
+        key = key or "(value)"
+        prev = out.get(key, [0.0, 0.0])
+        if isinstance(prev, list):
+            out[key] = [max(prev[0], move), max(prev[1], scaled)]
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(a.keys() | b.keys()):
+            sub = f"{key}.{k}" if key else k
+            if k not in a or k not in b:
+                out[sub] = f"only in {'B' if k not in a else 'A'}"
+            else:
+                _moves(a[k], b[k], sub, out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            _moves(x, y, f"{key}[]", out)
+    elif a != b:
+        out[key or "(value)"] = f"{_short(a)} -> {_short(b)}"
+
+
+def _short(value) -> str:
+    """`value` for the report, cut to SHORT characters."""
+    text = json.dumps(value) if not isinstance(value, str) else repr(value)
+    return text if len(text) <= SHORT else text[: SHORT - 3] + "..."
+
+
+def _json_lines(text: str):
+    try:
+        return [json.loads(line) for line in text.splitlines()]
+    except ValueError:
+        return None
+
+
+def _describe(name: str, a: str | None, b: str | None) -> list[str]:
+    """Lines describing how output `name` differs between text a and b."""
+    if a is None or b is None:
+        return [f"  {name}: only in {'A' if b is None else 'B'}"]
+    docs_a, docs_b = _json_lines(a), _json_lines(b)
+    if docs_a is not None and docs_b is not None and len(docs_a) == len(docs_b):
+        moves: dict = {}
+        for x, y in zip(docs_a, docs_b):
+            _moves(x, y, "", moves)
+        if moves:
+            return [f"  {name}: {key}: " + (
+                f"abs {move[0]:.3g}, scaled {move[1]:.3g}" if isinstance(move, list) else move)
+                for key, move in moves.items()]
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b)):
+        if x != y:
+            return [f"  {name} line {i + 1}: {_short(x)} -> {_short(y)}"]
+    return [f"  {name}: {len(lines_a)} lines -> {len(lines_b)} lines"]
+
+
+def compare(steps: list[list[str]], records_a: list[dict], records_b: list[dict]) -> list[str]:
+    """The report lines of every step whose records differ; none if all agree."""
+    report = []
+    for i, (step, a, b) in enumerate(zip(steps, records_a, records_b)):
+        if a == b:
+            continue
+        report.append(f"[{i}] {' '.join(step)}")
+        if a["code"] != b["code"]:
+            report.append(f"  exit {a['code']} -> {b['code']}")
+        for stream in ("stdout", "stderr"):
+            if a[stream] != b[stream]:
+                report += _describe(stream, a[stream], b[stream])
+        for name in sorted(a["files"].keys() | b["files"].keys()):
+            x, y = a["files"].get(name), b["files"].get(name)
+            if x != y:
+                report += _describe(f"file {name}", x, y)
+    return report
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all((Path(t) / "src" / "gaussclone").is_dir() for t in argv):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("each TREE must hold src/gaussclone", file=sys.stderr)
+        return 2
+    steps = corpus()
+    start = time.perf_counter()
+    records_a, records_b = run_trees([Path(t) for t in argv], steps)
+    report = compare(steps, records_a, records_b)
+    print("\n".join(report))
+    differ = sum(line.startswith("[") for line in report)
+    print(f"{differ} of {len(steps)} commands differ "
+          f"({time.perf_counter() - start:.1f} s for both trees)")
+    return 1 if report else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
