@@ -96,10 +96,16 @@ class AmplifierCircuit:
 
     @functools.cached_property
     def kappa(self) -> np.ndarray:
-        """Vacuum-mode coefficients: kappa_j1 = v_j1 t - v_jM g r, kappa_jk = v_jk otherwise."""
-        kappa = self.V[:, :-1].copy()
+        return frozen(self.completed_as(self.V)[1])
+
+    def completed_as(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """V and kappa completed as the M x M array v: v with columns v_sig and
+        v_noise first and last; kappa_j1 = v_j1 t - v_jM g r, kappa_jk = v_jk."""
+        v = np.array(v, dtype=float)
+        v[:, 0], v[:, -1] = self.v_sig, self.v_noise
+        kappa = v[:, :-1].copy()
         kappa[:, 0] = self.v_sig * self.t - self.v_noise * self.g * self.r
-        return frozen(kappa)
+        return v, kappa
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Amplitude gains s and per-quadrature output covariance block
@@ -310,19 +316,21 @@ def scheme_equivalence_check(
 
 
 def verify_circuit(
-    profile: NoiseProfile, scheme: str
+    profile: NoiseProfile, scheme: str, arrays=None
 ) -> tuple[AmplifierCircuit | FeedforwardCircuit, dict]:
-    """Build the `scheme` circuit of `profile` and check its invariants.
+    """Build the `scheme` circuit of `profile` and check its invariants, an
+    amplifier's on `arrays`, V and kappa in any completion (by default its own).
 
     Returns the circuit and a report of every residual and margin with an
     overall `passed` flag, each value `within` its scale (see the README).
     """
     if scheme == "amplifier":
         circ = build_interferometer(profile)
+        v, kappa = (circ.V, circ.kappa) if arrays is None else arrays
         m, n = profile.m_out, profile.n_in
-        unitarity = float(np.max(np.abs(circ.V.T @ circ.V - np.eye(m))))
+        unitarity = float(np.max(np.abs(v.T @ v - np.eye(m))))
         target = np.eye(m) - np.ones((m, m)) / n + noise_gram_matrix(profile)
-        kappa_resid = float(np.max(np.abs(circ.kappa @ circ.kappa.T - target)))
+        kappa_resid = float(np.max(np.abs(kappa @ kappa.T - target)))
         # the channel is S = blkdiag(s, s), G = blkdiag(B, B)
         s, block = circ.moments()
         b = block - np.outer(s, s)

@@ -5,18 +5,19 @@ Structured documents and reports are single-line JSON written by the json
 module's C encoder (schema-versioned, exact double round-trip, inf as
 Infinity); indented documents from earlier releases load the same.  The
 amplifier circuit document's text is built in parts: V's rows are encoded
-once and kappa reuses V's row text, with the bytes `json.dumps` would give.  Bulk outputs are CSV.  All randomness flows through
-an explicit --seed.
+once and kappa reuses V's row text, with the bytes `json.dumps` would
+give.  Bulk outputs are CSV.  All randomness flows through an explicit
+--seed.
 Exit codes: 0 success, 2 invalid input or failed precondition, 3 failed
 verification or certification (reports are still written).
 One parser is built per process, on the first `main` call; command X runs
 the module-level `cmd_X`, looked up when the command runs.
 
-Circuits are built and checked by `circuits.verify_circuit`; this module
-writes and reads their documents and compares the stored parameters with
-the rebuilt ones.  A feedforward document may name its displacement
-convention only as "outcome", the one the circuit uses; any other value is
-rejected as invalid input.
+Circuits are built and checked by `circuits.verify_circuit`, an amplifier
+on the V and kappa that `synth` writes or `verify` reads, in any completion;
+this module writes and reads the documents and compares the stored
+parameters with the rebuilt ones.  A feedforward document may name its
+displacement convention only as "outcome", the one the circuit uses.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -163,11 +165,12 @@ def design_hash(profile: NoiseProfile) -> str:
 
 
 def circuit_parameters(scheme: str, circ) -> dict:
-    """Parameters of `circ`, a `scheme` circuit, with its matrices flattened
-    as in the circuit document."""
+    """The parameters of `circ`, a `scheme` circuit, that its document holds
+    as JSON numbers and lists; an amplifier's V and kappa follow them."""
     if scheme == "amplifier":
-        return {"t": circ.t, "g": circ.g, "V": circ.V.ravel(), "kappa": circ.kappa.ravel()}
-    return {"r_tap": circ.r_tap, "gains": circ.gains, "reflectances": circ.reflectances}
+        return {"t": circ.t, "g": circ.g}
+    return {"r_tap": circ.r_tap, "gains": circ.gains.tolist(),
+            "reflectances": circ.reflectances.tolist()}
 
 
 def circuit_text(profile: NoiseProfile, scheme: str, circ) -> str:
@@ -178,19 +181,12 @@ def circuit_text(profile: NoiseProfile, scheme: str, circ) -> str:
     Each number is formatted once: V's rows are encoded together, and row j
     of kappa is the text of kappa_j1 followed by V's row j without its first
     and last entries, which kappa's other columns repeat."""
-    if scheme == "amplifier":
-        params = {"t": circ.t, "g": circ.g}
-    else:
-        params = {
-            k: v.tolist() if isinstance(v, np.ndarray) else v
-            for k, v in circuit_parameters(scheme, circ).items()
-        }
     text = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "scheme": scheme,
         "design": design_block(profile),
         "provenance": {"design_sha256": design_hash(profile)},
-        "parameters": params,
+        "parameters": circuit_parameters(scheme, circ),
     })
     if scheme != "amplifier":
         return text
@@ -217,6 +213,11 @@ def load_circuit(path: str):
         raise CliError("circuit parameters must be numbers or arrays of numbers")
     d = doc["design"]
     profile = NoiseProfile(d["N"], d["M"], np.array(d["noises"], dtype=float))
+    if doc["scheme"] == "amplifier":  # V and kappa as matrices, all NaN if of another size
+        m = profile.m_out
+        for key, cols in (("V", m), ("kappa", m - 1)):
+            a = np.asarray(params.get(key), dtype=float)
+            params[key] = a.reshape(m, cols) if a.size == m * cols else np.full((m, cols), math.nan)
     return doc, profile
 
 
@@ -226,10 +227,12 @@ def load_circuit(path: str):
 def stored_parameter_check(doc: dict, profile: NoiseProfile, circ) -> dict:
     """Compare a circuit document's parameters and design hash with the ones
     rebuilt from its embedded design, whose circuit is `circ`, each key `within`
-    its rebuilt max|value|.  The parameter residual, the largest difference,
-    is inf when a key or a shape differs or a value is NaN."""
-    stored = doc["parameters"]
-    rebuilt = circuit_parameters(doc["scheme"], circ)
+    its rebuilt max|value|; an amplifier's V and kappa with the rebuilt ones
+    completed as the stored V is.  The parameter residual, the largest
+    difference, is inf when a key or a shape differs or a value is NaN."""
+    stored, rebuilt = doc["parameters"], circuit_parameters(doc["scheme"], circ)
+    if doc["scheme"] == "amplifier":
+        rebuilt.update(zip(("V", "kappa"), circ.completed_as(stored["V"])))
     hash_ok = doc.get("provenance") == {"design_sha256": design_hash(profile)}
     keys_ok = stored.keys() == rebuilt.keys()
     resid, match = (0.0 if keys_ok else math.inf), keys_ok and hash_ok
@@ -282,7 +285,9 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     doc, profile = load_circuit(args.circuit)
-    circ, report = verify_circuit(profile, doc["scheme"])
+    params = doc["parameters"]
+    arrays = (params["V"], params["kappa"]) if doc["scheme"] == "amplifier" else None
+    circ, report = verify_circuit(profile, doc["scheme"], arrays)
     stored = stored_parameter_check(doc, profile, circ)
     report["passed"] = report["passed"] and stored["parameters_match"]
     print(_dump_json({"scheme": doc["scheme"], **report, **stored}, args.out))
@@ -313,14 +318,9 @@ def cmd_simulate(args) -> int:
     if not stored["parameters_match"]:
         print(f"error: circuit does not match its design: {json.dumps(stored)}", file=sys.stderr)
         return EXIT_FAILED
-    re, im = (float(v) for v in args.alpha.split(","))
-    config = simulate.SimConfig(
-        profile=profile,
-        alpha=complex(re, im),
-        shots=args.shots,
-        seed=args.seed,
-        shards=args.shards,
-    )
+    real, imag = (float(v) for v in args.alpha.split(","))
+    config = simulate.SimConfig(profile=profile, alpha=complex(real, imag), shots=args.shots,
+                                seed=args.seed, shards=args.shards)
     result = simulate.run(config, circuit=circ, samples_path=args.out)
     summary = {
         "shots_used": result.shots_used,
@@ -399,6 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--out", help="write the curve to this CSV")
 
+    for p in sub.choices.values():  # "-1,2", like "-1", is a value and not an option
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

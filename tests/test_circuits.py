@@ -20,7 +20,7 @@ from gaussclone import (
     verify_circuit,
 )
 from gaussclone import circuits
-from gaussclone.cli import circuit_parameters, circuit_text, load_circuit
+from gaussclone.cli import circuit_text, load_circuit, main, stored_parameter_check
 from gaussclone.circuits import AmplifierCircuit, _clone_state
 from gaussclone.core import (
     GaussianChannel,
@@ -535,7 +535,7 @@ def test_feedforward_verification_builds_no_interferometer(monkeypatch):
     assert completions == [7]
 
 
-def test_only_the_document_and_its_checks_complete_v(monkeypatch):
+def test_only_the_document_and_its_checks_complete_v(monkeypatch, tmp_path):
     completions = _count_completions(monkeypatch)
     profile, _ = random_optimal_profile(np.random.default_rng(37), n_in=2, m_out=40)
     circ = build_interferometer(profile)
@@ -544,9 +544,13 @@ def test_only_the_document_and_its_checks_complete_v(monkeypatch):
     scheme_equivalence_check(profile)
     assert verify_circuit(profile, "feedforward")[1]["passed"] and completions == []
     circ, report = verify_circuit(profile, "amplifier")
-    # synth writes the document and verify compares the stored arrays
-    circuit_text(profile, "amplifier", circ)
-    circuit_parameters("amplifier", circ)
+    # synth checks and writes the document; verify checks the stored arrays
+    path = tmp_path / "amp.json"
+    path.write_text(circuit_text(profile, "amplifier", circ))
+    doc = load_circuit(str(path))[0]
+    arrays = (doc["parameters"]["V"], doc["parameters"]["kappa"])
+    assert verify_circuit(profile, "amplifier", arrays)[1] == report
+    assert stored_parameter_check(doc, profile, circ)["parameter_residual"] == 0.0
     assert report["passed"] and completions == [40]
     for array in (circ.V, circ.kappa, circ.v_sig, circ.v_noise):
         assert not array.flags.writeable
@@ -554,6 +558,17 @@ def test_only_the_document_and_its_checks_complete_v(monkeypatch):
     # bit for bit, signed zeros included
     assert circ.V[:, 0].tobytes() == circ.v_sig.tobytes()
     assert circ.V[:, -1].tobytes() == circ.v_noise.tobytes()
+
+
+def test_verify_of_an_amplifier_document_completes_no_v(monkeypatch, tmp_path):
+    completions = _count_completions(monkeypatch)
+    design, circuit = str(tmp_path / "design.json"), str(tmp_path / "amp.json")
+    argv = ["--weights", ",".join(map(str, range(1, 41))), "--n-in", "2", "--m-out", "40"]
+    assert main(["design", *argv, "--out", design]) == 0
+    assert main(["synth", "--design", design, "--scheme", "amplifier", "--out", circuit]) == 0
+    assert completions == [40]
+    assert main(["verify", "--circuit", circuit]) == 0
+    assert completions == [40]
 
 
 def _full_projection_interferometer(profile):

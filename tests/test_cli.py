@@ -141,9 +141,11 @@ def test_circuit_document_round_trips_floats_exactly(tmp_path):
 
 def dict_circuit_text(profile, scheme, circ):
     """`json.dumps` of the circuit document as a dict of its
-    `circuit_parameters`, as earlier releases wrote it: the oracle for
-    `circuit_text`."""
+    `circuit_parameters` and an amplifier's flattened V and kappa, as
+    earlier releases wrote it: the oracle for `circuit_text`."""
     params = circuit_parameters(scheme, circ)
+    if scheme == "amplifier":
+        params.update(V=circ.V.ravel(), kappa=circ.kappa.ravel())
     return json.dumps({
         "schema_version": SCHEMA_VERSION,
         "scheme": scheme,
@@ -210,6 +212,24 @@ def test_solve_rejects_non_finite_or_negative_noises(capsys, noises):
     code, stdout, stderr = run_cli(capsys, "solve", f"--noises={noises}", *argv)
     assert code == 2 and stdout == ""
     assert stderr == "error: thermal noises must be finite and non-negative\n"
+
+
+def test_a_list_whose_first_value_is_negative_is_an_options_value(capsys, tmp_path):
+    # argparse took "-1,1" for an unknown option: "expected one argument"
+    code, stdout, stderr = run_cli(
+        capsys, "solve", "--noises", "-1,1", "--n-in", "1", "--m-out", "3"
+    )
+    assert code == 2 and stdout == ""
+    assert stderr == "error: thermal noises must be finite and non-negative\n"
+    code, stdout, stderr = run_cli(
+        capsys, "design", "--weights", "-1,2", "--n-in", "1", "--m-out", "2"
+    )
+    assert code == 2 and stdout == ""
+    assert stderr == "error: all cost weights must be finite and strictly positive\n"
+    circuit = str(make_circuit(capsys, tmp_path, "feedforward"))
+    runs = [run_cli(capsys, "simulate", "--circuit", circuit, *alpha, "--shots", "10")
+            for alpha in (["--alpha", "-0.3,0.2"], ["--alpha=-0.3,0.2"])]
+    assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_design_exits_0_or_2_on_any_finite_positive_weights(capsys):
@@ -395,6 +415,92 @@ def test_verify_rejects_edited_amplifier_circuit(capsys, tmp_path):
     assert code == 3
     assert out.read_text() == stdout and not report["passed"]
     assert report["parameter_residual"] > 1e-7 and report["design_hash_matches"]
+
+
+def edit_completion(circuit, change):
+    """Apply `change` to the M x M matrix V of the amplifier document at
+    `circuit`, write kappa's columns 2 to M - 1 as V's new ones, and return
+    the stored V."""
+    doc = json.loads(circuit.read_text())
+    m = doc["design"]["M"]
+    v = np.array(doc["parameters"]["V"]).reshape(m, m)
+    change(v)
+    kappa = np.array(doc["parameters"]["kappa"]).reshape(m, m - 1)
+    kappa[:, 1:] = v[:, 1 : m - 1]
+    doc["parameters"].update(V=v.ravel().tolist(), kappa=kappa.ravel().tolist())
+    circuit.write_text(json.dumps(doc))
+    return np.array(json.loads(circuit.read_text())["parameters"]["V"]).reshape(m, m)
+
+
+def six_clone_amplifier(capsys, tmp_path):
+    design, circuit = tmp_path / "design.json", tmp_path / "amp.json"
+    run_cli(capsys, "design", "--weights", "1,2,5,3,4,6", "--n-in", "2", "--m-out", "6",
+            "--out", str(design))
+    code, _, _ = run_cli(
+        capsys, "synth", "--design", str(design), "--scheme", "amplifier", "--out", str(circuit)
+    )
+    assert code == 0
+    return circuit
+
+
+def test_verify_accepts_any_orthogonal_completion_of_v(capsys, tmp_path):
+    circuit = six_clone_amplifier(capsys, tmp_path)
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+    plain = json.loads(stdout)
+    assert code == 0
+
+    def turn(v):  # a Givens rotation of the completion columns 2 and 3
+        c, s = np.cos(0.7), np.sin(0.7)
+        v[:, 1:3] = v[:, 1:3] @ np.array([[c, -s], [s, c]])
+
+    edit_completion(circuit, turn)
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+    report = json.loads(stdout)
+    assert code == 0 and report["passed"] and report["parameters_match"]
+    assert report["unitarity_residual"] < 1e-14 and report["kappa_gram_residual"] < 1e-14
+    # the channel and its CP margin come from the two live columns alone
+    for key in ("g_opt_residual", "cp_min_eigenvalue", "transmittance"):
+        assert report[key] == plain[key], key
+
+
+def test_verify_checks_the_stored_v_for_orthogonality(capsys, tmp_path):
+    circuit = six_clone_amplifier(capsys, tmp_path)
+
+    def stretch(v):
+        v[:, 2] *= 1.01
+
+    v = edit_completion(circuit, stretch)
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+    report = json.loads(stdout)
+    assert code == 3 and not report["passed"]
+    # kappa still repeats V and the live columns are the rebuilt ones
+    assert report["parameters_match"] and report["parameter_residual"] == 0.0
+    unitarity = float(np.max(np.abs(v.T @ v - np.eye(6))))
+    assert report["unitarity_residual"] == unitarity and unitarity > 1e-9
+
+
+def v_one_short(params):
+    params["V"] = params["V"][:-1]
+
+
+def kappa_one_long(params):
+    params["kappa"] = params["kappa"] + [0.0]
+
+
+def nan_in_v(params):
+    params["V"][4] = math.nan
+
+
+@pytest.mark.parametrize("edit", [v_one_short, kappa_one_long, nan_in_v])
+def test_verify_fails_malformed_amplifier_arrays(capsys, tmp_path, edit):
+    circuit = make_circuit(capsys, tmp_path, "amplifier")
+    doc = json.loads(circuit.read_text())
+    edit(doc["parameters"])
+    circuit.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(capsys, "verify", "--circuit", str(circuit))
+    report = json.loads(stdout)
+    assert code == 3 and stderr == "" and not report["passed"]
+    assert not report["parameters_match"] and report["parameter_residual"] == math.inf
 
 
 def params_as_list(doc):

@@ -7,11 +7,12 @@ Each tree is a checkout of this repository; its `src/` is imported by one
 fresh interpreter, which runs the whole corpus in-process in a scratch
 directory of its own.  The corpus covers the CLI (design, synth, verify,
 certify, simulate, solve, tradeoff, their error and usage paths), the
-documents in `tests/fixtures`, designs with an exact zero-noise clone, and
-the demos of each tree.  For every command the exit code, stdout, stderr and
-every file it wrote are recorded.  The inputs (fixtures and hand-written
-malformed documents) come from the checkout that holds this script, so both
-trees read the same bytes.
+documents in `tests/fixtures` and one with V completed otherwise, designs
+with an exact zero-noise clone, and the demos of each tree.  For every
+command the exit code, stdout, stderr and every file it wrote are
+recorded.  The inputs (fixtures and hand-written or edited documents) come
+from the checkout that holds this script, so both trees read the same
+bytes.
 
 The report lists each command whose outputs differ.  For JSON outputs it
 gives each differing key, with list indices folded into `[]`, and its
@@ -140,6 +141,11 @@ def corpus() -> list[list[str]]:
         ["simulate", "--circuit", "sym-1-2.amp.json", "--shots", "10"],
         ["simulate", "--circuit", "sym-1-2.ff.json", "--shots", "0"],
         ["simulate", "--circuit", "sym-1-2.ff.json", "--shots", "10", "--shards", "0"],
+        # a list whose first value is negative is the option's value
+        ["design", "--weights", "-1,2", "--n-in", "1", "--m-out", "2"],
+        ["simulate", "--circuit", "sym-1-2.ff.json", "--alpha", "-0.3,0.2", "--shots", SHOTS],
+        # V completed otherwise than by Gram-Schmidt: the same circuit
+        ["verify", "--circuit", "rotated.amplifier.json"],
     ]
     steps += [["@demo", name] for name in DEMOS]
     return steps
@@ -164,6 +170,20 @@ def _write_inputs(work: Path) -> None:
     for name, doc in docs.items():
         (bad / name).write_text(json.dumps(doc) + "\n")
     (bad / "not-json.json").write_text("{not json\n")
+    (work / "rotated.amplifier.json").write_text(json.dumps(_rotated_completion()) + "\n")
+
+
+def _rotated_completion() -> dict:
+    """The fixture gs_skip_1to6.amplifier.json with V's columns 2 and 3, and
+    kappa's, which repeat them, turned by a Givens rotation."""
+    doc = json.loads((FIXTURES / "gs_skip_1to6.amplifier.json").read_text())
+    c, s = math.cos(0.7), math.sin(0.7)
+    for key, cols in (("V", 6), ("kappa", 5)):
+        flat = doc["parameters"][key]
+        for row in range(0, len(flat), cols):
+            a, b = flat[row + 1], flat[row + 2]
+            flat[row + 1], flat[row + 2] = c * a + s * b, c * b - s * a
+    return doc
 
 
 # -- the child interpreter ---------------------------------------------------
