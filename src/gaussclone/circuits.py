@@ -338,13 +338,14 @@ def verify_circuit(
         # G + iK = [[B, iP], [-iP, B]] with P = I - s s^T; the vectors
         # (u, -iu) and (u, iu) split it into the real B + P and B - P.  Off
         # span{v_1, v_M} these are 2I and 0, so their spectra are those of
-        # their compressions onto Q = [v_1, v_M], with 2 and 0 when M > 2
+        # their compressions onto Q = [v_1, v_M], with 2 and 0 when M > 2;
+        # the margin rounds on their entries, of size up to 2 g^2
         q = np.array([circ.v_sig, circ.v_noise]).T
         qs = q.T @ s
         qpq = q.T @ q - np.outer(qs, qs)
-        least = np.linalg.eigvalsh(q.T @ b @ q + np.array([qpq, -qpq]))[:, 0].min()
+        stack = q.T @ b @ q + np.array([qpq, -qpq])
+        least = np.linalg.eigvalsh(stack)[:, 0].min()
         cp_eig = float(min(least, 0.0) if m > 2 else least)
-        b_max = np.max(np.abs(b))
         return circ, {
             "unitarity_residual": unitarity,
             "kappa_gram_residual": kappa_resid,
@@ -353,8 +354,8 @@ def verify_circuit(
             "transmittance": circ.t,
             "passed": within(unitarity)
             and within(kappa_resid, np.max(np.abs(target)))
-            and within(g_resid, b_max)
-            and within(min(0.0, cp_eig), b_max),
+            and within(g_resid, np.max(np.abs(b)))
+            and within(min(0.0, cp_eig), np.max(np.abs(stack))),
         }
     if scheme == "feedforward":
         circ = feedforward_params(profile)

@@ -14,10 +14,10 @@ One parser is built per process, on the first `main` call; command X runs
 the module-level `cmd_X`, looked up when the command runs.
 
 Circuits are built and checked by `circuits.verify_circuit`, an amplifier
-on the V and kappa that `synth` writes or `verify` reads, in any completion;
-this module writes and reads the documents and compares the stored
-parameters with the rebuilt ones.  A feedforward document may name its
-displacement convention only as "outcome", the one the circuit uses.
+on the V and kappa that `synth` writes or a document stores; `load_circuit`
+also checks a stored circuit's parameters against the rebuilt ones, so
+`simulate` refuses what `verify` refuses.  A feedforward document may name
+its displacement convention only as "outcome", the one the circuit uses.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .certificate import (
     verify_certificate,
     weights_from_profile,
 )
-from .circuits import feedforward_params, verify_circuit
+from .circuits import verify_circuit
 from .core import within
 from .design import (
     CostWeights,
@@ -200,38 +200,35 @@ def circuit_text(profile: NoiseProfile, scheme: str, circ) -> str:
 
 
 def load_circuit(path: str):
+    """Read the circuit document at `path` and check it: `verify_circuit`,
+    an amplifier's on the V and kappa it stores, then each stored parameter
+    `within` its rebuilt max|value| (an amplifier's V and kappa rebuilt as
+    the stored V is completed) and the design hash.  The parameter residual,
+    the largest difference, is inf when a key or a shape differs or a value is
+    NaN.  Returns the document, its design, the rebuilt circuit and the report."""
     fields = {"scheme": (str,), "design": (dict,), "parameters": (dict,)}
     doc = _read_document(path, "circuit", fields)
     _check_shape(doc["design"], "circuit design", DESIGN_FIELDS)
-    params = doc["parameters"]
-    if doc["scheme"] == "feedforward":
+    scheme, stored = doc["scheme"], doc["parameters"]
+    if scheme == "feedforward":
         # older documents name the displacement convention
-        convention = params.pop("phase_convention", "outcome")
+        convention = stored.pop("phase_convention", "outcome")
         if convention != "outcome":
             raise CliError(f"unsupported phase convention {convention!r}")
-    if not all(_is(v, NUMBER) or _is(v, [NUMBER]) for v in params.values()):
+    if not all(_is(v, NUMBER) or _is(v, [NUMBER]) for v in stored.values()):
         raise CliError("circuit parameters must be numbers or arrays of numbers")
     d = doc["design"]
     profile = NoiseProfile(d["N"], d["M"], np.array(d["noises"], dtype=float))
-    if doc["scheme"] == "amplifier":  # V and kappa as matrices, all NaN if of another size
+    arrays = None
+    if scheme == "amplifier":  # V and kappa as matrices, all NaN if of another size
         m = profile.m_out
         for key, cols in (("V", m), ("kappa", m - 1)):
-            a = np.asarray(params.get(key), dtype=float)
-            params[key] = a.reshape(m, cols) if a.size == m * cols else np.full((m, cols), math.nan)
-    return doc, profile
-
-
-# -- stored parameters -------------------------------------------------------
-
-
-def stored_parameter_check(doc: dict, profile: NoiseProfile, circ) -> dict:
-    """Compare a circuit document's parameters and design hash with the ones
-    rebuilt from its embedded design, whose circuit is `circ`, each key `within`
-    its rebuilt max|value|; an amplifier's V and kappa with the rebuilt ones
-    completed as the stored V is.  The parameter residual, the largest
-    difference, is inf when a key or a shape differs or a value is NaN."""
-    stored, rebuilt = doc["parameters"], circuit_parameters(doc["scheme"], circ)
-    if doc["scheme"] == "amplifier":
+            a = np.asarray(stored.get(key), dtype=float)
+            stored[key] = a.reshape(m, cols) if a.size == m * cols else np.full((m, cols), math.nan)
+        arrays = (stored["V"], stored["kappa"])
+    circ, report = verify_circuit(profile, scheme, arrays)
+    rebuilt = circuit_parameters(scheme, circ)
+    if scheme == "amplifier":
         rebuilt.update(zip(("V", "kappa"), circ.completed_as(stored["V"])))
     hash_ok = doc.get("provenance") == {"design_sha256": design_hash(profile)}
     keys_ok = stored.keys() == rebuilt.keys()
@@ -241,7 +238,10 @@ def stored_parameter_check(doc: dict, profile: NoiseProfile, circ) -> dict:
         diff = float(np.max(np.abs(got - want))) if got.shape == np.shape(want) else math.inf
         resid = max(resid, math.inf if math.isnan(diff) else diff)
         match = match and within(diff, np.max(np.abs(want)))
-    return {"parameter_residual": resid, "design_hash_matches": hash_ok, "parameters_match": match}
+    report = {"scheme": scheme, **report, "passed": report["passed"] and match,
+              "parameter_residual": resid, "design_hash_matches": hash_ok,
+              "parameters_match": match}
+    return doc, profile, circ, report
 
 
 # -- commands ----------------------------------------------------------------
@@ -284,13 +284,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc, profile = load_circuit(args.circuit)
-    params = doc["parameters"]
-    arrays = (params["V"], params["kappa"]) if doc["scheme"] == "amplifier" else None
-    circ, report = verify_circuit(profile, doc["scheme"], arrays)
-    stored = stored_parameter_check(doc, profile, circ)
-    report["passed"] = report["passed"] and stored["parameters_match"]
-    print(_dump_json({"scheme": doc["scheme"], **report, **stored}, args.out))
+    report = load_circuit(args.circuit)[3]
+    print(_dump_json(report, args.out))
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
@@ -310,15 +305,15 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc, profile = load_circuit(args.circuit)
-    if doc["scheme"] != "feedforward":
+    _, profile, circ, report = load_circuit(args.circuit)
+    if report["scheme"] != "feedforward":
         raise CliError("simulation requires a feedforward circuit document")
-    circ = feedforward_params(profile)
-    stored = stored_parameter_check(doc, profile, circ)
-    if not stored["parameters_match"]:
-        print(f"error: circuit does not match its design: {json.dumps(stored)}", file=sys.stderr)
+    if not report["passed"]:
+        print(f"error: circuit does not match its design: {json.dumps(report)}", file=sys.stderr)
         return EXIT_FAILED
-    real, imag = (float(v) for v in args.alpha.split(","))
+    if args.alpha.count(",") != 1:
+        raise CliError(f"--alpha must be the input amplitude as re,im, got {args.alpha!r}")
+    real, imag = map(float, args.alpha.split(","))
     config = simulate.SimConfig(profile=profile, alpha=complex(real, imag), shots=args.shots,
                                 seed=args.seed, shards=args.shards)
     result = simulate.run(config, circuit=circ, samples_path=args.out)
@@ -399,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--out", help="write the curve to this CSV")
 
-    for p in sub.choices.values():  # "-1,2", like "-1", is a value and not an option
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+    for p in sub.choices.values():  # "-1,2" and "-inf,1", like "-1", are values
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

@@ -20,7 +20,7 @@ from gaussclone import (
     verify_circuit,
 )
 from gaussclone import circuits
-from gaussclone.cli import circuit_text, load_circuit, main, stored_parameter_check
+from gaussclone.cli import circuit_text, load_circuit, main
 from gaussclone.circuits import AmplifierCircuit, _clone_state
 from gaussclone.core import (
     GaussianChannel,
@@ -221,30 +221,34 @@ def test_verify_circuit_reports_each_scheme():
 
 
 def test_verify_circuit_fails_on_negative_cp_eigenvalue(monkeypatch):
-    # B + P = 2I - 2H/3 has its least eigenvalue 0 along u = (1, 1, 1) / sqrt(3),
-    # so B - delta u u^T moves the CP margin by -delta but each entry of B by
-    # delta / 3: at delta = 3e-9 the G_opt residual stays within max|B| = 4/3
-    # and the margin does not, so the CP margin is the only check that fails
-    # u is the noise column v_M, so the dip lies in span{v_1, v_M}, where the
-    # check compresses B +- P; it enters through the two-column derivation
+    # B + P = 2I - 2H/3 has its least eigenvalue 0 along u = (1, 1, 1) / sqrt(3)
+    # and s = sqrt(3) u.  Gains (1 + eps) s with the block s s^T + B raised to
+    # match leave B as it is and move the margin by about -2 eps |s|^2: gain
+    # that the noise does not pay for.  The compressions' entries reach 4, so
+    # at a margin of -1e-8 the CP margin is the only check that fails.  The
+    # gains lie in span{v_1, v_M}, where the check compresses B +- P; they
+    # enter through the two-column derivation
     profile = symmetric_profile(1, 3)
     ch = channel_from_amplifier(build_interferometer(profile), profile)
     s, b = ch.S[:3, 0], ch.G[:3, :3]
-    u = np.linalg.eigh(b + np.eye(3) - np.outer(s, s))[1][:, 0]
+    _, clean = verify_circuit(profile, "amplifier")
     moments = AmplifierCircuit.moments
-    for shift in (1e-6, 3e-9):
-        dip = shift * np.outer(u, u)
-        shifted = GaussianChannel(1, 3, ch.S, ch.G - np.kron(np.eye(2), dip))
+    for margin in (1e-6, 1e-8):
+        eps = margin / (2.0 * s @ s)
+        shifted = GaussianChannel(1, 3, ch.S * (1.0 + eps), ch.G)
 
-        def dipped(circ, dip=dip):
+        def raised(circ, eps=eps):
             gains, block = moments(circ)
-            return gains, block - dip
+            more = gains * (1.0 + eps)
+            return more, block + np.outer(more, more) - np.outer(gains, gains)
 
-        monkeypatch.setattr(AmplifierCircuit, "moments", dipped)
+        monkeypatch.setattr(AmplifierCircuit, "moments", raised)
         _, report = verify_circuit(profile, "amplifier")
         assert report["cp_min_eigenvalue"] == pytest.approx(cp_min_eigenvalue(shifted), abs=1e-12)
-        assert report["cp_min_eigenvalue"] < -1e-9 and not report["passed"]
-    assert within(report["g_opt_residual"], np.max(np.abs(b - dip)))
+        assert report["cp_min_eigenvalue"] < -0.9 * margin and not report["passed"]
+    assert within(report["g_opt_residual"], np.max(np.abs(b)))
+    assert {k: report[k] for k in ("unitarity_residual", "kappa_gram_residual")} == {
+        k: clean[k] for k in ("unitarity_residual", "kappa_gram_residual")}
 
 
 def test_scheme_equivalence_rejects_off_surface():
@@ -435,6 +439,33 @@ def test_verify_circuit_accuracy_at_large_m():
             assert abs(amp["cp_min_eigenvalue"]) < 1e-10
 
 
+@pytest.mark.parametrize("dip, passed", [(1e-10, True), (1e-6, False)])
+def test_cp_margin_is_held_to_the_entries_of_its_compressions(monkeypatch, dip, passed):
+    # at N = 1, M = 200 the compressions of B +- P have entries up to
+    # 2 g^2 = 2 (1 + n_tot), about 400, while max|B| is about 2; a dip of
+    # 1e-10 of their size is rounding on them, but 20 TOL max|B|
+    profile, _ = random_optimal_profile(np.random.default_rng(43), n_in=1, m_out=200)
+    circ, clean = verify_circuit(profile, "amplifier")
+    s, block = circ.moments()
+    b_max = np.max(np.abs(block - np.outer(s, s)))
+    eigvalsh, scales = np.linalg.eigvalsh, []
+
+    def dipped(stack):
+        least = eigvalsh(stack)
+        scales.append(np.max(np.abs(stack)))
+        least[0, 0] = -dip * scales[-1]
+        return least
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", dipped)
+    _, report = verify_circuit(profile, "amplifier")
+    assert len(scales) == 1 and scales[0] > 10 * max(1.0, b_max)
+    assert report["cp_min_eigenvalue"] == -dip * scales[0]
+    assert report["passed"] == passed
+    # B and its residual do not move
+    moved = {key for key in report if report[key] != clean[key]}
+    assert moved == {"cp_min_eigenvalue"} | ({"passed"} if not passed else set())
+
+
 def test_amplifier_check_and_channel_solve_no_eigenproblem_above_two_by_two(monkeypatch):
     profile, _ = random_optimal_profile(np.random.default_rng(37), n_in=2, m_out=40)
     shapes = []
@@ -547,10 +578,10 @@ def test_only_the_document_and_its_checks_complete_v(monkeypatch, tmp_path):
     # synth checks and writes the document; verify checks the stored arrays
     path = tmp_path / "amp.json"
     path.write_text(circuit_text(profile, "amplifier", circ))
-    doc = load_circuit(str(path))[0]
+    doc, _, _, loaded = load_circuit(str(path))
     arrays = (doc["parameters"]["V"], doc["parameters"]["kappa"])
     assert verify_circuit(profile, "amplifier", arrays)[1] == report
-    assert stored_parameter_check(doc, profile, circ)["parameter_residual"] == 0.0
+    assert loaded["parameter_residual"] == 0.0
     assert report["passed"] and completions == [40]
     for array in (circ.V, circ.kappa, circ.v_sig, circ.v_noise):
         assert not array.flags.writeable

@@ -232,6 +232,44 @@ def test_a_list_whose_first_value_is_negative_is_an_options_value(capsys, tmp_pa
     assert runs[0] == runs[1] and runs[0][0] == 0
 
 
+def test_a_list_whose_first_value_is_a_negative_non_number_is_an_options_value(
+    capsys, tmp_path
+):
+    # argparse took "-inf,1" for an unknown option: "expected one argument"
+    for inf in ("-inf", "-INF", "-Infinity"):
+        code, stdout, stderr = run_cli(
+            capsys, "design", "--weights", f"{inf},1", "--n-in", "1", "--m-out", "2"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: all cost weights must be finite and strictly positive\n"
+    for nan in ("-nan", "-NaN"):
+        code, stdout, stderr = run_cli(
+            capsys, "solve", "--noises", f"{nan},1", "--n-in", "1", "--m-out", "3"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: thermal noises must be finite and non-negative\n"
+    circuit = str(make_circuit(capsys, tmp_path, "feedforward"))
+    code, stdout, stderr = run_cli(
+        capsys, "simulate", "--circuit", circuit, "--alpha", "-inf,0", "--shots", "10"
+    )
+    assert (code, stdout) == (2, "") and "input amplitude must be finite" in stderr
+    # options and help still parse as options
+    code, stdout, _ = run_cli(capsys, "solve", "-h")
+    assert code == 0 and "--noises" in stdout
+    code, _, stderr = run_cli(capsys, "solve", "--noises", "--n-in", "1", "--m-out", "3")
+    assert code == 2 and "expected one argument" in stderr
+
+
+def test_simulate_names_alpha_when_it_is_not_two_numbers(capsys, tmp_path):
+    circuit = str(make_circuit(capsys, tmp_path, "feedforward"))
+    for alpha in ("1", "1,2,3"):
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--circuit", circuit, "--alpha", alpha, "--shots", "10"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: --alpha ") and "re,im" in stderr
+
+
 def test_design_exits_0_or_2_on_any_finite_positive_weights(capsys):
     # from the least subnormal to the largest double, pairs and triples; a
     # failed solve is a message, not a traceback
@@ -265,7 +303,7 @@ def test_synth_verify_cycle(capsys, tmp_path):
                 capsys, "synth", "--design", str(design), "--scheme", scheme, "--out", str(circuit)
             )
             assert code == 0, spec
-            doc, profile = load_circuit(str(circuit))
+            doc, profile, _, _ = load_circuit(str(circuit))
             assert doc["scheme"] == scheme
             assert "design_sha256" in doc["provenance"]
             code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
@@ -382,6 +420,21 @@ def test_verify_and_simulate_reject_edited_feedforward_circuit(capsys, tmp_path,
     )
     assert code == 3
     assert stdout == "" and "does not match its design" in stderr
+
+
+def test_simulate_refuses_every_document_that_verify_refuses(capsys, tmp_path, monkeypatch):
+    # the stored parameters match the rebuild; only the circuit's own check fails
+    circuit = str(make_circuit(capsys, tmp_path, "feedforward"))
+    monkeypatch.setattr(
+        "gaussclone.circuits.scheme_equivalence_check",
+        lambda profile, **_: {"discrepancy": 1.0, "passed": False},
+    )
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", circuit)
+    report = json.loads(stdout)
+    assert code == 3 and not report["passed"] and report["parameters_match"]
+    code, stdout, stderr = run_cli(capsys, "simulate", "--circuit", circuit, "--shots", "10")
+    assert (code, stdout) == (3, "")
+    assert json.loads(stderr.split(": ", 2)[2]) == report
 
 
 def test_feedforward_document_phase_convention(capsys, tmp_path):

@@ -144,6 +144,13 @@ def corpus() -> list[list[str]]:
         # a list whose first value is negative is the option's value
         ["design", "--weights", "-1,2", "--n-in", "1", "--m-out", "2"],
         ["simulate", "--circuit", "sym-1-2.ff.json", "--alpha", "-0.3,0.2", "--shots", SHOTS],
+        # and so is one whose first value is a negative non-number
+        ["design", "--weights", "-inf,1", "--n-in", "1", "--m-out", "2"],
+        ["solve", "--noises", "-nan,1", "--n-in", "1", "--m-out", "3"],
+        ["simulate", "--circuit", "sym-1-2.ff.json", "--alpha", "-inf,0", "--shots", "10"],
+        # an amplitude of other than two numbers
+        ["simulate", "--circuit", "sym-1-2.ff.json", "--alpha", "1", "--shots", "10"],
+        ["simulate", "--circuit", "sym-1-2.ff.json", "--alpha", "1,2,3", "--shots", "10"],
         # V completed otherwise than by Gram-Schmidt: the same circuit
         ["verify", "--circuit", "rotated.amplifier.json"],
     ]
