@@ -9,10 +9,11 @@ statistics converge to clone means alpha and covariance I + 2F.
 A shot is a row z of 2M + 2 standard normals whose clone noise quadratures
 are z B, B a fixed (2M + 2) x 2M matrix, so only the sufficient statistics
 sum(z) and z^T z are accumulated; the mean and scatter follow as (sum z) B
-and B^T (z^T z) B.  Rows are drawn and written in chunks of CHUNK_VALUES
-numbers, so memory does not grow with the shot count.  A chunk of the sample
-CSV is formatted in one pass, each shot's two outcome fields once for all of
-its M rows; the bytes are those of a writer that formats every row in full.
+and B^T (z^T z) B.  Rows are drawn in chunks of CHUNK_VALUES numbers, so
+memory does not grow with the shot count.  The sample CSV is formatted in
+parts of at most THREAD_MIN_VALUES numbers, on up to `cores` forked
+processes when a drawn chunk holds a part, and written in shot order, with
+the bytes of a writer that formats every row in full.
 
 Shots are partitioned deterministically into shards with independent
 counter-derived substreams; shards beyond the shot count would be empty and
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import nullcontext
+from collections import deque
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +70,8 @@ class SimResult:
 # normals drawn per chunk of shot rows; bounds memory whatever the shot count and M
 CHUNK_VALUES = 1 << 18
 # smaller shards are drawn faster on the calling thread than handed to a pool
-# (crossover measured at 1/32 to 1/16 of a chunk, 2 cores)
+# (crossover measured at 1/32 to 1/16 of a chunk, 2 cores); also the most
+# numbers in one part of the sample CSV formatted at a time
 THREAD_MIN_VALUES = CHUNK_VALUES // 16
 # a CSV row per clone of a shot, its clone index a literal of the format; each
 # shot's outcome fields are formatted once and end every one of its rows
@@ -131,6 +134,74 @@ def _moments_in_shard_order(seed: int, sizes: list[int], width: int, on_chunk=No
             yield future.result()
 
 
+def _csv_text(z, first_shot: int, gains, det, o_mean: complex) -> str:
+    """Sample CSV rows of the shot rows `z`, numbered from `first_shot`: one
+    row per shot and clone, each shot's outcome fields formatted once."""
+    m = len(gains)
+    # operations in this order keep the digits of the per-row writer
+    vac = z[:, 2:] * math.sqrt(0.5)
+    x = vac[:, :m] + np.outer(z[:, 0], gains) + det[:m]
+    p = vac[:, m:] + np.outer(z[:, 1], gains) + det[m:]
+    o_re = z[:, 0] / QUADRATURE_SCALE + o_mean.real
+    o_im = z[:, 1] / QUADRATURE_SCALE + o_mean.imag
+    outcomes = list(map(_CSV_OUTCOME.__mod__, zip(o_re.tolist(), o_im.tolist())))
+    # args[stride * shot + 4 * clone:][:4] are one row's arguments
+    stride = 4 * m
+    args = [None] * (stride * len(z))
+    shots = range(first_shot, first_shot + len(z))
+    for c, (x_c, p_c) in enumerate(zip(x.T.tolist(), p.T.tolist())):
+        args[4 * c :: stride] = shots
+        args[4 * c + 1 :: stride] = x_c
+        args[4 * c + 2 :: stride] = p_c
+        args[4 * c + 3 :: stride] = outcomes
+    return "".join(map(_CSV_CLONE_ROW.format, range(m))) * len(z) % tuple(args)
+
+
+@contextmanager
+def _sample_writer(path: str, sizes: list[int], gains, det, o_mean: complex):
+    """Write the sample CSV header at `path` and yield a function that writes
+    the rows of each chunk of shot rows given to it, in parts.  The parts go
+    to min(parts, cores) forked processes, two per process in flight, if a
+    drawn chunk holds a part, the platform can fork and the process has no
+    other thread; else they are formatted here."""
+    width = 2 * len(gains) + 2
+    part = max(1, THREAD_MIN_VALUES // width)
+    workers = 1
+    if min(sizes[0], CHUNK_VALUES // width) >= part:
+        # imported here, as the thread pool is: start-up need not pay for them
+        import multiprocessing
+        import threading
+
+        if threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods():
+            workers = min(_available_cores(), -(-sum(sizes) // part))
+    first, pending = 0, deque()
+    with open(path, "w", newline="") as out, ExitStack() as stack:
+        out.write("shot,clone,x,p,o_re,o_im\r\n")
+        out.flush()  # a forked child holds no unwritten rows
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = multiprocessing.get_context("fork")
+            pool = stack.enter_context(ProcessPoolExecutor(workers, fork))
+
+        def write_rows(z):
+            nonlocal first
+            for start in range(0, len(z), part):
+                if workers == 1:
+                    out.write(_csv_text(z[start : start + part], first + start, gains, det, o_mean))
+                    continue
+                # a copy: the pool pickles it later, and z's buffer is drawn over
+                rows = z[start : start + part].copy()
+                pending.append(pool.submit(_csv_text, rows, first + start, gains, det, o_mean))
+                if len(pending) > 2 * workers:
+                    out.write(pending.popleft().result())
+            first += len(z)
+
+        yield write_rows
+        while pending:
+            out.write(pending.popleft().result())
+
+
 def run(
     config: SimConfig,
     circuit: FeedforwardCircuit | None = None,
@@ -164,38 +235,11 @@ def run(
     count = config.shots
     z_sum = np.zeros(width)
     gram = np.zeros((width, width))
-    sink = nullcontext() if samples_path is None else open(samples_path, "w", newline="")
-    with sink as csv_file:
-        write_rows = None
-        if csv_file is not None:
-            csv_file.write("shot,clone,x,p,o_re,o_im\r\n")
-            shot_format = "".join(map(_CSV_CLONE_ROW.format, range(m)))
-            stride = 4 * m
-            first_shot = 0
-
-            def write_rows(z):
-                nonlocal first_shot
-                # operations in this order keep the digits of the per-row writer
-                vac = z[:, 2:] * math.sqrt(0.5)
-                x = vac[:, :m] + np.outer(z[:, 0], basis[0, :m]) + det[:m]
-                p = vac[:, m:] + np.outer(z[:, 1], basis[1, m:]) + det[m:]
-                o_re = z[:, 0] / QUADRATURE_SCALE + o_mean.real
-                o_im = z[:, 1] / QUADRATURE_SCALE + o_mean.imag
-                outcomes = list(map(_CSV_OUTCOME.__mod__, zip(o_re.tolist(), o_im.tolist())))
-                del vac, o_re, o_im
-                # args[stride * shot + 4 * clone:][:4] are one row's arguments
-                args = [None] * (stride * len(z))
-                shots = range(first_shot, first_shot + len(z))
-                for c, (x_c, p_c) in enumerate(zip(x.T.tolist(), p.T.tolist())):
-                    args[4 * c :: stride] = shots
-                    args[4 * c + 1 :: stride] = x_c
-                    args[4 * c + 2 :: stride] = p_c
-                    args[4 * c + 3 :: stride] = outcomes
-                del x, p, x_c, p_c, outcomes
-                csv_file.write(shot_format * len(z) % tuple(args))
-                first_shot += len(z)
-
-        sizes = _shard_sizes(config.shots, config.shards)
+    sizes = _shard_sizes(config.shots, config.shards)
+    sink = nullcontext()
+    if samples_path is not None:
+        sink = _sample_writer(samples_path, sizes, circuit.gains, det, o_mean)
+    with sink as write_rows:
         for shard_sum, shard_gram in _moments_in_shard_order(config.seed, sizes, width, write_rows):
             z_sum += shard_sum
             gram += shard_gram

@@ -351,6 +351,24 @@ def test_earlier_circuit_documents_still_verify(capsys, name):
         assert code == 0
 
 
+def test_near_symmetric_amplifier_document_from_before_the_lacking_amplitude_fails(
+    capsys, tmp_path
+):
+    # written, with its design, by a release that left out the amplitude each
+    # clone lacks after the amplifier when t rounded to 1; the README's remedy
+    # is to run synth on the design again
+    stale = FIXTURES / "stale" / "near_symmetric_1to2"
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", f"{stale}.amplifier.json")
+    report = json.loads(stdout)
+    assert code == 3 and not report["parameters_match"]
+    assert report["parameter_residual"] == pytest.approx(math.sqrt(2), abs=1e-9)
+    circuit = str(tmp_path / "circuit.json")
+    argv = ["synth", "--design", f"{stale}.design.json", "--scheme", "amplifier", "--out", circuit]
+    assert run_cli(capsys, *argv)[0] == 0
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", circuit)
+    assert code == 0 and json.loads(stdout)["parameters_match"]
+
+
 def test_synth_rejects_missing_file(capsys, tmp_path):
     code, _, stderr = run_cli(
         capsys, "synth", "--design", str(tmp_path / "nope.json"), "--scheme", "amplifier"
@@ -836,11 +854,13 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_loads_no_thread_pool_or_logging():
-    # simulate imports its thread pool when a run needs it; the pool loads logging
+    # simulate imports its thread and process pools when a run needs them;
+    # the pools load logging
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gaussclone.__file__)))
     code = (
         "import gaussclone.cli, sys; "
-        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+        "print([m for m in ('concurrent.futures', 'concurrent.futures.process', 'logging', "
+        "'multiprocessing') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

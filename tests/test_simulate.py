@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import dataclasses
 import math
+import multiprocessing
 import threading
 import tracemalloc
 
@@ -435,3 +437,121 @@ def test_an_error_in_a_shard_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="shard 5 failed"):
         run(config)
     assert threading.active_count() == before
+
+
+# -- sample CSV parts on forked processes --------------------------------------
+
+
+def count_submits(monkeypatch):
+    """Parts handed to a process pool, counted in this process."""
+    submitted = []
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit",
+                        lambda self, *args: submitted.append(args[2]) or submit(self, *args))
+    return submitted
+
+
+def csv_runs(monkeypatch, tmp_path, config, core_counts):
+    """(result, CSV bytes, first shot of each part sent to the pool) of a run
+    at each core count."""
+    submitted = count_submits(monkeypatch)
+    runs = []
+    for cores in core_counts:
+        monkeypatch.setattr(simulate, "_available_cores", lambda: cores)
+        submitted.clear()
+        path = tmp_path / f"{cores}.csv"
+        runs.append((run(config, samples_path=str(path)), path.read_bytes(), list(submitted)))
+        assert multiprocessing.active_children() == []
+    return runs
+
+
+@pytest.mark.parametrize("profile", [symmetric_profile(1, 2), ASYMMETRIC_2_TO_8])
+@pytest.mark.parametrize("shards", [1, 3])
+def test_sample_csv_does_not_depend_on_the_core_count(tmp_path, monkeypatch, profile, shards):
+    width = 2 * profile.m_out + 2
+    monkeypatch.setattr(simulate, "THREAD_MIN_VALUES", 10 * width)  # parts of 10 shots
+    monkeypatch.setattr(simulate, "CHUNK_VALUES", 35 * width)  # chunks of 35 shots
+    # each shard draws chunks of 35, 35 and 31 shots, so its last part is one shot
+    config = SimConfig(profile=profile, alpha=0.4 - 0.9j, shots=shards * 101, seed=23,
+                       shards=shards)
+    runs = csv_runs(monkeypatch, tmp_path, config, (1, 2, 3))
+    assert runs[0][2] == []
+    parts = [101 * s + c + p for s in range(shards) for c in (0, 35, 70) for p in (0, 10, 20, 30)]
+    for result, text, submitted in runs[1:]:
+        assert submitted == parts
+        assert text == runs[0][1]
+        assert_results_equal(result, runs[0][0])
+
+
+def test_pooled_sample_csv_matches_dense_oracle(tmp_path, monkeypatch):
+    profile = symmetric_profile(1, 2)
+    chunk, part = simulate.CHUNK_VALUES // 6, simulate.THREAD_MIN_VALUES // 6
+    # a full chunk and then a chunk of one part and a single shot
+    config = SimConfig(profile=profile, alpha=1.0 - 0.5j, shots=chunk + part + 1, seed=29)
+    (result, text, submitted), = csv_runs(monkeypatch, tmp_path, config, (2,))
+    assert len(submitted) == -(-chunk // part) + 2 and submitted[-1] == chunk + part
+    reference = dense_run(config, feedforward_params(profile), str(tmp_path / "dense.csv"))
+    assert text == (tmp_path / "dense.csv").read_bytes()
+    assert_results_close(result, reference)
+
+
+CSV_TEXT = simulate._csv_text
+
+
+def failing_csv_text(z, first_shot, *args):
+    if first_shot == 40:
+        raise RuntimeError("part at shot 40 failed")
+    return CSV_TEXT(z, first_shot, *args)
+
+
+def test_an_error_in_a_part_reaches_the_caller_and_no_process_outlives_it(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(simulate, "_csv_text", failing_csv_text)
+    monkeypatch.setattr(simulate, "THREAD_MIN_VALUES", 60)  # parts of 10 1 -> 2 shots
+    monkeypatch.setattr(simulate, "_available_cores", lambda: 2)
+    submitted = count_submits(monkeypatch)
+    config = SimConfig(profile=symmetric_profile(1, 2), alpha=1.0, shots=100, seed=4)
+    with pytest.raises(RuntimeError, match="part at shot 40 failed"):
+        run(config, samples_path=str(tmp_path / "samples.csv"))
+    assert 40 in submitted
+    assert multiprocessing.active_children() == []
+
+
+def test_sample_csv_is_formatted_here_when_another_thread_runs(tmp_path, monkeypatch):
+    # a process with other threads is not forked: a lock one of them holds
+    # would stay held in the child
+    submitted = count_submits(monkeypatch)
+    monkeypatch.setattr(simulate, "_available_cores", lambda: 2)
+    config = SimConfig(profile=symmetric_profile(1, 2), alpha=1.0, shots=10**4, seed=4)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        run(config, samples_path=str(tmp_path / "threaded.csv"))
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert submitted == [] and not other.is_alive()
+    run(config, samples_path=str(tmp_path / "alone.csv"))
+    assert len(submitted) == 4
+    assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_run_memory_does_not_grow_with_shots_when_parts_are_pooled(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "CHUNK_VALUES", 256 * 6)  # 256 shots per chunk
+    monkeypatch.setattr(simulate, "THREAD_MIN_VALUES", 64 * 6)  # parts of 64 shots
+    monkeypatch.setattr(simulate, "_available_cores", lambda: 2)
+    # a count that holds one number, so that it does not grow with the parts
+    parts = [0]
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit",
+                        lambda self, *args: parts.__setitem__(0, parts[0] + 1) or submit(self, *args))
+    path = tmp_path / "samples.csv"
+    peaks = traced_peaks((2000, 20000), samples_path=str(path))
+    assert parts[0] == 2 * -(-2000 // 64) + -(-20000 // 64)
+    # up to 2 x 2 parts are in flight, each held as received and as text; how
+    # many have come back when the peak is taken depends on the timing only
+    slack = 2 * 2 * 2 * 64 * path.stat().st_size / 20000
+    assert slack < 0.05 * path.stat().st_size
+    assert peaks[1] <= 1.1 * peaks[0] + slack

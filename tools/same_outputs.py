@@ -8,7 +8,8 @@ fresh interpreter, which runs the whole corpus in-process in a scratch
 directory of its own.  The corpus covers the CLI (design, synth, verify,
 certify, simulate, solve, tradeoff, their error and usage paths), the
 documents in `tests/fixtures` and one with V completed otherwise, designs
-with an exact zero-noise clone, and the demos of each tree.  For every
+with an exact zero-noise clone, a sample CSV large enough to be formatted
+on forked processes, and the demos of each tree.  For every
 command the exit code, stdout, stderr and every file it wrote are
 recorded.  The inputs (fixtures and hand-written or edited documents) come
 from the checkout that holds this script, so both trees read the same
@@ -141,6 +142,9 @@ def corpus() -> list[list[str]]:
         ["simulate", "--circuit", "sym-1-2.amp.json", "--shots", "10"],
         ["simulate", "--circuit", "sym-1-2.ff.json", "--shots", "0"],
         ["simulate", "--circuit", "sym-1-2.ff.json", "--shots", "10", "--shards", "0"],
+        # large enough that the sample CSV is formatted in parts on forked processes
+        ["simulate", "--circuit", "sym-1-2.ff.json", "--shots", "20000", "--seed", "8",
+         "--shards", "2", "--out", "pooled.sim.csv", "--summary-out", "pooled.sim.json"],
         # a list whose first value is negative is the option's value
         ["design", "--weights", "-1,2", "--n-in", "1", "--m-out", "2"],
         ["simulate", "--circuit", "sym-1-2.ff.json", "--alpha", "-0.3,0.2", "--shots", SHOTS],
