@@ -14,12 +14,14 @@ amplitude and the covariance is I + 2F with F_jk = sqrt(n_j n_k).
 
 Both schemes are phase-insensitive, so every moment is an M-vector or an
 M x M block repeated in the x and p quadratures: the amplifier's channel is
-S = blkdiag(s, s) and G = blkdiag(B, B), and its complete-positivity margin
-is that of the two real matrices B +- (I - s s^T).  Only two input ports of
-the interferometer carry light, the signal column v_1 and the amplifier-noise
-column v_M of V, so s and B follow from those two columns alone, the CP
-margin from two 2 x 2 compressions onto their span.  `AmplifierCircuit`
-holds t, g, r and those two columns, and completes V from them on first use.
+S = blkdiag(s, s) and G = blkdiag(B, B).  Only two input ports of the
+interferometer carry light, the signal column v_1 and the amplifier-noise
+column v_M of V, so s and B follow from those two columns alone.
+`AmplifierCircuit` holds t, g, r and those two columns, and completes V from
+them on first use.  Every block that `verify_circuit` checks, B, B +- P, the
+target I + 2F - H/N and the feedforward I + 2 gamma gamma^T, is the identity
+plus at most six rank-one terms in s, v_1, kappa_1, v_M, f = sqrt(n) and 1,
+so each verdict is the exact spectrum of a small core (`low_rank_spectra`).
 """
 
 from __future__ import annotations
@@ -54,15 +56,22 @@ def clone_output_cov(profile: NoiseProfile) -> np.ndarray:
     return xp_matrix(np.eye(profile.m_out) + 2.0 * noise_gram_matrix(profile), 0.0)
 
 
-def _g_opt_block(profile: NoiseProfile) -> np.ndarray:
-    """Quadrature block I + 2F - H/N of the optimal cloner's noise matrix."""
-    m, n = profile.m_out, profile.n_in
-    return np.eye(m) + 2.0 * noise_gram_matrix(profile) - np.ones((m, m)) / n
-
-
 def g_opt_matrix(profile: NoiseProfile) -> np.ndarray:
     """Channel noise matrix of the optimal cloner: blocks I + 2F - H/N."""
-    return xp_matrix(_g_opt_block(profile), 0.0)
+    m, n = profile.m_out, profile.n_in
+    return xp_matrix(np.eye(m) + 2.0 * noise_gram_matrix(profile) - np.ones((m, m)) / n, 0.0)
+
+
+def low_rank_spectra(vecs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra of the sums sum_l w_l u_l u_l^T over the rows u_l
+    of `vecs`, one per row w of `weights`, and each sum's term size
+    max_l |w_l| |u_l|^2, the scale at which its spectrum rounds.  With
+    vecs^T = Q R (Q orthonormal, so |u_l| is the norm of R's column l), a sum
+    is Q (R diag(w) R^T) Q^T: the small core's eigenvalues are its spectrum
+    apart from its zeros off span{u_l}, exactly at any rank and when L > M."""
+    r = np.linalg.qr(np.transpose(vecs), mode="r")
+    sizes = np.max(np.abs(weights) * np.sum(r * r, axis=0), axis=1)
+    return np.linalg.eigvalsh((r * weights[:, None, :]) @ r.T), sizes
 
 
 # -- amplifier scheme --------------------------------------------------------
@@ -107,10 +116,11 @@ class AmplifierCircuit:
         kappa[:, 0] = self.v_sig * self.t - self.v_noise * self.g * self.r
         return v, kappa
 
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Amplitude gains s and per-quadrature output covariance block
-        s s^T + B of the circuit on a coherent state, from its two live
-        columns: the clones of the collected amplitude a have amplitudes s a.
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Amplitude gains s and the per-quadrature output covariance block
+        s s^T + B = I + sum_l w_l u_l u_l^T of the circuit on a coherent state,
+        as the rows u_l = (s, v_1, kappa_1, v_M) of `vecs` and the `weights`
+        w_l: the clones of the collected amplitude a have amplitudes s a.
 
         s = g t v_M + r v_1.  The vacuum ports' kappa kappa^T is
         I - v_1 v_1^T - v_M v_M^T + kappa_1 kappa_1^T with
@@ -120,8 +130,7 @@ class AmplifierCircuit:
         s = self.g * self.t * self.v_noise + self.r * self.v_sig
         kappa_1 = self.t * self.v_sig - self.g * self.r * self.v_noise
         vecs = np.array([s, self.v_sig, kappa_1, self.v_noise])
-        weights = np.array([1.0, -1.0, 1.0, self.g * self.g - 2.0])
-        return s, np.eye(s.size) + (vecs.T * weights) @ vecs
+        return s, vecs, np.array([1.0, -1.0, 1.0, self.g * self.g - 2.0])
 
 
 def gain_and_transmittance(profile: NoiseProfile) -> tuple[float, float]:
@@ -200,15 +209,9 @@ def channel_from_amplifier(circ: AmplifierCircuit, profile: NoiseProfile) -> Gau
     G = blkdiag(B, B) with s and B from `AmplifierCircuit.moments`.  On the
     surface these are the mean-replicating S and B = I + 2F - H/N.
     """
-    s, block = circ.moments()
-    b = block - np.outer(s, s)
+    s, vecs, weights = circ.moments()
+    b = np.eye(s.size) + (vecs.T * weights) @ vecs - np.outer(s, s)
     return GaussianChannel(1, profile.m_out, xp_matrix(s[:, None], 0.0), xp_matrix(b, 0.0))
-
-
-def _clone_state(amps: np.ndarray, block: np.ndarray) -> GaussianState:
-    """State of M clones with complex amplitudes `amps` whose x and p
-    quadratures are uncorrelated, each with covariance `block`."""
-    return GaussianState(amps.size, quadrature_mean(amps), xp_matrix(block, 0.0))
 
 
 def amplifier_output_state(
@@ -216,8 +219,10 @@ def amplifier_output_state(
 ) -> GaussianState:
     """Exact output Gaussian state of the amplifier scheme on N copies of
     |alpha> (after signal collection into one mode)."""
-    s, block = circ.moments()
-    return _clone_state(s * (math.sqrt(profile.n_in) * alpha), block)
+    s, vecs, weights = circ.moments()
+    amps = s * (math.sqrt(profile.n_in) * alpha)
+    block = np.eye(s.size) + (vecs.T * weights) @ vecs
+    return GaussianState(amps.size, quadrature_mean(amps), xp_matrix(block, 0.0))
 
 
 # -- feedforward scheme ------------------------------------------------------
@@ -271,14 +276,12 @@ def feedforward_params(profile: NoiseProfile) -> FeedforwardCircuit:
     return FeedforwardCircuit(r_tap=r_tap, gains=gains, reflectances=refl, splitting=splitting)
 
 
-def _feedforward_moments(circ: FeedforwardCircuit, amp_in: complex):
-    """Clone amplitudes and per-quadrature covariance block of the
-    feedforward scheme on the collected amplitude `amp_in`, including the
-    classical correlations induced by the shared heterodyne outcome."""
+def _feedforward_amplitudes(circ: FeedforwardCircuit, amp_in: complex) -> np.ndarray:
+    """Clone amplitudes of the feedforward scheme on the collected amplitude
+    `amp_in`; each quadrature's covariance block is I + 2 gamma gamma^T, with
+    gamma the gains: vacuum plus the shared heterodyne outcome's noise."""
     t_tap = math.sqrt(1.0 - circ.r_tap**2)
-    amps = circ.splitting * t_tap * amp_in + circ.gains * (circ.r_tap * amp_in)
-    # each quadrature: optical vacuum (unit cov) + shared displacement noise
-    return amps, np.eye(circ.gains.size) + 2.0 * np.outer(circ.gains, circ.gains)
+    return circ.splitting * t_tap * amp_in + circ.gains * (circ.r_tap * amp_in)
 
 
 def scheme_equivalence_check(
@@ -292,23 +295,24 @@ def scheme_equivalence_check(
     and that M x M block; the amplifier's comes from its two live columns,
     without completing V.  `feedforward` is the feedforward circuit of
     `profile` when the caller has already built it.  Returns a report with
-    the element-wise mean and covariance discrepancies and a pass flag: each
-    `within` the size of the amplifier's entries, max|mean| and max|cov|.
+    the largest mean difference, held to max|mean|, the spectral norm of the
+    covariance difference, held to the size of its terms, and a pass flag.
     """
     if feedforward is None:
         feedforward = feedforward_params(profile)
     amp_in = math.sqrt(profile.n_in) * EQUIVALENCE_ALPHA
-    s, block_amp = build_interferometer(profile).moments()
-    amps_ff, block_ff = _feedforward_moments(feedforward, amp_in)
+    s, vecs, weights = build_interferometer(profile).moments()
     mean_amp = quadrature_mean(s * amp_in)
-    mean_diff = float(np.max(np.abs(mean_amp - quadrature_mean(amps_ff))))
-    cov_diff = float(np.max(np.abs(block_amp - block_ff)))
+    mean_ff = quadrature_mean(_feedforward_amplitudes(feedforward, amp_in))
+    mean_diff = float(np.max(np.abs(mean_amp - mean_ff)))
+    u = np.vstack([vecs, feedforward.gains])  # the blocks' identities cancel
+    spectra, sizes = low_rank_spectra(u, np.append(weights, -2.0)[None])
+    cov_diff = float(np.max(np.abs(spectra)))
     return {
         "mean_discrepancy": mean_diff,
         "cov_discrepancy": cov_diff,
         "discrepancy": max(mean_diff, cov_diff),
-        "passed": within(mean_diff, np.max(np.abs(mean_amp)))
-        and within(cov_diff, np.max(np.abs(block_amp))),
+        "passed": within(mean_diff, np.max(np.abs(mean_amp))) and within(cov_diff, sizes[0]),
     }
 
 
@@ -331,20 +335,15 @@ def verify_circuit(
         unitarity = float(np.max(np.abs(v.T @ v - np.eye(m))))
         target = np.eye(m) - np.ones((m, m)) / n + noise_gram_matrix(profile)
         kappa_resid = float(np.max(np.abs(kappa @ kappa.T - target)))
-        # the channel is S = blkdiag(s, s), G = blkdiag(B, B)
-        s, block = circ.moments()
-        b = block - np.outer(s, s)
-        g_resid = float(np.max(np.abs(b - _g_opt_block(profile))))
-        # G + iK = [[B, iP], [-iP, B]] with P = I - s s^T; the vectors
-        # (u, -iu) and (u, iu) split it into the real B + P and B - P.  Off
-        # span{v_1, v_M} these are 2I and 0, so their spectra are those of
-        # their compressions onto Q = [v_1, v_M], with 2 and 0 when M > 2;
-        # the margin rounds on their entries, of size up to 2 g^2
-        q = np.array([circ.v_sig, circ.v_noise]).T
-        qs = q.T @ s
-        qpq = q.T @ q - np.outer(qs, qs)
-        stack = q.T @ b @ q + np.array([qpq, -qpq])
-        least = np.linalg.eigvalsh(stack)[:, 0].min()
+        # G + iK = [[B, iP], [-iP, B]] with P = I - s s^T splits into the real
+        # B +- P.  Rows weight (s, v_1, kappa_1, v_M, f, 1) to B - G_opt, B - P
+        # and B + P - 2I; the last two are 0 off span{v_1, v_M}, R^M at M = 2
+        _, vecs, (w_s, *w) = circ.moments()
+        rows = [[w_s - 1.0, *w, -2.0, 1.0 / n], [w_s, *w, 0.0, 0.0], [w_s - 2.0, *w, 0.0, 0.0]]
+        u = np.vstack([vecs, np.sqrt(profile.noises), np.ones(m)])
+        spectra, sizes = low_rank_spectra(u, np.array(rows))
+        g_resid = float(np.max(np.abs(spectra[0])))
+        least = min(spectra[1, 0], 2.0 + spectra[2, 0])
         cp_eig = float(min(least, 0.0) if m > 2 else least)
         return circ, {
             "unitarity_residual": unitarity,
@@ -354,8 +353,8 @@ def verify_circuit(
             "transmittance": circ.t,
             "passed": within(unitarity)
             and within(kappa_resid, np.max(np.abs(target)))
-            and within(g_resid, np.max(np.abs(b)))
-            and within(min(0.0, cp_eig), np.max(np.abs(stack))),
+            and within(g_resid, sizes[0])
+            and within(min(0.0, cp_eig), max(sizes[1:])),
         }
     if scheme == "feedforward":
         circ = feedforward_params(profile)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import FeedforwardCircuit, _feedforward_moments, feedforward_params
+from .circuits import FeedforwardCircuit, _feedforward_amplitudes, feedforward_params
 from .core import QUADRATURE_SCALE, amplitudes, quadrature_mean
 from .design import NoiseProfile, require_on_surface
 
@@ -223,7 +223,7 @@ def run(
     o_mean = circuit.r_tap * amp_in
     # deterministic part of the clone means; the noise part is accumulated
     # separately so the sample covariance is independent of alpha exactly
-    det = quadrature_mean(_feedforward_moments(circuit, amp_in)[0])
+    det = quadrature_mean(_feedforward_amplitudes(circuit, amp_in))
 
     # shot row z = (o_x, o_p, vacuum x, vacuum p) maps to noise quads z B:
     # the outcome, in quadrature units with sd 1, times the gains, plus

@@ -5,8 +5,8 @@ import numpy as np
 
 from gaussclone import GaussianChannel, GaussianState, design_from_weights
 from gaussclone.certificate import k_matrix
-from gaussclone.circuits import _clone_state, _feedforward_moments, g_opt_matrix
-from gaussclone.core import xp_matrix
+from gaussclone.circuits import _feedforward_amplitudes, g_opt_matrix
+from gaussclone.core import quadrature_mean, xp_matrix
 
 # circuit documents written by an earlier release, which must keep verifying
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -83,4 +83,6 @@ def cp_min_eigenvalue(ch):
 def feedforward_output_state(circ, n_in, alpha):
     """Exact output Gaussian state of the feedforward scheme, including the
     classical correlations induced by the shared heterodyne outcome."""
-    return _clone_state(*_feedforward_moments(circ, math.sqrt(n_in) * alpha))
+    amps = _feedforward_amplitudes(circ, math.sqrt(n_in) * alpha)
+    block = np.eye(amps.size) + 2.0 * np.outer(circ.gains, circ.gains)
+    return GaussianState(amps.size, quadrature_mean(amps), xp_matrix(block, 0.0))

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from gaussclone import (
 )
 from gaussclone import circuits
 from gaussclone.cli import circuit_text, load_circuit, main
-from gaussclone.circuits import AmplifierCircuit, _clone_state
+from gaussclone.circuits import AmplifierCircuit
 from gaussclone.core import (
     GaussianChannel,
     GaussianState,
@@ -222,12 +225,11 @@ def test_verify_circuit_reports_each_scheme():
 
 def test_verify_circuit_fails_on_negative_cp_eigenvalue(monkeypatch):
     # B + P = 2I - 2H/3 has its least eigenvalue 0 along u = (1, 1, 1) / sqrt(3)
-    # and s = sqrt(3) u.  Gains (1 + eps) s with the block s s^T + B raised to
-    # match leave B as it is and move the margin by about -2 eps |s|^2: gain
-    # that the noise does not pay for.  The compressions' entries reach 4, so
-    # at a margin of -1e-8 the CP margin is the only check that fails.  The
-    # gains lie in span{v_1, v_M}, where the check compresses B +- P; they
-    # enter through the two-column derivation
+    # and s = sqrt(3) u.  Gains (1 + eps) s with the block's term s s^T raised
+    # to match leave B as it is and move the margin by about -2 eps |s|^2: gain
+    # that the noise does not pay for.  The terms of B +- P have size up to
+    # |s|^2 = 3, so at a margin of -1e-8 the CP margin is the only check that
+    # fails.  The gains enter through the two-column derivation
     profile = symmetric_profile(1, 3)
     ch = channel_from_amplifier(build_interferometer(profile), profile)
     s, b = ch.S[:3, 0], ch.G[:3, :3]
@@ -238,9 +240,9 @@ def test_verify_circuit_fails_on_negative_cp_eigenvalue(monkeypatch):
         shifted = GaussianChannel(1, 3, ch.S * (1.0 + eps), ch.G)
 
         def raised(circ, eps=eps):
-            gains, block = moments(circ)
+            gains, vecs, weights = moments(circ)
             more = gains * (1.0 + eps)
-            return more, block + np.outer(more, more) - np.outer(gains, gains)
+            return more, np.vstack([more, vecs[1:]]), weights
 
         monkeypatch.setattr(AmplifierCircuit, "moments", raised)
         _, report = verify_circuit(profile, "amplifier")
@@ -257,17 +259,24 @@ def test_scheme_equivalence_rejects_off_surface():
 
 
 def test_scheme_equivalence_bounds_covariance_relative_to_its_size(monkeypatch):
-    # noises near 289 make max|cov| about 579, so an absolute 1e-9 bound on
-    # the covariance would fail both shifts and a missing one pass both
+    # noises near 289 give the covariance difference terms of size up to
+    # 2 n_tot, about 1734, so an absolute 1e-9 bound would fail both shifts,
+    # and no bound at all would pass both.  The shift is one more term, of
+    # that relative size, in the direction of 1
     profile, _ = design_from_weights(np.array([1e6, 1.0, 1.0, 1.0]), 1, 4)
-    moments = circuits._feedforward_moments
+    spectra = circuits.low_rank_spectra
     for rel, passed in ((5e-10, True), (2e-9, False)):
-        def shifted(circ, amp_in, rel=rel):
-            amps, block = moments(circ, amp_in)
-            return amps, block + rel * np.max(np.abs(block))
+        sizes = []
 
-        monkeypatch.setattr(circuits, "_feedforward_moments", shifted)
-        assert scheme_equivalence_check(profile)["passed"] == passed
+        def shifted(vecs, weights, rel=rel):
+            sizes.append(spectra(vecs, weights)[1][0])
+            one = np.full(vecs.shape[1], vecs.shape[1] ** -0.5)
+            return spectra(np.vstack([vecs, one]), np.hstack([weights, [[rel * sizes[0]]]]))
+
+        monkeypatch.setattr(circuits, "low_rank_spectra", shifted)
+        report = scheme_equivalence_check(profile)
+        assert report["passed"] == passed and 1700 < sizes[0] < 1800
+        assert report["cov_discrepancy"] == pytest.approx(rel * sizes[0], rel=1e-3)
 
 
 def test_output_covariance_matches_clone_target():
@@ -421,6 +430,24 @@ def test_verify_circuit_passes_on_symmetric_and_near_symmetric_designs():
         assert np.max(np.abs(mode_amplitudes(out) - 1.0)) < 1e-12
 
 
+def _term_size(vecs, weights):
+    """max_l |w_l| |u_l|^2 over the rows u_l of `vecs`: the size of the terms
+    of sum_l w_l u_l u_l^T, and so the scale of a verdict on its spectrum."""
+    return float(np.max(np.abs(weights) * np.sum(vecs * vecs, axis=1)))
+
+
+def _verdict_scales(profile):
+    """The term sizes of B - G_opt, of B +- P and of the scheme comparison's
+    covariance difference, from the amplifier's and the feedforward's terms."""
+    m, n = profile.m_out, profile.n_in
+    _, vecs, (w_s, *w) = build_interferometer(profile).moments()
+    f = np.sqrt(profile.noises)
+    g_opt = _term_size(np.vstack([vecs, f, np.ones(m)]), [w_s - 1.0, *w, -2.0, 1.0 / n])
+    cp = max(_term_size(vecs, [w_s + d, *w]) for d in (0.0, -2.0))
+    gains = feedforward_params(profile).gains
+    return g_opt, cp, _term_size(np.vstack([vecs, gains]), [w_s, *w, -2.0])
+
+
 def test_verify_circuit_accuracy_at_large_m():
     rng = np.random.default_rng(32)
     for m in (100, 500, 1000):
@@ -429,36 +456,49 @@ def test_verify_circuit_accuracy_at_large_m():
             _, amp = verify_circuit(profile, "amplifier")
             _, ff = verify_circuit(profile, "feedforward")
             assert amp["passed"] and ff["passed"]
-            # largest seen, all at N = 1 (TOL is 1e-9, and max|B| is about 2):
-            # V^T V 1.7e-12 and kappa kappa^T 2.3e-12 at M = 500; B 1.5e-13
-            # and the scheme discrepancy 1.5e-13 at M = 1000; the CP margin
-            # -4.5e-11 at M = 500, where t^2 + r^2 misses 1 by 1.2e-13 and
-            # the compression of B + P has entries of size g^2 = 1 + n_tot
+            # largest seen, all at N = 1, as a fraction of the terms' size
+            # (TOL is 1e-9): V^T V 1.7e-12 and kappa kappa^T 2.3e-12 at
+            # M = 500, of terms of size 1; B - G_opt 1.5e-10 of terms of size
+            # 2 n_tot, about 2000, at M = 1000, so 7.6e-14; the scheme
+            # discrepancy 7.2e-14 there; the CP margin -4.5e-11 at M = 500,
+            # where t^2 + r^2 misses 1 by 1.2e-13 and the terms of B +- P
+            # have size g^2 = 1 + n_tot, so -9.0e-14
+            g_opt, cp, scheme = _verdict_scales(profile)
             assert max(amp["unitarity_residual"], amp["kappa_gram_residual"]) < 1e-11
-            assert amp["g_opt_residual"] < 1e-12 and ff["scheme_discrepancy"] < 1e-12
-            assert abs(amp["cp_min_eigenvalue"]) < 1e-10
+            assert amp["g_opt_residual"] < 1e-12 * g_opt
+            assert ff["scheme_discrepancy"] < 1e-12 * scheme
+            assert abs(amp["cp_min_eigenvalue"]) < 1e-12 * cp
+    # the feedforward check is O(M): at M = 10^4 and 10^5 the scheme
+    # discrepancy rounds at up to about M eps of the size of its terms,
+    # 5.3e-13 at M = 10^4, N = 1 and 2.0e-12 at M = 10^5, N = 3
+    for m in (10**4, 10**5):
+        for n in (1, 3):
+            profile, _ = random_optimal_profile(rng, n_in=n, m_out=m)
+            _, ff = verify_circuit(profile, "feedforward")
+            assert ff["passed"] and ff["gain_noise_residual"] < 1e-12
+            assert ff["scheme_discrepancy"] < 1e-15 * m * _verdict_scales(profile)[2]
 
 
 @pytest.mark.parametrize("dip, passed", [(1e-10, True), (1e-6, False)])
-def test_cp_margin_is_held_to_the_entries_of_its_compressions(monkeypatch, dip, passed):
-    # at N = 1, M = 200 the compressions of B +- P have entries up to
-    # 2 g^2 = 2 (1 + n_tot), about 400, while max|B| is about 2; a dip of
-    # 1e-10 of their size is rounding on them, but 20 TOL max|B|
+def test_cp_margin_is_held_to_the_size_of_its_terms(monkeypatch, dip, passed):
+    # at N = 1, M = 200 the terms of B +- P have size up to
+    # g^2 = 1 + n_tot, about 200, while max|B| is about 2; a dip of 1e-10 of
+    # their size is rounding on them, but 10 TOL max|B|
     profile, _ = random_optimal_profile(np.random.default_rng(43), n_in=1, m_out=200)
     circ, clean = verify_circuit(profile, "amplifier")
-    s, block = circ.moments()
-    b_max = np.max(np.abs(block - np.outer(s, s)))
-    eigvalsh, scales = np.linalg.eigvalsh, []
+    b_max = np.max(np.abs(channel_from_amplifier(circ, profile).G))
+    spectra, scales = circuits.low_rank_spectra, []
 
-    def dipped(stack):
-        least = eigvalsh(stack)
-        scales.append(np.max(np.abs(stack)))
-        least[0, 0] = -dip * scales[-1]
-        return least
+    def dipped(vecs, weights):
+        values, sizes = spectra(vecs, weights)
+        scales.append(max(sizes[1:]))
+        values[1, 0] = -dip * scales[-1]
+        return values, sizes
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", dipped)
+    monkeypatch.setattr(circuits, "low_rank_spectra", dipped)
     _, report = verify_circuit(profile, "amplifier")
     assert len(scales) == 1 and scales[0] > 10 * max(1.0, b_max)
+    assert scales[0] == pytest.approx(_verdict_scales(profile)[1], rel=1e-12)
     assert report["cp_min_eigenvalue"] == -dip * scales[0]
     assert report["passed"] == passed
     # B and its residual do not move
@@ -466,8 +506,7 @@ def test_cp_margin_is_held_to_the_entries_of_its_compressions(monkeypatch, dip, 
     assert moved == {"cp_min_eigenvalue"} | ({"passed"} if not passed else set())
 
 
-def test_amplifier_check_and_channel_solve_no_eigenproblem_above_two_by_two(monkeypatch):
-    profile, _ = random_optimal_profile(np.random.default_rng(37), n_in=2, m_out=40)
+def test_amplifier_check_and_channel_solve_no_eigenproblem_that_grows_with_m(monkeypatch):
     shapes = []
     for name in ("eigvalsh", "eigh", "eig"):
         def recorded(a, *args, solve=getattr(np.linalg, name), **kwargs):
@@ -475,11 +514,16 @@ def test_amplifier_check_and_channel_solve_no_eigenproblem_above_two_by_two(monk
             return solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
-    circ, report = verify_circuit(profile, "amplifier")
-    channel_from_amplifier(circ, profile)
-    assert report["passed"]
-    # the CP margin comes from the 2 x 2 compressions onto span{v_1, v_M}
-    assert shapes and max(max(shape[-2:]) for shape in shapes) == 2, shapes
+    largest = []
+    for m in (40, 400):
+        profile, _ = random_optimal_profile(np.random.default_rng(37), n_in=2, m_out=m)
+        circ, report = verify_circuit(profile, "amplifier")
+        channel_from_amplifier(circ, profile)
+        assert report["passed"] and shapes
+        largest.append(max(max(shape[-2:]) for shape in shapes))
+        shapes.clear()
+    # the verdicts come from the cores over (s, v_1, kappa_1, v_M, f, 1)
+    assert largest == [6, 6], largest
 
 
 
@@ -523,10 +567,7 @@ def test_block_moments_match_dense_oracle():
     alpha = 0.8 - 0.3j
     for profile in profiles:
         st_amp, st_ff = _dense_output_states(profile, alpha)
-        amp_in = np.sqrt(profile.n_in) * alpha
-        s, block = build_interferometer(profile).moments()
         pairs = [
-            (_clone_state(s * amp_in, block), st_amp),
             (amplifier_output_state(build_interferometer(profile), profile, alpha), st_amp),
             (feedforward_output_state(feedforward_params(profile), profile.n_in, alpha), st_ff),
         ]
@@ -536,8 +577,12 @@ def test_block_moments_match_dense_oracle():
             assert np.max(np.abs(state.cov - dense.cov)) < tol
         report, dense_report = scheme_equivalence_check(profile), _dense_scheme_equivalence(profile)
         assert report["passed"] == dense_report["passed"]
-        for key in ("mean_discrepancy", "cov_discrepancy"):
-            assert abs(report[key] - dense_report[key]) < tol
+        assert abs(report["mean_discrepancy"] - dense_report["mean_discrepancy"]) < tol
+        # the covariance difference is a spectral norm, at rounding level of
+        # the size of its terms, about 2 n_tot, and no less than its entries
+        scale = _verdict_scales(profile)[2]
+        assert report["cov_discrepancy"] < 1e-12 * scale
+        assert dense_report["cov_discrepancy"] < report["cov_discrepancy"] + tol
 
 
 def _count_completions(monkeypatch):
@@ -686,6 +731,55 @@ def test_amplifier_check_matches_dense_path_at_rounding_level():
             assert abs(report[key] - dense[key]) < 1e-11 * scale, (profile, key)
         # B - P is 0 off span{v_1, v_M}, which is all of R^M only at M = 2
         assert report["cp_min_eigenvalue"] <= 0.0 or profile.m_out == 2
+
+
+def test_low_rank_verdicts_bound_the_dense_oracles_and_agree_with_them():
+    rng = np.random.default_rng(35)
+    profiles = [random_optimal_profile(rng, m_max=60)[0] for _ in range(100)]
+    profiles += [symmetric_profile(n, m) for m, n in ((2, 1), (3, 2), (13, 1), (40, 3))]
+    profiles += [load_circuit(str(path))[1] for path in sorted(FIXTURES.glob("*.amplifier.json"))]
+    for profile in profiles:
+        circ, report = verify_circuit(profile, "amplifier")
+        dense = _dense_amplifier_check(profile, circ.V, circ.kappa, circ.r)
+        scheme, dense_scheme = scheme_equivalence_check(profile), _dense_scheme_equivalence(profile)
+        assert report["passed"] == dense["passed"] and scheme["passed"] == dense_scheme["passed"]
+        # a spectral norm is no less than the largest entry; the oracles
+        # round at about M eps max|B| (see the test above)
+        tol = 1e-11 * max(1.0, float(np.max(np.abs(g_opt_matrix(profile)))))
+        assert report["g_opt_residual"] > dense["g_opt_residual"] - tol
+        assert scheme["cov_discrepancy"] > dense_scheme["cov_discrepancy"] - tol
+
+
+@pytest.mark.parametrize("field", ["g", "r", "t"])
+def test_a_circuit_off_by_1e_7_fails_the_low_rank_check_and_the_dense_oracle(monkeypatch, field):
+    # at N = 2, M = 30 the terms of B - G_opt have size 2 n_tot = 28, so the
+    # bound is 2.8e-8; the residual reads 3.1e-6, 7.9e-8 and 2.1e-7 for g, r
+    # and t, and the oracle's max-entry 1.2e-7, 8.5e-9 and 3.1e-8 against
+    # TOL max|B| = 1.6e-9
+    profile, _ = random_optimal_profile(np.random.default_rng(38), n_in=2, m_out=30)
+    clean = build_interferometer(profile)
+    bad = dataclasses.replace(clean, **{field: getattr(clean, field) * (1.0 + 1e-7)})
+    monkeypatch.setattr(circuits, "build_interferometer", lambda _: bad)
+    _, report = verify_circuit(profile, "amplifier")
+    # the oracle takes g and t from the design: hand it the perturbed ones
+    monkeypatch.setitem(globals(), "gain_and_transmittance", lambda _: (bad.g, bad.t))
+    dense = _dense_amplifier_check(profile, bad.V, bad.kappa, bad.r)
+    assert not within(report["g_opt_residual"], _verdict_scales(profile)[0])
+    g_max = float(np.max(np.abs(channel_from_amplifier(bad, profile).G)))
+    assert not within(dense["g_opt_residual"], g_max) and not dense["passed"]
+    assert report["g_opt_residual"] >= dense["g_opt_residual"]
+
+
+def test_feedforward_verification_memory_is_linear_in_m():
+    profile, _ = random_optimal_profile(np.random.default_rng(39), n_in=2, m_out=3000)
+    tracemalloc.start()
+    try:
+        _, report = verify_circuit(profile, "feedforward")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one M x M array of floats is 72 MB here; the check holds M x 5 ones
+    assert report["passed"] and peak <= 16e6, peak
 
 
 def test_amplifier_circuit_carries_the_tap_reflectance_of_its_live_columns():

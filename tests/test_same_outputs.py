@@ -38,15 +38,17 @@ def test_a_slice_run_twice_on_one_tree_gives_the_same_outputs():
 
 
 def test_compare_names_each_moved_key_with_its_largest_move():
-    steps = [["verify", "--circuit", "c.json"], ["solve"], ["tradeoff"]]
-    a = [{"code": 0, "stdout": '{"r": [1.0, 2.0], "s": "x"}\n', "stderr": "",
+    steps = [["verify", "--circuit", "c.json"], ["solve"], ["tradeoff"], ["synth"]]
+    a = [{"code": 0, "stdout": '{"r": [1.0, 2.0], "s": "x", "passed": true}\n', "stderr": "",
           "files": {"c.json": '{"v": 0.5}\n'}},
          {"code": 0, "stdout": "optimal n_M = 2.5e-32\n", "stderr": "", "files": {}},
-         {"code": 0, "stdout": "1,2\n", "stderr": "", "files": {}}]
+         {"code": 0, "stdout": "1,2\n", "stderr": "", "files": {}},
+         {"code": 0, "stdout": "", "stderr": '{"invariants": {"passed": true}}\n', "files": {}}]
     b = json.loads(json.dumps(a))
-    b[0]["stdout"] = '{"r": [1.0, 2.5], "s": "y"}\n'
+    b[0]["stdout"] = '{"r": [1.0, 2.5], "s": "y", "passed": true}\n'
     b[0]["files"]["c.json"] = '{"v": 0.25}\n'
     b[1].update(code=2, stdout="optimal n_M = 0\n")
+    b[3]["stderr"] = '{"invariants": {"passed": false}}\n'
     assert same_outputs.compare(steps, a, b) == [
         "[0] verify --circuit c.json",
         "  stdout: r[]: abs 0.5, scaled 0.2",
@@ -55,4 +57,9 @@ def test_compare_names_each_moved_key_with_its_largest_move():
         "[1] solve",
         "  exit 0 -> 2",
         "  stdout line 1: 'optimal n_M = 2.5e-32' -> 'optimal n_M = 0'",
+        "[3] synth",
+        "  stderr: invariants.passed: true -> false",
     ]
+    # one exit code and one passed value moved; the values of [0] did not count
+    assert same_outputs.verdict_moves(a, b) == (1, 1)
+    assert same_outputs.verdict_moves(a, a) == (0, 0)

@@ -18,9 +18,12 @@ bytes.
 The report lists each command whose outputs differ.  For JSON outputs it
 gives each differing key, with list indices folded into `[]`, and its
 largest absolute move |a - b| and scaled move |a - b| / max(|a|, |b|); other
-text gives its first differing line.  The exit status is 0 when nothing
-differs, 1 when something does and 2 on a usage error.  A parent commit's
-tree can be taken with `git archive <commit> | tar -x -C <dir>`.
+text gives its first differing line.  Its last line counts the commands
+that differ, and among them those whose exit code differs and those whose
+`passed` values, at any depth of their JSON outputs, differ.  The exit
+status is 0 when nothing differs, 1 when something does and 2 on a usage
+error.  A parent commit's tree can be taken with
+`git archive <commit> | tar -x -C <dir>`.
 
 Only the standard library is imported here; the child interpreters import
 numpy and gaussclone from the tree they run.
@@ -374,6 +377,30 @@ def compare(steps: list[list[str]], records_a: list[dict], records_b: list[dict]
     return report
 
 
+def _verdicts(record: dict) -> list:
+    """Every `passed` value, at any depth, of the JSON lines that `record`
+    printed or wrote, in a fixed order."""
+    found, docs = [], []
+    for text in (record["stdout"], record["stderr"], *record["files"].values()):
+        docs += _json_lines(text) or []
+    while docs:
+        doc = docs.pop()
+        if isinstance(doc, dict):
+            found += [doc["passed"]] if "passed" in doc else []
+            docs += doc.values()
+        elif isinstance(doc, list):
+            docs += doc
+    return found
+
+
+def verdict_moves(records_a: list[dict], records_b: list[dict]) -> tuple[int, int]:
+    """The numbers of steps whose exit code differs and whose `passed`
+    values differ."""
+    pairs = list(zip(records_a, records_b))
+    return (sum(a["code"] != b["code"] for a, b in pairs),
+            sum(_verdicts(a) != _verdicts(b) for a, b in pairs))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all((Path(t) / "src" / "gaussclone").is_dir() for t in argv):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -385,8 +412,9 @@ def main(argv: list[str]) -> int:
     report = compare(steps, records_a, records_b)
     print("\n".join(report))
     differ = sum(line.startswith("[") for line in report)
-    print(f"{differ} of {len(steps)} commands differ "
-          f"({time.perf_counter() - start:.1f} s for both trees)")
+    exits, verdicts = verdict_moves(records_a, records_b)
+    print(f"{differ} of {len(steps)} commands differ, {exits} in exit code and {verdicts} in "
+          f"a passed value ({time.perf_counter() - start:.1f} s for both trees)")
     return 1 if report else 0
 
 
