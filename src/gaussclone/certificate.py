@@ -21,13 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import within, xp_matrix
+from .core import TOL, within, xp_matrix
 from .design import CostWeights, NoiseProfile, require_on_surface
 
-# an odd scan trial whose cost bound is this close to the minimum gets eigvalsh
-SCAN_PRUNE_MARGIN = 1e-9
-# floor of the |Z| |A_opt| denominator, which only a degenerate design reaches
-SCALE_FLOOR = 1e-300
 # values per stacked block of the feasible scan; larger blocks gain little
 # speed and raise peak memory
 SCAN_BLOCK_VALUES = 2**14
@@ -167,7 +163,7 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
     z_scale = float(max(np.max(x), np.max(y_diag), -2.0 * math.ldexp(eta, 2 * e) * np.prod(u_hi)))
     b_off = np.abs(2.0 * np.array([np.prod(f_hi), np.prod(f_lo)]) - 1.0 / n)
     a_scale = float(max(np.max(b), np.max(b_off), 1.0 / n))
-    za_rel = za_max / max(z_scale * a_scale, SCALE_FLOOR)
+    za_rel = za_max / (z_scale * a_scale)
     # eig Z = eig(X + Y) and eig(X - Y).  X + Y = -2 eta v v^T >= 0 is
     # singular.  By interlacing, X - Y = 2X + 2 eta v v^T has M - 1
     # eigenvalues >= 2 min x, and one of the sign of eps: one Newton step of
@@ -205,12 +201,12 @@ def verify_certificate(problem: CertifiedProblem, cert: DualCertificate) -> dict
     }
 
 
-def _interlacing_bound(w: np.ndarray, u: np.ndarray, n_in: int) -> np.ndarray:
+def _interlacing_bound(q_diag: np.ndarray, w: np.ndarray, u: np.ndarray, n_in: int) -> np.ndarray:
     """Least eigenvalue of the 2 x 2 blocks of q + iK on rows {j, j + M}, an
     upper bound on lambda_min(q + iK) (see random_feasible_cost_scan), for
-    each q = (W + W^T) u of a stack of k x 2M x 2M draws W and k scales u."""
+    each q = (W + W^T) u of a stack of k x 2M x 2M draws W and k scales u,
+    whose k x 2M diagonals q_diag are given."""
     m = w.shape[-1] // 2
-    q_diag = 2.0 * np.diagonal(w, axis1=1, axis2=2) * u[:, None]
     a, e = q_diag[:, :m], q_diag[:, m:]
     b = (np.diagonal(w, m, 1, 2) + np.diagonal(w, -m, 1, 2)) * u[:, None]
     c2 = (1.0 - 1.0 / n_in) ** 2
@@ -246,8 +242,8 @@ def random_feasible_cost_scan(
     Cauchy interlacing mu is at most the least of them, which bounds the
     cost from below.  In each block the even trials are costed first, and
     only odd trials whose bound comes within a rounding margin of the
-    running minimum reach eigvalsh.  The margin is SCAN_PRUNE_MARGIN times a
-    bound on the size of the cost's terms, far above the rounding of either side,
+    running minimum reach eigvalsh.  The margin is core.TOL times a bound on
+    the size of the cost's terms, far above the rounding of either side,
     so a trial left out costs more than the minimum, and min_cost is the
     number the full evaluation gives.
     """
@@ -282,10 +278,10 @@ def random_feasible_cost_scan(
 
         w_odd, u_odd = w[odd], 0.5 + 2.5 * u[odd]
         q_diag = 2.0 * np.diagonal(w_odd, axis1=1, axis2=2) * u_odd[:, None]
-        shift = np.maximum(0.0, -_interlacing_bound(w_odd, u_odd, p.n_in))
+        shift = np.maximum(0.0, -_interlacing_bound(q_diag, w_odd, u_odd, p.n_in))
         bound = q_diag @ diag_weights + shift * weight_sum
         q_norm = 2.0 * u_odd * np.sqrt(np.sum(squares[odd], axis=1)) + p_norm
-        margin = SCAN_PRUNE_MARGIN * (np.abs(q_diag) @ diag_weights + q_norm * weight_sum)
+        margin = TOL * (np.abs(q_diag) @ diag_weights + q_norm * weight_sum)
         live = bound <= threshold + margin
         if live.any():
             if ik is None:

@@ -19,6 +19,7 @@ from gaussclone import (
 from gaussclone import certificate
 from gaussclone.certificate import CertifiedProblem, extremal_equation_residual, k_matrix
 from gaussclone.circuits import g_opt_matrix, noise_gram_matrix
+from gaussclone.design import residual
 
 from conftest import a_opt_matrix, random_optimal_profile
 
@@ -417,7 +418,7 @@ def test_certificate_is_exact_under_a_power_of_two_scale_of_the_weights():
             assert scaled_report["duality_gap"] == np.ldexp(report["duality_gap"], j)
 
 
-@pytest.mark.parametrize("j", [-600, -200, -40, 0, 40, 600])
+@pytest.mark.parametrize("j", [-1010, -600, -200, -40, 0, 40, 600, 1000])
 def test_verdicts_fail_a_wrong_certificate_at_every_weight_scale(j):
     # the extremality check, the duality gap, min_eig_z and the scan pairing
     # carry the size of the weights and are held to TOL in that size: with
@@ -429,6 +430,17 @@ def test_verdicts_fail_a_wrong_certificate_at_every_weight_scale(j):
     assert verify_certificate(problem, cert)["passed"]
     halved = dataclasses.replace(cert, dual_bound=cert.dual_bound / 2)
     assert not verify_certificate(problem, halved)["passed"]
+    # v moved by 1e-6 max v orthogonally to f keeps f^T v, so only the
+    # annihilation check sees it; with its denominator floored at 1e-300
+    # it read 3.7e-10 at j = -1010 instead of 3.6e-7, and passed
+    f = np.sqrt(profile.noises)
+    d = np.array([1.0, -1.0, 0.5])
+    d -= (d @ f) / (f @ f) * f
+    tampered = dataclasses.replace(cert, v=cert.v + 1e-6 * np.max(cert.v) * d / np.max(np.abs(d)))
+    report = verify_certificate(problem, tampered)
+    assert report["normalization_residual"] < 1e-15
+    assert report["z_annihilates_a_rel"] == pytest.approx(3.62e-7, rel=1e-3)
+    assert not report["passed"]
     with pytest.raises(ValueError, match="not extremal"):
         build_problem(profile, CostWeights(w.weights * 1.001, w.lagrange))
     rng = np.random.default_rng(41)
@@ -520,7 +532,8 @@ def test_certificate_passes_with_one_huge_weight(m_out, index, weight):
 
 
 def test_certificate_at_large_m():
-    """Certificates pass at M up to 1e5 from O(M) memory."""
+    """Certificates pass at M up to 1e5 from O(M) memory, and each residual
+    stays at rounding level of its verdict's scale."""
     rng = np.random.default_rng(42)
     for m_out in (10**3, 10**4, 10**5):
         for n_in in (1, 3):
@@ -536,3 +549,18 @@ def test_certificate_at_large_m():
             assert report["passed"], (m_out, n_in, report)
             if m_out == 10**4:
                 assert peak < 2 * 2**20
+            # largest seen, as a fraction of each verdict's scale (TOL is
+            # 1e-9): Z A_opt 1.5e-11 at M = 10^5, N = 1, which grows by
+            # about M eps; min_eig_z 3.4e-13 of max|Z| at M = 10^4, N = 3;
+            # the duality gap 3.6e-17, the normalization 1.5e-16 and the
+            # surface residual 3.8e-16
+            s2 = float(np.sum(np.sqrt(profile.noises))) ** 2
+            eps_scale = max(1.0, s2 / (m_out - n_in))
+            x, v, eta = cert.x, cert.v, cert.eta
+            v_hi = np.sort(v)[-2:]
+            z_scale = max(np.max(x), np.max(np.abs(x + 2 * eta * v * v)), -2 * eta * np.prod(v_hi))
+            assert report["z_annihilates_a_rel"] < 1e-15 * m_out
+            assert -report["min_eig_z"] < 1e-15 * m_out * z_scale
+            assert report["duality_gap"] < 1e-15 * abs(report["matrix_cost"]) * eps_scale
+            assert report["normalization_residual"] < 1e-15 * eps_scale
+            assert abs(residual(profile)) < 1e-15 * max(1.0, s2)

@@ -725,7 +725,7 @@ def test_amplifier_check_matches_dense_path_at_rounding_level():
         # M x M eigvalsh in the oracle, which rounds at about M eps max|B|:
         # the largest moves, 5.2e-12 and 3.1e-12 of max(1, max|B|), are at
         # N = 43, M = 49, where the oracle reads a CP margin of -6.0e-12 and
-        # a G_opt residual of 3.6e-12 and this check -5.0e-16 and 2.2e-16
+        # a G_opt residual of 3.6e-12 and this check -8.2e-17 and 7.4e-16
         scale = max(1.0, float(np.max(np.abs(g_opt_matrix(profile)))))
         for key in moved:
             assert abs(report[key] - dense[key]) < 1e-11 * scale, (profile, key)

@@ -87,7 +87,7 @@ def test_interlacing_bound_bounds_the_shifted_trial(m_out, n_in, scale, seed):
     q = (w + w.T) * scale
     a = q + 1j * k_matrix(n_in, m_out)
     mu = np.linalg.eigvalsh(a)[0]
-    block_min = _interlacing_bound(w[None], np.array([scale]), n_in)[0]
+    block_min = _interlacing_bound(np.diag(q)[None], w[None], np.array([scale]), n_in)[0]
     rounding = 1e-12 * np.linalg.norm(a, 2)
     blocks = [np.ix_([j, j + m_out], [j, j + m_out]) for j in range(m_out)]
     assert block_min == pytest.approx(min(np.linalg.eigvalsh(a[b])[0] for b in blocks), abs=rounding)

@@ -8,12 +8,12 @@ fresh interpreter, which runs the whole corpus in-process in a scratch
 directory of its own.  The corpus covers the CLI (design, synth, verify,
 certify, simulate, solve, tradeoff, their error and usage paths), the
 documents in `tests/fixtures` and one with V completed otherwise, designs
-with an exact zero-noise clone, a sample CSV large enough to be formatted
-on forked processes, and the demos of each tree.  For every
-command the exit code, stdout, stderr and every file it wrote are
-recorded.  The inputs (fixtures and hand-written or edited documents) come
-from the checkout that holds this script, so both trees read the same
-bytes.
+with an exact zero-noise clone, one with weights near 1e-305, a sample CSV
+large enough to be formatted on forked processes, and the demos of each
+tree.  For every command the exit code, stdout, stderr and every file it
+wrote are recorded.  The inputs (fixtures and hand-written or edited
+documents) come from the checkout that holds this script, so both trees
+read the same bytes.
 
 The report lists each command whose outputs differ.  For JSON outputs it
 gives each differing key, with list indices folded into `[]`, and its
@@ -160,6 +160,11 @@ def corpus() -> list[list[str]]:
         ["simulate", "--circuit", "sym-1-2.ff.json", "--alpha", "1,2,3", "--shots", "10"],
         # V completed otherwise than by Gram-Schmidt: the same circuit
         ["verify", "--circuit", "rotated.amplifier.json"],
+        # weights near the bottom of the normal doubles, whose certificate
+        # scale max|Z| max|A_opt| is about 1e-304
+        ["design", "--weights", "1e-305,2e-305,3e-305,1.5e-305", "--n-in", "1", "--m-out", "4",
+         "--out", "tiny.design.json"],
+        ["certify", "--design", "tiny.design.json", "--trials", "20", "--seed", "1"],
     ]
     steps += [["@demo", name] for name in DEMOS]
     return steps
