@@ -124,6 +124,8 @@ def build_certificate(problem: CertifiedProblem) -> DualCertificate:
     n = p.n_in
     trace_y = -float(np.sum(x + 2.0 * eta * v * v))
     dual_bound = -2.0 * (1.0 - 1.0 / n) * trace_y - 8.0 * math.ldexp(eta, 2 * e) * pairs / n
+    if not np.isfinite(np.append(v, [eta, dual_bound])).all():
+        raise ValueError(f"no finite certificate at weights of scale {np.max(x):.3g}")
     return DualCertificate(x=x, v=v, eta=eta, dual_bound=dual_bound)
 
 

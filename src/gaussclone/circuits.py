@@ -17,11 +17,12 @@ M x M block repeated in the x and p quadratures: the amplifier's channel is
 S = blkdiag(s, s) and G = blkdiag(B, B).  Only two input ports of the
 interferometer carry light, the signal column v_1 and the amplifier-noise
 column v_M of V, so s and B follow from those two columns alone.
-`AmplifierCircuit` holds t, g, r and those two columns, and completes V from
-them on first use.  Every block that `verify_circuit` checks, B, B +- P, the
-target I + 2F - H/N and the feedforward I + 2 gamma gamma^T, is the identity
-plus at most six rank-one terms in s, v_1, kappa_1, v_M, f = sqrt(n) and 1,
-so each verdict is the exact spectrum of a small core (`low_rank_spectra`).
+`AmplifierCircuit` holds t, g, r and those two columns; on first use it
+completes V by batched 4 x 2 QRs on a tree of row blocks.  Every block that
+`verify_circuit` checks, B, B +- P, the target I + 2F - H/N and the
+feedforward I + 2 gamma gamma^T, is the identity plus at most six rank-one
+terms in s, v_1, kappa_1, v_M, f = sqrt(n) and 1, so each verdict is the
+exact spectrum of a small core (`low_rank_spectra`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (GaussianChannel, GaussianState, frozen, quadrature_mean, read
                    xp_matrix)
 from .design import NoiseProfile, OffSurfaceError, require_on_surface
 
-# a completion candidate keeping no more than this fraction of its norm is skipped
+# v_1 is e_j, not lack's direction, when lack keeps no more than this fraction off v_M
 COMPLETION_SKIP = 1e-8
 # input amplitude at which scheme_equivalence_check compares the two schemes
 EQUIVALENCE_ALPHA = 0.8 - 0.3j
@@ -83,8 +84,8 @@ class AmplifierCircuit:
     columns v_sig = v_1 and v_noise = v_M of the interferometer V, the only
     two of its input ports that carry light.  V and the auxiliary-mode
     coefficients kappa are built from them once, on first access, read-only.
-    V[:, :M-1] is lower Hessenberg: its columns 2 to M - 1 hold exact zeros
-    above the first superdiagonal, and so do kappa's."""
+    V's columns 2 to M - 1, which kappa shares, each hold exact zeros off
+    one block of a tree of contiguous rows (`_block_tree_completion`)."""
 
     t: float
     g: float
@@ -98,10 +99,7 @@ class AmplifierCircuit:
     @functools.cached_property
     def V(self) -> np.ndarray:
         """V in circuit order (b_1, ..., b_{M-1}, a_out): v_sig, the completion, v_noise."""
-        m = self.v_sig.size
-        cols = np.empty((m, m))
-        cols[:, 0], cols[:, 1] = self.v_noise, self.v_sig
-        return frozen(np.roll(_complete_columns(cols, 2), -1, axis=1))
+        return frozen(_block_tree_completion(np.column_stack([self.v_sig, self.v_noise])))
 
     @functools.cached_property
     def kappa(self) -> np.ndarray:
@@ -149,29 +147,35 @@ def gain_and_transmittance(profile: NoiseProfile) -> tuple[float, float]:
     return g, min(t, 1.0)
 
 
-def _complete_columns(cols: np.ndarray, k: int) -> np.ndarray:
-    """Fill the columns of `cols` after its orthonormal first k by
-    Gram-Schmidt over the canonical basis in order: e_j is kept when more
-    than COMPLETION_SKIP of it is left after projecting it off the columns C
-    accepted so far, and C^T e_j is row j of C.
-
-    In exact arithmetic the accepted columns span e_0, ..., e_{j-1} by the
-    time e_j is taken, so what is left of e_j is zero on the rows above j:
-    it is projected on rows j and below only, and the rows above are exact
-    zeros."""
-    for j in range(cols.shape[0]):
-        if k == cols.shape[1]:
-            break
-        # rows j and below of e_j - C C[j, :]; 0 - x rather than -x leaves
-        # no negative zeros, as e_j - x does
-        rest = 0.0 - cols[j:, :k] @ cols[j, :k]
-        rest[0] += 1.0
-        norm = math.sqrt(rest @ rest)
-        if norm > COMPLETION_SKIP:
-            cols[:j, k] = 0.0
-            cols[j:, k] = rest / norm
-            k += 1
-    return cols
+def _block_tree_completion(live: np.ndarray) -> np.ndarray:
+    """The orthogonal V = [v_sig, completion, v_noise] of the orthonormal
+    M x 2 `live` = [v_sig v_noise], each completion column zero off one block
+    of a tree of contiguous rows.  Leaves are pairs of rows with basis I and,
+    when M is odd, the last three rows, whose basis and column are the
+    complete QR of `live` on them.  Each level merges the blocks in pairs (an
+    odd last one passes up) by one batched complete QR of each pair's 4 x 2
+    c = blkdiag(B_L, B_R)^T live, held as stacked R factors; blkdiag(B_L, B_R) Q
+    holds the merged basis and two columns.  Householder QR puts range(c) in
+    span Q[:, :2] at any rank: no rank is decided, and V is orthogonal to rounding."""
+    m = live.shape[0]
+    cols, k = np.zeros((m, m - 2)), m % 2
+    block = np.minimum(np.arange(m) // 2, m // 2 - 1)
+    basis = np.eye(2)[np.arange(m) % 2]
+    red = live[: m - k].reshape(m // 2, 2, 2).copy()
+    if k:
+        q, r = np.linalg.qr(live[-3:], mode="complete")
+        basis[-3:], red[-1], cols[-3:, 0] = q[:, :2], r[:2], q[:, 2]
+    while len(red) > 1:
+        pairs = len(red) // 2
+        q, r = np.linalg.qr(red[: 2 * pairs].reshape(pairs, 4, 2), mode="complete")
+        rows = np.arange(np.searchsorted(block, 2 * pairs))
+        # row i, on side s of pair p, takes rows 2s and 2s + 1 of that pair's Q
+        side = q.reshape(pairs, 2, 2, 4)[block[rows] // 2, block[rows] % 2]
+        new = basis[rows, :1] * side[:, 0] + basis[rows, 1:] * side[:, 1]
+        basis[rows], first = new[:, :2], k + block[rows] // 2 * 2
+        cols[rows, first], cols[rows, first + 1] = new[:, 2], new[:, 3]
+        red, block, k = np.concatenate([r[:, :2], red[2 * pairs :]]), block // 2, k + 2 * pairs
+    return np.column_stack([live[:, 0], cols + 0.0, live[:, 1]])  # -0.0 + 0.0 is +0.0
 
 
 def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
@@ -195,8 +199,12 @@ def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
     norm = np.linalg.norm(rest)
     if norm > COMPLETION_SKIP * np.linalg.norm(lack):
         cols[:, 1] = rest / norm
-    else:
-        _complete_columns(cols, 1)
+    else:  # the first e_j keeping more than COMPLETION_SKIP off v_M, 0 above row j
+        for j in range(m):  # rows j and below of e_j - v_M v_M[j]; 0 - x is never -0.0
+            rest = np.r_[1.0 - cols[j, 0] ** 2, 0.0 - cols[j + 1 :, 0] * cols[j, 0]]
+            if (norm := math.sqrt(rest @ rest)) > COMPLETION_SKIP:
+                cols[:j, 1], cols[j:, 1] = 0.0, rest / norm
+                break
     r = float(cols[:, 1] @ lack) / sqrt_n
     return AmplifierCircuit(t, g, r, cols[:, 1], cols[:, 0])
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -313,47 +314,78 @@ def test_feedforward_output_matches_clone_target():
     assert np.allclose(out.mean, target.mean, atol=1e-12)
 
 
-# -- oracles: the dense composition and the Gram-Schmidt loop ----------------
+# -- oracles: the dense composition and the per-node completion tree ---------
 
 
-def _gram_schmidt_loop(fixed_cols, dim):
-    """Modified Gram-Schmidt completion of `fixed_cols` over the canonical
-    basis, skipping basis vectors with less than 1e-8 left, and the number
-    of basis vectors skipped."""
-    cols = [c / np.linalg.norm(c) for c in fixed_cols]
-    skipped = 0
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        v = np.zeros(dim)
-        v[i] = 1.0
-        for c in cols:
-            v -= (c @ v) * c
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:
-            skipped += 1
-            continue
-        cols.append(v / norm)
-    return np.column_stack(cols), skipped
-
-
-def _loop_interferometer(profile):
-    """V and kappa built with r = sqrt(1 - t^2) on two branches: the signal
-    column lack / (r sqrt(N)) for r > 1e-9, none at the symmetric point."""
+def _loop_live_columns(profile):
+    """v_1, v_M and the tap reflectance r = sqrt(1 - t^2), derived on two
+    branches: v_1 is lack / (r sqrt(N)) for r > 1e-9, and otherwise the
+    first canonical basis vector with 1e-8 or more left off v_M."""
     g, t = gain_and_transmittance(profile)
-    m, sqrt_n = profile.m_out, np.sqrt(profile.n_in)
+    sqrt_n = np.sqrt(profile.n_in)
     r = np.sqrt(max(0.0, 1.0 - t * t))
     col_noise = np.sqrt(profile.noises / profile.n_tot)
     if r > 1e-9:
         col_sig = (1.0 - col_noise * g * t * sqrt_n) / (r * sqrt_n)
-        ordered, skipped = _gram_schmidt_loop([col_sig, col_noise], m)
-        v = np.column_stack([ordered[:, 0], ordered[:, 2:], ordered[:, 1]])
-    else:
-        ordered, skipped = _gram_schmidt_loop([col_noise], m)
-        v = np.roll(ordered, -1, axis=1)
-    kappa = v[:, : m - 1].copy()
-    kappa[:, 0] = v[:, 0] * t - v[:, m - 1] * g * r
-    return v, kappa, skipped
+    col_noise = col_noise / np.linalg.norm(col_noise)
+    if r <= 1e-9:
+        for col_sig in np.eye(profile.m_out):
+            col_sig = col_sig - (col_noise @ col_sig) * col_noise
+            if np.linalg.norm(col_sig) >= 1e-8:
+                break
+    return col_sig / np.linalg.norm(col_sig), col_noise, r
+
+
+def _completion_tree(m):
+    """The completion tree of M rows, built level by level: a leaf is a block
+    (lo, hi) of two rows, or of the last three when M is odd, and a merge of
+    neighbouring nodes at level l is (l, left, right); an odd last node
+    passes up to the next level."""
+    nodes = [(2 * b, 2 * b + 2) for b in range(m // 2 - 1)] + [(m // 2 * 2 - 2, m)]
+    level = 0
+    while len(nodes) > 1:
+        level += 1
+        pairs = [(level, nodes[i], nodes[i + 1]) for i in range(0, len(nodes) - 1, 2)]
+        nodes = pairs + nodes[2 * len(pairs) :]
+    return nodes[0]
+
+
+def _node_completion(node, live, out):
+    """The rows (lo, hi) of `node` and its basis B, which holds live[lo:hi]
+    in its range; appends (level, lo, hi, columns) to `out` for the columns
+    the node completes, from dense products and one QR per node."""
+    if len(node) == 2:
+        lo, hi = node
+        if hi - lo == 2:
+            return lo, hi, np.eye(2)
+        q = np.linalg.qr(live[lo:hi], mode="complete")[0]
+        out.append((0, lo, hi, q[:, 2:]))
+        return lo, hi, q[:, :2]
+    level, left, right = node
+    lo, mid, b_left = _node_completion(left, live, out)
+    _, hi, b_right = _node_completion(right, live, out)
+    b = np.zeros((hi - lo, 4))
+    b[: mid - lo, :2], b[mid - lo :, 2:] = b_left, b_right
+    q = np.linalg.qr(b.T @ live[lo:hi], mode="complete")[0]
+    out.append((level, lo, hi, b @ q[:, 2:]))
+    return lo, hi, b @ q[:, :2]
+
+
+def _tree_interferometer(circ):
+    """V of `circ` completed node by node on the completion tree, its columns
+    taken level by level and left to right, and the rows (lo, hi) of the
+    tree block of each of V's columns 2 to M - 1."""
+    m = circ.v_sig.size
+    out = []
+    _node_completion(_completion_tree(m), np.column_stack([circ.v_sig, circ.v_noise]), out)
+    out.sort(key=lambda node: node[:2])
+    v, blocks = np.zeros((m, m)), []
+    v[:, 0], v[:, -1] = circ.v_sig, circ.v_noise
+    for _, lo, hi, cols in out:
+        for col in cols.T:
+            blocks.append((lo, hi))
+            v[lo:hi, len(blocks)] = col
+    return v, blocks
 
 
 def _dense_channel(circ, profile):
@@ -393,15 +425,19 @@ def test_structured_circuit_matches_oracles():
     rng = np.random.default_rng(31)
     profiles = [random_optimal_profile(rng, m_max=40)[0] for _ in range(200)]
     profiles += [load_circuit(str(path))[1] for path in sorted(FIXTURES.glob("*.amplifier.json"))]
-    skips = 0
+    canonical = 0
     for profile in profiles:
-        circ = build_interferometer(profile)
-        v, kappa, skipped = _loop_interferometer(profile)
-        skips += skipped > 0
-        # both completions lose orthogonality on nearly dependent basis
-        # vectors, the loop by up to 2.4e-12 on these designs
-        assert np.max(np.abs(circ.V - v)) < 1e-11
-        assert np.max(np.abs(circ.kappa - kappa)) < 1e-11
+        circ, m = build_interferometer(profile), profile.m_out
+        v_1, v_m, r = _loop_live_columns(profile)
+        canonical += r <= 1e-9
+        assert np.max(np.abs(circ.V[:, 0] - v_1)) < 1e-11
+        assert np.max(np.abs(circ.V[:, -1] - v_m)) < 1e-11
+        assert np.max(np.abs(circ.kappa[:, 0] - (v_1 * circ.t - v_m * circ.g * r))) < 1e-11
+        # the batched levels and the per-node products differ by rounding:
+        # at most 8.9e-16 on these designs
+        v, _ = _tree_interferometer(circ)
+        assert np.max(np.abs(circ.V - v)) < 1e-13
+        assert np.max(np.abs(circ.kappa[:, 1:] - v[:, 1 : m - 1]), initial=0.0) < 1e-13
         ch = channel_from_amplifier(circ, profile)
         dense = _dense_channel(circ, profile)
         assert np.max(np.abs(ch.S - dense.S)) < 1e-12
@@ -409,8 +445,8 @@ def test_structured_circuit_matches_oracles():
         _, report = verify_circuit(profile, "amplifier")
         scale = max(1.0, np.max(np.abs(ch.G)))
         assert abs(report["cp_min_eigenvalue"] - cp_min_eigenvalue(ch)) < 1e-12 * scale
-    # the loop skips a basis vector in the fixture gs_skip_1to6 at least
-    assert skips >= 1
+    # the fixture symmetric_1to3 at least takes v_1 from the canonical basis
+    assert canonical >= 1
 
 
 def test_verify_circuit_passes_on_symmetric_and_near_symmetric_designs():
@@ -457,8 +493,8 @@ def test_verify_circuit_accuracy_at_large_m():
             _, ff = verify_circuit(profile, "feedforward")
             assert amp["passed"] and ff["passed"]
             # largest seen, all at N = 1, as a fraction of the terms' size
-            # (TOL is 1e-9): V^T V 1.7e-12 and kappa kappa^T 2.3e-12 at
-            # M = 500, of terms of size 1; B - G_opt 1.5e-10 of terms of size
+            # (TOL is 1e-9): V^T V 1.0e-15 and kappa kappa^T 1.5e-13 at
+            # M = 1000, of terms of size 1; B - G_opt 1.5e-10 of terms of size
             # 2 n_tot, about 2000, at M = 1000, so 7.6e-14; the scheme
             # discrepancy 7.2e-14 there; the CP margin -4.5e-11 at M = 500,
             # where t^2 + r^2 misses 1 by 1.2e-13 and the terms of B +- P
@@ -586,16 +622,15 @@ def test_block_moments_match_dense_oracle():
 
 
 def _count_completions(monkeypatch):
-    """The list to which every completion of V, a `_complete_columns` call
-    that starts from two columns, appends its size M from now on."""
-    completions, complete = [], circuits._complete_columns
+    """The list to which every completion of V, a `_block_tree_completion`
+    call, appends its size M from now on."""
+    completions, complete = [], circuits._block_tree_completion
 
-    def counted(cols, k):
-        if k == 2:
-            completions.append(cols.shape[0])
-        return complete(cols, k)
+    def counted(live):
+        completions.append(live.shape[0])
+        return complete(live)
 
-    monkeypatch.setattr(circuits, "_complete_columns", counted)
+    monkeypatch.setattr(circuits, "_block_tree_completion", counted)
     return completions
 
 
@@ -645,33 +680,6 @@ def test_verify_of_an_amplifier_document_completes_no_v(monkeypatch, tmp_path):
     assert completions == [40]
     assert main(["verify", "--circuit", circuit]) == 0
     assert completions == [40]
-
-
-def _full_projection_interferometer(profile):
-    """V and kappa as built with the Gram-Schmidt projections v - C (C^T v)
-    on every row, and the canonical basis index that each completion column
-    V[:, 1], ..., V[:, M - 2] was taken from."""
-    g, t = gain_and_transmittance(profile)
-    m, sqrt_n = profile.m_out, np.sqrt(profile.n_in)
-    col_noise = np.sqrt(profile.noises / profile.n_tot)
-    lack = 1.0 - g * t * sqrt_n * col_noise
-    cols = np.empty((m, m))
-    cols[:, 0] = col_noise / np.linalg.norm(col_noise)
-    k, sources = 1, []
-    for j, cand in enumerate([lack, *np.eye(m)]):
-        if k == m:
-            break
-        rest = cand - cols[:, :k] @ (cols[:, :k].T @ cand)
-        norm = np.linalg.norm(rest)
-        if norm > 1e-8 * np.linalg.norm(cand):
-            cols[:, k] = rest / norm
-            k += 1
-            sources.append(j - 1)
-    v = np.roll(cols, -1, axis=1)
-    r = float(v[:, 0] @ lack) / sqrt_n
-    kappa = v[:, : m - 1].copy()
-    kappa[:, 0] = v[:, 0] * t - v[:, m - 1] * g * r
-    return v, kappa, sources[1:]
 
 
 def _dense_amplifier_check(profile, v, kappa, r):
@@ -813,7 +821,7 @@ def _extreme_weight_profiles():
     return profiles
 
 
-def test_interferometer_is_lower_hessenberg_outside_the_noise_column():
+def test_interferometer_completion_is_a_block_tree():
     rng = np.random.default_rng(35)
     profiles = [random_optimal_profile(rng, m_max=60)[0] for _ in range(100)]
     profiles += [symmetric_profile(n, m) for m in range(2, 31) for n in range(1, m)]
@@ -822,19 +830,38 @@ def test_interferometer_is_lower_hessenberg_outside_the_noise_column():
     for profile in profiles:
         circ = build_interferometer(profile)
         m = profile.m_out
-        # the completion columns V[:, k], 1 <= k <= M - 2, are zero above
-        # row k - 1, and kappa shares them
+        # each completion column V[:, k], 1 <= k <= M - 2, is zero off the
+        # rows of its tree block, and kappa shares them bit for bit
         middle = circ.V[:, 1 : m - 1]
-        assert not np.triu(middle, 1).any()
-        assert not np.triu(circ.kappa[:, 1:], 1).any()
+        _, blocks = _tree_interferometer(circ)
+        assert len(blocks) == m - 2
+        for col, (lo, hi) in zip(middle.T, blocks):
+            assert not col[:lo].any() and not col[hi:].any()
+        assert circ.kappa[:, 1:].tobytes() == middle.tobytes()
+        # 2M nonzeros at most per level of the tree, and the two live columns
+        assert np.count_nonzero(circ.V) <= 2 * m * math.ceil(math.log2(m)) + 2 * m
         # and no zero is negative, which a document would write as -0.0
         assert not np.signbit(circ.V[circ.V == 0.0]).any()
         assert not np.signbit(circ.kappa[circ.kappa == 0.0]).any()
-        # each starts on the row of the basis vector it was taken from
-        v, kappa, sources = _full_projection_interferometer(profile)
-        assert [int(np.flatnonzero(col)[0]) for col in middle.T] == sources
-        # the full projection differs by rounding: at most 1.7e-12 on these
-        # designs, 6.3e-12 on random designs with M < 80
-        assert np.max(np.abs(circ.V - v)) < 1e-11
-        assert np.max(np.abs(circ.kappa - kappa)) < 1e-11
-        assert np.max(np.abs(circ.V.T @ circ.V - np.eye(m))) < 1e-10
+        # the completion is orthogonal to rounding, to itself and to the live
+        # columns: at most 4.0e-15 on these designs (v_1 and v_M, which the
+        # completion does not touch, reach 1.1e-14 in their own norms)
+        gram = circ.V.T @ circ.V - np.eye(m)
+        assert np.max(np.abs(gram[1 : m - 1]), initial=0.0) <= 1e-14
+
+
+def test_completion_of_live_columns_with_zero_blocks_has_no_negative_zero():
+    # where both live columns vanish on a whole block, its rows get a zero
+    # basis, and at the next level 0 * x summed over negative x is -0.0,
+    # which a document would write as -0.0
+    rng = np.random.default_rng(38)
+    for m, rows in ((8, [0, 1, 4, 5]), (9, [0, 1, 4, 5, 8])):
+        for _ in range(20):
+            live = np.zeros((m, 2))
+            live[rows] = np.linalg.qr(rng.standard_normal((len(rows), 2)))[0]
+            circ = AmplifierCircuit(1.0, 1.0, 0.0, live[:, 0], live[:, 1])
+            v = circ.V
+            assert not np.signbit(v[v == 0.0]).any()
+            assert np.max(np.abs(v.T @ v - np.eye(m))) <= 1e-14
+            for col, (lo, hi) in zip(v[:, 1 : m - 1].T, _tree_interferometer(circ)[1]):
+                assert not col[:lo].any() and not col[hi:].any()

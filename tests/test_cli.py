@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -313,7 +314,7 @@ def test_synth_verify_cycle(capsys, tmp_path):
         assert code == 0
 
 
-def test_amplifier_document_stores_exact_zeros_above_the_band(capsys, tmp_path):
+def test_amplifier_document_stores_exact_zeros_off_the_tree_blocks(capsys, tmp_path):
     m = 200
     weights = ",".join(repr(float(w)) for w in np.random.default_rng(41).uniform(0.1, 10.0, m))
     design, circuit = tmp_path / "design.json", tmp_path / "circ.json"
@@ -323,20 +324,39 @@ def test_amplifier_document_stores_exact_zeros_above_the_band(capsys, tmp_path):
         capsys, "synth", "--design", str(design), "--scheme", "amplifier", "--out", str(circuit)
     )
     assert code == 0
-    params = json.loads(circuit.read_text())["parameters"]
+    text = circuit.read_text()
+    params = json.loads(text)["parameters"]
     assert len(params["V"]) == m * m and len(params["kappa"]) == m * (m - 1)
-    # V[:, 1:M-1] and kappa[:, 1:] are zero above their first superdiagonal:
-    # (M - 2)(M - 3)/2 entries each, written as 0.0
-    above = (m - 2) * (m - 3) // 2
-    v = np.array(params["V"]).reshape(m, m)
-    kappa = np.array(params["kappa"]).reshape(m, m - 1)
-    assert np.count_nonzero(np.triu(v[:, 1 : m - 1], 1)) == 0
-    assert np.count_nonzero(np.triu(kappa[:, 1:], 1)) == 0
-    assert params["V"].count(0.0) >= above and params["kappa"].count(0.0) >= above
-    assert circuit.stat().st_size < 1.2e6
+    # each completion column of V, and of kappa, is zero off its tree block:
+    # 92% of the entries here, all written as 0.0, none as -0.0
+    assert params["V"].count(0.0) >= 0.9 * m * m
+    assert params["kappa"].count(0.0) >= 0.9 * m * (m - 1)
+    assert re.search(r"-0\.0[,\]]", text) is None
+    assert circuit.stat().st_size < 0.6e6
     code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
     report = json.loads(stdout)
     assert code == 0 and report["passed"] and report["parameter_residual"] == 0.0
+
+
+def test_synth_and_verify_pass_the_design_whose_gram_schmidt_completion_failed(capsys, tmp_path):
+    # N = 1, M = 50, the weights of design 4 of timed round 79 of the
+    # pipeline-large-m benchmark at seed 116, drawn uniform in [0.1, 10] from
+    # default_rng(116).  A Gram-Schmidt completion of V kept a candidate with
+    # little of it left, and synth refused its own V: unitarity residual 6.1e-10
+    stored = (FIXTURES / "designs" / "seed116_1to50.design.json").read_text()
+    design, circuit = tmp_path / "design.json", tmp_path / "circ.json"
+    weights = ",".join(map(repr, json.loads(stored)["weights"]))
+    run_cli(capsys, "design", "--weights", weights, "--n-in", "1", "--m-out", "50",
+            "--out", str(design))
+    assert design.read_text() == stored
+    code, _, stderr = run_cli(
+        capsys, "synth", "--design", str(design), "--scheme", "amplifier", "--out", str(circuit)
+    )
+    invariants = json.loads(stderr)["invariants"]
+    assert code == 0 and invariants["passed"] and invariants["unitarity_residual"] <= 1e-14
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+    report = json.loads(stdout)
+    assert code == 0 and report["passed"] and report["unitarity_residual"] <= 1e-14
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
@@ -757,6 +777,19 @@ def test_certify_command(capsys, tmp_path):
     assert report["certificate"]["passed"]
     assert report["certificate"]["duality_gap"] < 1e-10
     assert report["feasible_scan"]["passed"]
+
+
+def test_certify_refuses_weights_whose_certificate_overflows(capsys, tmp_path):
+    # at subnormal weights eta = 1 / (lambda (M - N)) overflows: the report
+    # held NaN and Infinity, which are not JSON, and certify exited 3
+    design = tmp_path / "design.json"
+    argv = ["--weights", "1e-322,2e-322,3e-322", "--n-in", "1", "--m-out", "3"]
+    assert run_cli(capsys, "design", *argv, "--out", str(design))[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(capsys, "certify", "--design", str(design), "--trials", "20")
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: no finite certificate at weights of scale 3.01e-322"), stderr
 
 
 def test_certify_failed_check_exits_3_with_report(capsys, tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from gaussclone import (
     run,
     simulate,
     verify_certificate,
+    verify_circuit,
 )
 from gaussclone.certificate import _interlacing_bound, k_matrix
 from gaussclone.cli import design_document, main
@@ -45,6 +46,21 @@ def test_results_do_not_depend_on_chunk_size(shots, shards, chunk):
         result = run(config)
     assert result.shots_used == shots
     assert_results_close(result, reference)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(m_out=st.integers(2, 300), n_in=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(m_out=300, n_in=1, seed=0)
+@example(m_out=299, n_in=3, seed=1)
+def test_amplifier_completion_is_orthogonal_to_rounding(m_out, n_in, seed):
+    # the tree's Householder QRs take no rank decision; a Gram-Schmidt
+    # completion that keeps a candidate once 1e-8 of it is left does not
+    # stay within this bound
+    n_in = min(n_in, m_out - 1)
+    weights = np.random.default_rng(seed).uniform(0.1, 10.0, m_out)
+    profile, _ = design_from_weights(weights, n_in, m_out)
+    _, report = verify_circuit(profile, "amplifier")
+    assert report["passed"] and report["unitarity_residual"] <= 1e-14, report
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -8,12 +8,13 @@ fresh interpreter, which runs the whole corpus in-process in a scratch
 directory of its own.  The corpus covers the CLI (design, synth, verify,
 certify, simulate, solve, tradeoff, their error and usage paths), the
 documents in `tests/fixtures` and one with V completed otherwise, designs
-with an exact zero-noise clone, one with weights near 1e-305, a sample CSV
-large enough to be formatted on forked processes, and the demos of each
-tree.  For every command the exit code, stdout, stderr and every file it
-wrote are recorded.  The inputs (fixtures and hand-written or edited
-documents) come from the checkout that holds this script, so both trees
-read the same bytes.
+with an exact zero-noise clone, one with weights near 1e-305, one with
+subnormal weights, the stored design whose Gram-Schmidt completion of V once
+failed `synth`, a sample CSV large enough to be formatted on forked
+processes, and the demos of each tree.  For every command the exit code,
+stdout, stderr and every file it wrote are recorded.  The inputs (fixtures
+and hand-written or edited documents) come from the checkout that holds
+this script, so both trees read the same bytes.
 
 The report lists each command whose outputs differ.  For JSON outputs it
 gives each differing key, with list indices folded into `[]`, and its
@@ -158,13 +159,21 @@ def corpus() -> list[list[str]]:
         # an amplitude of other than two numbers
         ["simulate", "--circuit", "sym-1-2.ff.json", "--alpha", "1", "--shots", "10"],
         ["simulate", "--circuit", "sym-1-2.ff.json", "--alpha", "1,2,3", "--shots", "10"],
-        # V completed otherwise than by Gram-Schmidt: the same circuit
+        # a stored V completed otherwise, by a Givens rotation: the same circuit
         ["verify", "--circuit", "rotated.amplifier.json"],
         # weights near the bottom of the normal doubles, whose certificate
         # scale max|Z| max|A_opt| is about 1e-304
         ["design", "--weights", "1e-305,2e-305,3e-305,1.5e-305", "--n-in", "1", "--m-out", "4",
          "--out", "tiny.design.json"],
         ["certify", "--design", "tiny.design.json", "--trials", "20", "--seed", "1"],
+        # subnormal weights, at which the certificate's eta overflows
+        ["design", "--weights", "1e-322,2e-322,3e-322", "--n-in", "1", "--m-out", "3",
+         "--out", "subnormal.design.json"],
+        ["certify", "--design", "subnormal.design.json", "--trials", "20", "--seed", "1"],
+        # the design whose Gram-Schmidt completion of V failed synth's own check
+        ["synth", "--design", "fixtures/designs/seed116_1to50.design.json", "--scheme",
+         "amplifier", "--out", "seed116.amp.json"],
+        ["verify", "--circuit", "seed116.amp.json"],
     ]
     steps += [["@demo", name] for name in DEMOS]
     return steps
