@@ -148,17 +148,16 @@ def gain_and_transmittance(profile: NoiseProfile) -> tuple[float, float]:
 
 
 def _block_tree_completion(live: np.ndarray) -> np.ndarray:
-    """The orthogonal V = [v_sig, completion, v_noise] of the orthonormal
-    M x 2 `live` = [v_sig v_noise], each completion column zero off one block
-    of a tree of contiguous rows.  Leaves are pairs of rows with basis I and,
-    when M is odd, the last three rows, whose basis and column are the
-    complete QR of `live` on them.  Each level merges the blocks in pairs (an
-    odd last one passes up) by one batched complete QR of each pair's 4 x 2
-    c = blkdiag(B_L, B_R)^T live, held as stacked R factors; blkdiag(B_L, B_R) Q
-    holds the merged basis and two columns.  Householder QR puts range(c) in
-    span Q[:, :2] at any rank: no rank is decided, and V is orthogonal to rounding."""
+    """The orthogonal V = [v_sig, completion, v_noise] of the orthonormal M x 2
+    `live`, each completion column zero off one block of a tree of contiguous rows.
+    Leaves are row pairs with basis I (and, for odd M, the last three rows, from the
+    complete QR of `live` on them).  Each level merges blocks in pairs (an odd last
+    one passes up) by one batched complete QR of the pairs' 4 x 2 c = blkdiag(B_L,
+    B_R)^T live; blkdiag(B_L, B_R) Q holds the merged basis and two columns.  QR puts
+    range(c) in span Q[:, :2] at any rank: no rank is decided, V is orthogonal to rounding."""
     m = live.shape[0]
-    cols, k = np.zeros((m, m - 2)), m % 2
+    v, k = np.zeros((m, m)), m % 2
+    v[:, :: m - 1], cols = live, v[:, 1 : m - 1]  # cols is a view: the completion
     block = np.minimum(np.arange(m) // 2, m // 2 - 1)
     basis = np.eye(2)[np.arange(m) % 2]
     red = live[: m - k].reshape(m // 2, 2, 2).copy()
@@ -175,7 +174,8 @@ def _block_tree_completion(live: np.ndarray) -> np.ndarray:
         basis[rows], first = new[:, :2], k + block[rows] // 2 * 2
         cols[rows, first], cols[rows, first + 1] = new[:, 2], new[:, 3]
         red, block, k = np.concatenate([r[:, :2], red[2 * pairs :]]), block // 2, k + 2 * pairs
-    return np.column_stack([live[:, 0], cols + 0.0, live[:, 1]])  # -0.0 + 0.0 is +0.0
+    cols += 0.0  # -0.0 + 0.0 is +0.0
+    return v
 
 
 def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
@@ -201,7 +201,7 @@ def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
         cols[:, 1] = rest / norm
     else:  # the first e_j keeping more than COMPLETION_SKIP off v_M, 0 above row j
         for j in range(m):  # rows j and below of e_j - v_M v_M[j]; 0 - x is never -0.0
-            rest = np.r_[1.0 - cols[j, 0] ** 2, 0.0 - cols[j + 1 :, 0] * cols[j, 0]]
+            rest = np.r_[1.0 - cols[j, 0] * cols[j, 0], 0.0 - cols[j + 1 :, 0] * cols[j, 0]]
             if (norm := math.sqrt(rest @ rest)) > COMPLETION_SKIP:
                 cols[:j, 1], cols[j:, 1] = 0.0, rest / norm
                 break

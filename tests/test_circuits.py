@@ -843,10 +843,12 @@ def test_interferometer_completion_is_a_block_tree():
         # and no zero is negative, which a document would write as -0.0
         assert not np.signbit(circ.V[circ.V == 0.0]).any()
         assert not np.signbit(circ.kappa[circ.kappa == 0.0]).any()
-        # the completion is orthogonal to rounding, to itself and to the live
-        # columns: at most 4.0e-15 on these designs (v_1 and v_M, which the
-        # completion does not touch, reach 1.1e-14 in their own norms)
+        # V is orthogonal to rounding: all of V^T V - I is at most 1.1e-14 on
+        # these designs, reached by the norms of v_1 and v_M, which the
+        # completion does not touch; its own rows, against itself and the live
+        # columns, are at most 4.2e-15
         gram = circ.V.T @ circ.V - np.eye(m)
+        assert np.max(np.abs(gram)) <= 2e-14
         assert np.max(np.abs(gram[1 : m - 1]), initial=0.0) <= 1e-14
 
 

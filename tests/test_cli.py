@@ -343,12 +343,8 @@ def test_synth_and_verify_pass_the_design_whose_gram_schmidt_completion_failed(c
     # pipeline-large-m benchmark at seed 116, drawn uniform in [0.1, 10] from
     # default_rng(116).  A Gram-Schmidt completion of V kept a candidate with
     # little of it left, and synth refused its own V: unitarity residual 6.1e-10
-    stored = (FIXTURES / "designs" / "seed116_1to50.design.json").read_text()
-    design, circuit = tmp_path / "design.json", tmp_path / "circ.json"
-    weights = ",".join(map(repr, json.loads(stored)["weights"]))
-    run_cli(capsys, "design", "--weights", weights, "--n-in", "1", "--m-out", "50",
-            "--out", str(design))
-    assert design.read_text() == stored
+    design = FIXTURES / "designs" / "seed116_1to50.design.json"
+    circuit = tmp_path / "circ.json"
     code, _, stderr = run_cli(
         capsys, "synth", "--design", str(design), "--scheme", "amplifier", "--out", str(circuit)
     )
