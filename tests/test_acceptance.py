@@ -114,6 +114,9 @@ def test_criterion_5_amplifier_circuit_correctness():
 
 
 def test_criterion_6_scheme_equivalence():
+    # the absolute 1e-9 holds at M <= 8, where the discrepancy's terms have
+    # size about 2 n_tot <= 2M / N; test_verify_circuit_accuracy_at_large_m
+    # checks it against that size at M = 10^4 and 10^5
     ok = True
     for profile in PROFILES_200:
         ok = ok and scheme_equivalence_check(profile)["discrepancy"] < 1e-9

@@ -47,9 +47,15 @@ def _dense_report(profile, weights):
     z_scale = float(np.max(np.abs(z)))
     za = float(np.max(np.abs(z @ a_opt)))
     x_half = np.sqrt(weights.weights)
+    # the entries 2 v_i (-eta r_j +- eps f_j) of Z A_opt, v = x f, round on
+    # terms of size c + (S + M c) / N + 2 max f (1 + n_tot + c S), c = S / (M - N)
+    f = np.sqrt(profile.noises)
+    s = float(np.sum(f))
+    c = s / (m - n)
+    za_size = c + (s + m * c) / n + 2.0 * float(np.max(f)) * (1.0 + profile.n_tot + c * s)
     return {
         "trace_cost_discrepancy": abs(float(np.real(np.trace(z @ g_opt))) - cost),
-        "z_annihilates_a_rel": za / (z_scale * float(np.max(np.abs(a_opt)))),
+        "z_annihilates_a_rel": za / (2.0 * float(np.max(weights.weights * f)) * za_size),
         "min_eig_z": float(np.linalg.eigvalsh(z)[0]),
         "duality_gap": abs(cost - dual_bound),
         "normalization_residual": abs(eta * float(np.sum(x_half * f_mat.diagonal() * x_half)) + 1),
@@ -431,15 +437,15 @@ def test_verdicts_fail_a_wrong_certificate_at_every_weight_scale(j):
     halved = dataclasses.replace(cert, dual_bound=cert.dual_bound / 2)
     assert not verify_certificate(problem, halved)["passed"]
     # v moved by 1e-6 max v orthogonally to f keeps f^T v, so only the
-    # annihilation check sees it; with its denominator floored at 1e-300
-    # it read 3.7e-10 at j = -1010 instead of 3.6e-7, and passed
+    # annihilation check sees it: 3.03e-8 of the size of its terms at every
+    # j, where a denominator floored at 1e-300 read 3.7e-10 at j = -1010
     f = np.sqrt(profile.noises)
     d = np.array([1.0, -1.0, 0.5])
     d -= (d @ f) / (f @ f) * f
     tampered = dataclasses.replace(cert, v=cert.v + 1e-6 * np.max(cert.v) * d / np.max(np.abs(d)))
     report = verify_certificate(problem, tampered)
     assert report["normalization_residual"] < 1e-15
-    assert report["z_annihilates_a_rel"] == pytest.approx(3.62e-7, rel=1e-3)
+    assert report["z_annihilates_a_rel"] == pytest.approx(3.03e-8, rel=1e-3)
     assert not report["passed"]
     with pytest.raises(ValueError, match="not extremal"):
         build_problem(profile, CostWeights(w.weights * 1.001, w.lagrange))
@@ -447,6 +453,20 @@ def test_verdicts_fail_a_wrong_certificate_at_every_weight_scale(j):
     assert random_feasible_cost_scan(problem, cert, 20, rng)["passed"]
     doubled = dataclasses.replace(cert, dual_bound=cert.dual_bound * 2)
     assert not random_feasible_cost_scan(problem, doubled, 20, rng)["passed"]
+
+
+def test_certificate_passes_correct_designs_at_millions_of_clones():
+    """Held to TOL of max x and to entry maxima of Z and A_opt, the
+    extremality and annihilation residuals grew by about M eps on correct
+    designs: this N = 1 design read 2.1e-9 of its annihilation scale at
+    M = 2e6 and 1.12e-8 of max x in its extremal equations at M = 4e6, and
+    both failed.  Held to the size of their terms, both pass."""
+    weights = np.random.default_rng(0).uniform(0.1, 10.0, 4 * 10**6)
+    problem = build_problem(*design_from_weights(weights[: 2 * 10**6], 1, 2 * 10**6))
+    report = verify_certificate(problem, build_certificate(problem))
+    assert report["passed"]
+    assert report["z_annihilates_a_rel"] < 1e-15
+    build_problem(*design_from_weights(weights, 1, weights.size))
 
 
 def test_weights_from_profile_roundtrip():
@@ -550,8 +570,8 @@ def test_certificate_at_large_m():
             if m_out == 10**4:
                 assert peak < 2 * 2**20
             # largest seen, as a fraction of each verdict's scale (TOL is
-            # 1e-9): Z A_opt 1.5e-11 at M = 10^5, N = 1, which grows by
-            # about M eps; min_eig_z 3.4e-13 of max|Z| at M = 10^4, N = 3;
+            # 1e-9): Z A_opt 4.2e-17 of the size of its terms at M = 10^3,
+            # N = 3; min_eig_z 3.4e-13 of max|Z| at M = 10^4, N = 3;
             # the duality gap 3.6e-17, the normalization 1.5e-16 and the
             # surface residual 3.8e-16
             s2 = float(np.sum(np.sqrt(profile.noises))) ** 2
@@ -559,7 +579,7 @@ def test_certificate_at_large_m():
             x, v, eta = cert.x, cert.v, cert.eta
             v_hi = np.sort(v)[-2:]
             z_scale = max(np.max(x), np.max(np.abs(x + 2 * eta * v * v)), -2 * eta * np.prod(v_hi))
-            assert report["z_annihilates_a_rel"] < 1e-15 * m_out
+            assert report["z_annihilates_a_rel"] < 1e-15
             assert -report["min_eig_z"] < 1e-15 * m_out * z_scale
             assert report["duality_gap"] < 1e-15 * abs(report["matrix_cost"]) * eps_scale
             assert report["normalization_residual"] < 1e-15 * eps_scale

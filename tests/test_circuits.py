@@ -185,6 +185,9 @@ CHAIN_FAILURES = [
 
 @pytest.mark.parametrize("n_in, m_out, log_weight", CHAIN_FAILURES)
 def test_feedforward_passes_with_a_reflectance_near_one(n_in, m_out, log_weight):
+    # the absolute 1e-12 holds at M <= 20, where the discrepancy's terms have
+    # size about 2 n_tot; test_verify_circuit_accuracy_at_large_m checks it
+    # against that size at M = 10^4 and 10^5
     weights = np.ones(m_out)
     weights[-1] = 10.0**log_weight
     profile, _ = design_from_weights(weights, n_in, m_out)

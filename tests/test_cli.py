@@ -198,6 +198,17 @@ def test_solve_command(capsys):
     assert "optimal n_M = 0.5" in stdout
 
 
+def test_solve_prints_the_suboptimal_root(capsys):
+    # (1, 1, 11.657) is on the surface too; tests/test_refusals.py shows
+    # that it has no positive weights and a negative feedforward amplitude
+    code, stdout, _ = run_cli(capsys, "solve", "--noises", "1,1", "--n-in", "1", "--m-out", "3")
+    assert code == 0
+    assert stdout == (
+        "optimal n_M = 0.343145750508\n"
+        "other root  = 11.6568542495  (on-surface but suboptimal)\n"
+    )
+
+
 def test_solve_infeasible(capsys):
     code, stdout, _ = run_cli(
         capsys, "solve", "--noises", "0.1667,0.1667", "--n-in", "1", "--m-out", "3"
@@ -786,6 +797,21 @@ def test_certify_refuses_weights_whose_certificate_overflows(capsys, tmp_path):
         code, stdout, stderr = run_cli(capsys, "certify", "--design", str(design), "--trials", "20")
     assert code == 2 and stdout == ""
     assert stderr.startswith("error: no finite certificate at weights of scale 3.01e-322"), stderr
+
+
+def test_certify_names_the_bound_of_weights_that_are_not_extremal(capsys, tmp_path):
+    design = tmp_path / "design.json"
+    argv = ["--weights", "1,2,5", "--n-in", "1", "--m-out", "3", "--out", str(design)]
+    assert run_cli(capsys, "design", *argv)[0] == 0
+    doc = json.loads(design.read_text())
+    doc["weights"] = [1.001 * x for x in doc["weights"]]
+    design.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(capsys, "certify", "--design", str(design), "--trials", "10")
+    assert code == 2 and stdout == ""
+    assert stderr == (
+        "error: weights are not extremal for this profile (residual 0.00308 exceeds 1e-09 "
+        "max(max x = 5, size of its terms = 10.8))\n"
+    )
 
 
 def test_certify_failed_check_exits_3_with_report(capsys, tmp_path, monkeypatch):

@@ -161,8 +161,8 @@ def corpus() -> list[list[str]]:
         ["simulate", "--circuit", "sym-1-2.ff.json", "--alpha", "1,2,3", "--shots", "10"],
         # a stored V completed otherwise, by a Givens rotation: the same circuit
         ["verify", "--circuit", "rotated.amplifier.json"],
-        # weights near the bottom of the normal doubles, whose certificate
-        # scale max|Z| max|A_opt| is about 1e-304
+        # weights near the bottom of the normal doubles, where a verdict
+        # scale of max|Z| max|A_opt| would be about 1e-304
         ["design", "--weights", "1e-305,2e-305,3e-305,1.5e-305", "--n-in", "1", "--m-out", "4",
          "--out", "tiny.design.json"],
         ["certify", "--design", "tiny.design.json", "--trials", "20", "--seed", "1"],
