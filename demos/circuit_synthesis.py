@@ -34,7 +34,7 @@ def main():
     print(np.array2string(circ.V, precision=6))
     ch = channel_from_amplifier(circ, profile)
     print("  channel noise matrix G (x block) =")
-    print(np.array2string(ch.G[:2, :2], precision=6))
+    print(np.array2string(ch.G[:2, :2], precision=6, suppress_small=True))
 
     out = amplifier_output_state(circ, profile, 0.7 + 0.2j)
     print("\n  clone amplitudes for input alpha = 0.7+0.2j:", np.round(mode_amplitudes(out), 10))

@@ -18,8 +18,9 @@ S = blkdiag(s, s) and G = blkdiag(B, B).  Only two input ports of the
 interferometer carry light, the signal column v_1 and the amplifier-noise
 column v_M of V, so s and B follow from those two columns alone.
 `AmplifierCircuit` holds t, g, r and those two columns; on first use it
-completes V by batched 4 x 2 QRs on a tree of row blocks.  Every block that
-`verify_circuit` checks, B, B +- P, the target I + 2F - H/N and the
+completes V by batched 4 x 2 QRs on a tree of row blocks.  `verify_circuit`
+checks an amplifier by the channel that t, g, V and kappa make, whether built
+or stored.  Every block it checks, B, B +- P, the target I + 2F - H/N and the
 feedforward I + 2 gamma gamma^T, is the identity plus at most six rank-one
 terms in s, v_1, kappa_1, v_M, f = sqrt(n) and 1, so each verdict is the
 exact spectrum of a small core (`low_rank_spectra`).
@@ -37,8 +38,6 @@ from .core import (GaussianChannel, GaussianState, frozen, quadrature_mean, read
                    xp_matrix)
 from .design import NoiseProfile, OffSurfaceError, require_on_surface
 
-# v_1 is e_j, not lack's direction, when lack keeps no more than this fraction off v_M
-COMPLETION_SKIP = 1e-8
 # input amplitude at which scheme_equivalence_check compares the two schemes
 EQUIVALENCE_ALPHA = 0.8 - 0.3j
 
@@ -72,7 +71,8 @@ def low_rank_spectra(vecs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     apart from its zeros off span{u_l}, exactly at any rank and when L > M."""
     r = np.linalg.qr(np.transpose(vecs), mode="r")
     sizes = np.max(np.abs(weights) * np.sum(r * r, axis=0), axis=1)
-    return np.linalg.eigvalsh((r * weights[:, None, :]) @ r.T), sizes
+    core = (r * weights[:, None, :]) @ r.T  # a malformed document's is not finite: NaN spectra
+    return np.linalg.eigvalsh(core) if np.isfinite(core).all() else core[..., 0] * math.nan, sizes
 
 
 # -- amplifier scheme --------------------------------------------------------
@@ -83,9 +83,9 @@ class AmplifierCircuit:
     """Tap transmittance t, amplifier gain g, tap reflectance r, and the
     columns v_sig = v_1 and v_noise = v_M of the interferometer V, the only
     two of its input ports that carry light.  V and the auxiliary-mode
-    coefficients kappa are built from them once, on first access, read-only.
-    V's columns 2 to M - 1, which kappa shares, each hold exact zeros off
-    one block of a tree of contiguous rows (`_block_tree_completion`)."""
+    coefficients kappa = [t v_1 - g r v_M, V's columns 2 to M - 1] are built
+    from them once, on first access, read-only.  Those columns each hold exact
+    zeros off one block of a tree of contiguous rows (`_block_tree_completion`)."""
 
     t: float
     g: float
@@ -103,16 +103,9 @@ class AmplifierCircuit:
 
     @functools.cached_property
     def kappa(self) -> np.ndarray:
-        return frozen(self.completed_as(self.V)[1])
-
-    def completed_as(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """V and kappa completed as the M x M array v: v with columns v_sig and
-        v_noise first and last; kappa_j1 = v_j1 t - v_jM g r, kappa_jk = v_jk."""
-        v = np.array(v, dtype=float)
-        v[:, 0], v[:, -1] = self.v_sig, self.v_noise
-        kappa = v[:, :-1].copy()
+        kappa = self.V[:, :-1].copy()
         kappa[:, 0] = self.v_sig * self.t - self.v_noise * self.g * self.r
-        return v, kappa
+        return frozen(kappa)
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Amplitude gains s and the per-quadrature output covariance block
@@ -136,14 +129,12 @@ def gain_and_transmittance(profile: NoiseProfile) -> tuple[float, float]:
     t = sqrt((M - N) / (n_tot N))."""
     if profile.m_out <= profile.n_in:
         raise ValueError("amplifier scheme requires M > N")
-    require_on_surface(profile)
+    require_on_surface(profile)  # so n_tot > 0: all-zero noises miss the surface by M - N
     n_tot = profile.n_tot
-    if n_tot <= 0:
-        raise ValueError("M > N requires strictly positive total noise")
     g = math.sqrt(1.0 + n_tot)
     t = math.sqrt((profile.m_out - profile.n_in) / (n_tot * profile.n_in))
     if not within(min(0.0, 1.0 - t)):
-        raise OffSurfaceError(f"transmittance {t:.6g} > 1; profile is infeasible")
+        raise OffSurfaceError(f"transmittance exceeds 1 by {t - 1.0:.3g}; profile is infeasible")
     return g, min(t, 1.0)
 
 
@@ -184,29 +175,20 @@ def build_interferometer(profile: NoiseProfile) -> AmplifierCircuit:
 
     v_M routes the amplifier idler noise, v_M = sqrt(n / n_tot).  After the
     amplifier each clone still lacks the amplitude lack = 1 - g t sqrt(N) v_M
-    (in units of the input amplitude), so v_1 is lack's direction and
-    r = v_1 . lack / sqrt(N).  When lack keeps no more than COMPLETION_SKIP
-    of its norm off v_M, as at the symmetric point where nothing is lacking,
-    v_1 is the first canonical basis vector that does.
+    (in units of the input amplitude): v_1 is the second column of the QR of
+    [v_M, lack], signed so that r = v_1 . lack / sqrt(N) >= 0.  QR decides no
+    rank: where nothing is lacking, as at the symmetric point, r is 0 to
+    rounding and v_1, carrying no light, is some unit vector orthogonal to v_M.
     """
     g, t = gain_and_transmittance(profile)
-    m, sqrt_n = profile.m_out, math.sqrt(profile.n_in)
+    sqrt_n = math.sqrt(profile.n_in)
     col_noise = np.sqrt(profile.noises / profile.n_tot)
+    v_noise = col_noise / np.linalg.norm(col_noise)
     lack = 1.0 - g * t * sqrt_n * col_noise
-    cols = np.empty((m, 2))
-    cols[:, 0] = col_noise / np.linalg.norm(col_noise)
-    rest = lack - cols[:, :1] @ (cols[:, :1].T @ lack)
-    norm = np.linalg.norm(rest)
-    if norm > COMPLETION_SKIP * np.linalg.norm(lack):
-        cols[:, 1] = rest / norm
-    else:  # the first e_j keeping more than COMPLETION_SKIP off v_M, 0 above row j
-        for j in range(m):  # rows j and below of e_j - v_M v_M[j]; 0 - x is never -0.0
-            rest = np.r_[1.0 - cols[j, 0] * cols[j, 0], 0.0 - cols[j + 1 :, 0] * cols[j, 0]]
-            if (norm := math.sqrt(rest @ rest)) > COMPLETION_SKIP:
-                cols[:j, 1], cols[j:, 1] = 0.0, rest / norm
-                break
-    r = float(cols[:, 1] @ lack) / sqrt_n
-    return AmplifierCircuit(t, g, r, cols[:, 1], cols[:, 0])
+    v_sig = np.linalg.qr(np.column_stack([v_noise, lack]))[0][:, 1]
+    if (lacking := float(v_sig @ lack)) < 0.0:
+        v_sig, lacking = -v_sig, -lacking
+    return AmplifierCircuit(t, g, lacking / sqrt_n, v_sig + 0.0, v_noise)  # + 0.0: no -0.0
 
 
 def channel_from_amplifier(circ: AmplifierCircuit, profile: NoiseProfile) -> GaussianChannel:
@@ -328,41 +310,50 @@ def scheme_equivalence_check(
 
 
 def verify_circuit(
-    profile: NoiseProfile, scheme: str, arrays=None
+    profile: NoiseProfile, scheme: str, stored=None
 ) -> tuple[AmplifierCircuit | FeedforwardCircuit, dict]:
-    """Build the `scheme` circuit of `profile` and check its invariants, an
-    amplifier's on `arrays`, V and kappa in any completion (by default its own).
+    """Check the `scheme` circuit of `profile`: the one built from it or, for
+    an amplifier, the one whose t, g, V and kappa are `stored`, which builds
+    nothing.  An amplifier is checked by the channel those numbers make, with
+    v_1 and v_M V's first and last columns and r = -kappa_1 . v_M / g.
 
     Returns the circuit and a report of every residual and margin with an
     overall `passed` flag, each value `within` its scale (see the README).
     """
     if scheme == "amplifier":
-        circ = build_interferometer(profile)
-        v, kappa = (circ.V, circ.kappa) if arrays is None else arrays
+        built = build_interferometer(profile) if stored is None else None
+        t, g, v, kappa = stored or (built.t, built.g, built.V, built.kappa)
+        r = -float(kappa[:, 0] @ v[:, -1]) / g if g else math.nan
+        circ = AmplifierCircuit(t, g, r, v[:, 0], v[:, -1])
         m, n = profile.m_out, profile.n_in
         unitarity = float(np.max(np.abs(v.T @ v - np.eye(m))))
         target = np.eye(m) - np.ones((m, m)) / n + noise_gram_matrix(profile)
-        kappa_resid = float(np.max(np.abs(kappa @ kappa.T - target)))
+        # kappa kappa^T against its target, and kappa's columns 2 to M - 1 against V's
+        kappa_resid = float(np.maximum(np.max(np.abs(kappa @ kappa.T - target)),
+                                       np.max(np.abs(kappa[:, 1:] - v[:, 1:-1]), initial=0.0)))
         # G + iK = [[B, iP], [-iP, B]] with P = I - s s^T splits into the real
         # B +- P.  Rows weight (s, v_1, kappa_1, v_M, f, 1) to B - G_opt, B - P
         # and B + P - 2I; the last two are 0 off span{v_1, v_M}, R^M at M = 2
-        _, vecs, (w_s, *w) = circ.moments()
+        s, vecs, (w_s, *w) = circ.moments()
+        mean_resid = float(np.max(np.abs(s * math.sqrt(n) - 1.0)))
         rows = [[w_s - 1.0, *w, -2.0, 1.0 / n], [w_s, *w, 0.0, 0.0], [w_s - 2.0, *w, 0.0, 0.0]]
         u = np.vstack([vecs, np.sqrt(profile.noises), np.ones(m)])
         spectra, sizes = low_rank_spectra(u, np.array(rows))
         g_resid = float(np.max(np.abs(spectra[0])))
         least = min(spectra[1, 0], 2.0 + spectra[2, 0])
         cp_eig = float(min(least, 0.0) if m > 2 else least)
-        return circ, {
+        return built or circ, {
             "unitarity_residual": unitarity,
             "kappa_gram_residual": kappa_resid,
             "g_opt_residual": g_resid,
             "cp_min_eigenvalue": cp_eig,
-            "transmittance": circ.t,
+            "mean_residual": mean_resid,
+            "transmittance": t,
             "passed": within(unitarity)
             and within(kappa_resid, np.max(np.abs(target)))
             and within(g_resid, sizes[0])
-            and within(min(0.0, cp_eig), max(sizes[1:])),
+            and within(min(0.0, cp_eig), max(sizes[1:]))
+            and within(mean_resid),
         }
     if scheme == "feedforward":
         circ = feedforward_params(profile)

@@ -13,9 +13,9 @@ verification or certification (reports are still written).
 One parser is built per process, on the first `main` call; command X runs
 the module-level `cmd_X`, looked up when the command runs.
 
-Circuits are built and checked by `circuits.verify_circuit`, an amplifier
-on the V and kappa that `synth` writes or a document stores; `load_circuit`
-also checks a stored circuit's parameters against the rebuilt ones, so
+Circuits are checked by `circuits.verify_circuit`, an amplifier by the
+channel that the t, g, V and kappa `synth` writes or a document stores make;
+`load_circuit` also checks stored parameters against the design's, so
 `simulate` refuses what `verify` refuses.  A feedforward document may name
 its displacement convention only as "outcome", the one the circuit uses.
 """
@@ -40,7 +40,7 @@ from .certificate import (
     verify_certificate,
     weights_from_profile,
 )
-from .circuits import verify_circuit
+from .circuits import gain_and_transmittance, verify_circuit
 from .core import within
 from .design import (
     CostWeights,
@@ -199,13 +199,15 @@ def circuit_text(profile: NoiseProfile, scheme: str, circ) -> str:
     return f'{text[:-2]}, "V": [{", ".join(rows)}], "kappa": [{kappa}]}}}}'
 
 
+@np.errstate(all="ignore")  # a stored inf or NaN reads as a failed verdict, not a warning
 def load_circuit(path: str):
-    """Read the circuit document at `path` and check it: `verify_circuit`,
-    an amplifier's on the V and kappa it stores, then each stored parameter
-    `within` its rebuilt max|value| (an amplifier's V and kappa rebuilt as
-    the stored V is completed) and the design hash.  The parameter residual,
-    the largest difference, is inf when a key or a shape differs or a value is
-    NaN.  Returns the document, its design, the rebuilt circuit and the report."""
+    """Read the circuit document at `path` and check it: `verify_circuit`, an
+    amplifier's on the t, g, V and kappa it stores, then each stored parameter
+    `within` its max|value| for the design (an amplifier's t and g; its V and
+    kappa need only be M x M and M x (M - 1) numbers) and the design hash.
+    The parameter residual, the largest difference, is inf when a key or a
+    shape differs or a value is NaN.  Returns the document, its design, the
+    circuit (an amplifier's as its stored numbers make it) and the report."""
     fields = {"scheme": (str,), "design": (dict,), "parameters": (dict,)}
     doc = _read_document(path, "circuit", fields)
     _check_shape(doc["design"], "circuit design", DESIGN_FIELDS)
@@ -219,25 +221,27 @@ def load_circuit(path: str):
         raise CliError("circuit parameters must be numbers or arrays of numbers")
     d = doc["design"]
     profile = NoiseProfile(d["N"], d["M"], np.array(d["noises"], dtype=float))
-    arrays = None
     if scheme == "amplifier":  # V and kappa as matrices, all NaN if of another size
         m = profile.m_out
         for key, cols in (("V", m), ("kappa", m - 1)):
             a = np.asarray(stored.get(key), dtype=float)
             stored[key] = a.reshape(m, cols) if a.size == m * cols else np.full((m, cols), math.nan)
-        arrays = (stored["V"], stored["kappa"])
-    circ, report = verify_circuit(profile, scheme, arrays)
-    rebuilt = circuit_parameters(scheme, circ)
-    if scheme == "amplifier":
-        rebuilt.update(zip(("V", "kappa"), circ.completed_as(stored["V"])))
+        g, t = gain_and_transmittance(profile)
+        # the verdict checks V and kappa: held to themselves here, only a NaN counts
+        want = {"t": t, "g": g, "V": stored["V"], "kappa": stored["kappa"]}
+        numbers = [float(stored[k]) if _is(stored.get(k), NUMBER) else math.nan for k in ("t", "g")]
+        circ, report = verify_circuit(profile, scheme, (*numbers, stored["V"], stored["kappa"]))
+    else:
+        circ, report = verify_circuit(profile, scheme)
+        want = circuit_parameters(scheme, circ)
     hash_ok = doc.get("provenance") == {"design_sha256": design_hash(profile)}
-    keys_ok = stored.keys() == rebuilt.keys()
+    keys_ok = stored.keys() == want.keys()
     resid, match = (0.0 if keys_ok else math.inf), keys_ok and hash_ok
-    for key, want in rebuilt.items():
+    for key, value in want.items():
         got = np.asarray(stored.get(key), dtype=float)
-        diff = float(np.max(np.abs(got - want))) if got.shape == np.shape(want) else math.inf
+        diff = float(np.max(np.abs(got - value))) if got.shape == np.shape(value) else math.inf
         resid = max(resid, math.inf if math.isnan(diff) else diff)
-        match = match and within(diff, np.max(np.abs(want)))
+        match = match and within(diff, np.max(np.abs(value)))
     report = {"scheme": scheme, **report, "passed": report["passed"] and match,
               "parameter_residual": resid, "design_hash_matches": hash_ok,
               "parameters_match": match}

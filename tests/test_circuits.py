@@ -212,9 +212,10 @@ def test_verify_circuit_reports_each_scheme():
     assert np.array_equal(circ.V, build_interferometer(profile).V)
     assert set(report) == {
         "unitarity_residual", "kappa_gram_residual", "g_opt_residual",
-        "cp_min_eigenvalue", "transmittance", "passed",
+        "cp_min_eigenvalue", "mean_residual", "transmittance", "passed",
     }
     assert report["passed"] and report["transmittance"] == circ.t
+    assert report["mean_residual"] < 1e-12
     circ, report = verify_circuit(profile, "feedforward")
     assert np.array_equal(circ.gains, feedforward_params(profile).gains)
     assert set(report) == {
@@ -232,14 +233,16 @@ def test_verify_circuit_fails_on_negative_cp_eigenvalue(monkeypatch):
     # and s = sqrt(3) u.  Gains (1 + eps) s with the block's term s s^T raised
     # to match leave B as it is and move the margin by about -2 eps |s|^2: gain
     # that the noise does not pay for.  The terms of B +- P have size up to
-    # |s|^2 = 3, so at a margin of -1e-8 the CP margin is the only check that
-    # fails.  The gains enter through the two-column derivation
+    # |s|^2 = 3, so the CP margin fails from -3e-9 on.  The clone means move
+    # by eps = margin / 6 and fail too at -1e-8, but not at -5e-9, where the
+    # CP margin is the only check that fails.  The gains enter through the
+    # two-column derivation
     profile = symmetric_profile(1, 3)
     ch = channel_from_amplifier(build_interferometer(profile), profile)
     s, b = ch.S[:3, 0], ch.G[:3, :3]
     _, clean = verify_circuit(profile, "amplifier")
     moments = AmplifierCircuit.moments
-    for margin in (1e-6, 1e-8):
+    for margin in (1e-6, 1e-8, 5e-9):
         eps = margin / (2.0 * s @ s)
         shifted = GaussianChannel(1, 3, ch.S * (1.0 + eps), ch.G)
 
@@ -252,7 +255,28 @@ def test_verify_circuit_fails_on_negative_cp_eigenvalue(monkeypatch):
         _, report = verify_circuit(profile, "amplifier")
         assert report["cp_min_eigenvalue"] == pytest.approx(cp_min_eigenvalue(shifted), abs=1e-12)
         assert report["cp_min_eigenvalue"] < -0.9 * margin and not report["passed"]
-    assert within(report["g_opt_residual"], np.max(np.abs(b)))
+        assert report["mean_residual"] == pytest.approx(eps, rel=1e-6)
+    assert within(report["g_opt_residual"], np.max(np.abs(b))) and within(report["mean_residual"])
+    assert {k: report[k] for k in ("unitarity_residual", "kappa_gram_residual")} == {
+        k: clean[k] for k in ("unitarity_residual", "kappa_gram_residual")}
+
+
+def test_verify_circuit_fails_on_clone_means_alone(monkeypatch):
+    # gains (1 - 1e-8) s with B as it is: less gain than the noise pays for,
+    # so B and the CP margin pass and only the clone means, 1e-8 short, fail
+    profile = symmetric_profile(1, 3)
+    _, clean = verify_circuit(profile, "amplifier")
+    moments = AmplifierCircuit.moments
+
+    def lowered(circ):
+        gains, vecs, weights = moments(circ)
+        less = gains * (1.0 - 1e-8)
+        return less, np.vstack([less, vecs[1:]]), weights
+
+    monkeypatch.setattr(AmplifierCircuit, "moments", lowered)
+    _, report = verify_circuit(profile, "amplifier")
+    assert not report["passed"] and report["mean_residual"] == pytest.approx(1e-8, rel=1e-6)
+    assert within(report["g_opt_residual"]) and within(min(0.0, report["cp_min_eigenvalue"]))
     assert {k: report[k] for k in ("unitarity_residual", "kappa_gram_residual")} == {
         k: clean[k] for k in ("unitarity_residual", "kappa_gram_residual")}
 
@@ -321,22 +345,18 @@ def test_feedforward_output_matches_clone_target():
 
 
 def _loop_live_columns(profile):
-    """v_1, v_M and the tap reflectance r = sqrt(1 - t^2), derived on two
-    branches: v_1 is lack / (r sqrt(N)) for r > 1e-9, and otherwise the
-    first canonical basis vector with 1e-8 or more left off v_M."""
+    """v_1, v_M and the tap reflectance r = sqrt(1 - t^2): v_1 is lack's
+    direction for r > 1e-9, and None otherwise, where nothing is lacking
+    and any unit v_1 orthogonal to v_M carries no light."""
     g, t = gain_and_transmittance(profile)
     sqrt_n = np.sqrt(profile.n_in)
     r = np.sqrt(max(0.0, 1.0 - t * t))
     col_noise = np.sqrt(profile.noises / profile.n_tot)
-    if r > 1e-9:
-        col_sig = (1.0 - col_noise * g * t * sqrt_n) / (r * sqrt_n)
-    col_noise = col_noise / np.linalg.norm(col_noise)
+    v_m = col_noise / np.linalg.norm(col_noise)
     if r <= 1e-9:
-        for col_sig in np.eye(profile.m_out):
-            col_sig = col_sig - (col_noise @ col_sig) * col_noise
-            if np.linalg.norm(col_sig) >= 1e-8:
-                break
-    return col_sig / np.linalg.norm(col_sig), col_noise, r
+        return None, v_m, r
+    lack = 1.0 - col_noise * g * t * sqrt_n
+    return lack / np.linalg.norm(lack), v_m, r
 
 
 def _completion_tree(m):
@@ -428,11 +448,14 @@ def test_structured_circuit_matches_oracles():
     rng = np.random.default_rng(31)
     profiles = [random_optimal_profile(rng, m_max=40)[0] for _ in range(200)]
     profiles += [load_circuit(str(path))[1] for path in sorted(FIXTURES.glob("*.amplifier.json"))]
-    canonical = 0
+    unlit = 0
     for profile in profiles:
         circ, m = build_interferometer(profile), profile.m_out
         v_1, v_m, r = _loop_live_columns(profile)
-        canonical += r <= 1e-9
+        if v_1 is None:  # any unit v_1 orthogonal to v_M, with r 0 to rounding
+            unlit += 1
+            v_1 = circ.v_sig
+            assert abs(v_1 @ v_1 - 1.0) < 1e-14 and abs(v_1 @ v_m) < 1e-14 and circ.r < 1e-14
         assert np.max(np.abs(circ.V[:, 0] - v_1)) < 1e-11
         assert np.max(np.abs(circ.V[:, -1] - v_m)) < 1e-11
         assert np.max(np.abs(circ.kappa[:, 0] - (v_1 * circ.t - v_m * circ.g * r))) < 1e-11
@@ -448,24 +471,34 @@ def test_structured_circuit_matches_oracles():
         _, report = verify_circuit(profile, "amplifier")
         scale = max(1.0, np.max(np.abs(ch.G)))
         assert abs(report["cp_min_eigenvalue"] - cp_min_eigenvalue(ch)) < 1e-12 * scale
-    # the fixture symmetric_1to3 at least takes v_1 from the canonical basis
-    assert canonical >= 1
+    # the fixture symmetric_1to3 at least lacks nothing
+    assert unlit >= 1
 
 
-def test_verify_circuit_passes_on_symmetric_and_near_symmetric_designs():
+def test_verify_circuit_passes_on_symmetric_and_near_symmetric_designs(tmp_path):
     # the tap reflectance used to be sqrt(1 - t^2), which loses half the
-    # digits near the symmetric point t = 1 and made 105 of these fail
+    # digits near the symmetric point t = 1 and made 105 of these fail.  The
+    # amplitude each clone lacks after the amplifier has norm 0 (178 of the
+    # symmetric designs) to 5e-8 (eps = +-1e-7) here, and 5e-12 at M = 200,
+    # eps = +-1e-9: v_1 comes from one QR at any size of it
     profiles = [symmetric_profile(n, m) for m in range(2, 31) for n in range(1, m)]
-    for m, n in ((2, 1), (3, 1), (3, 2), (20, 1), (20, 2)):
-        for eps in (0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4):
+    for m, n in ((2, 1), (3, 1), (3, 2), (20, 1), (20, 2), (200, 1)):
+        for eps in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-8, -1e-8, 1e-7, -1e-7, 1e-6, -1e-6,
+                    1e-4, -1e-4):
             weights = np.ones(m)
             weights[-1] += eps
             profiles.append(design_from_weights(weights, n, m)[0])
+    path = tmp_path / "amp.json"
     for profile in profiles:
         for scheme in ("amplifier", "feedforward"):
             _, report = verify_circuit(profile, scheme)
             assert report["passed"], (profile, scheme, report)
-        out = amplifier_output_state(build_interferometer(profile), profile, 1.0)
+        # and the amplifier's document, checked by the channel its numbers make
+        circ = build_interferometer(profile)
+        path.write_text(circuit_text(profile, "amplifier", circ))
+        loaded = load_circuit(str(path))[3]
+        assert loaded["passed"] and loaded["mean_residual"] <= 1e-12, (profile, loaded)
+        out = amplifier_output_state(circ, profile, 1.0)
         assert np.max(np.abs(mode_amplitudes(out) - 1.0)) < 1e-12
 
 
@@ -658,12 +691,12 @@ def test_only_the_document_and_its_checks_complete_v(monkeypatch, tmp_path):
     scheme_equivalence_check(profile)
     assert verify_circuit(profile, "feedforward")[1]["passed"] and completions == []
     circ, report = verify_circuit(profile, "amplifier")
-    # synth checks and writes the document; verify checks the stored arrays
+    # synth checks and writes the document; verify checks the stored numbers
     path = tmp_path / "amp.json"
     path.write_text(circuit_text(profile, "amplifier", circ))
     doc, _, _, loaded = load_circuit(str(path))
-    arrays = (doc["parameters"]["V"], doc["parameters"]["kappa"])
-    assert verify_circuit(profile, "amplifier", arrays)[1] == report
+    stored = [doc["parameters"][key] for key in ("t", "g", "V", "kappa")]
+    assert verify_circuit(profile, "amplifier", stored)[1] == report
     assert loaded["parameter_residual"] == 0.0
     assert report["passed"] and completions == [40]
     for array in (circ.V, circ.kappa, circ.v_sig, circ.v_noise):
@@ -675,14 +708,17 @@ def test_only_the_document_and_its_checks_complete_v(monkeypatch, tmp_path):
 
 
 def test_verify_of_an_amplifier_document_completes_no_v(monkeypatch, tmp_path):
-    completions = _count_completions(monkeypatch)
+    completions, builds = _count_completions(monkeypatch), []
+    build = circuits.build_interferometer
+    monkeypatch.setattr(circuits, "build_interferometer", lambda p: builds.append(p) or build(p))
     design, circuit = str(tmp_path / "design.json"), str(tmp_path / "amp.json")
     argv = ["--weights", ",".join(map(str, range(1, 41))), "--n-in", "2", "--m-out", "40"]
     assert main(["design", *argv, "--out", design]) == 0
     assert main(["synth", "--design", design, "--scheme", "amplifier", "--out", circuit]) == 0
-    assert completions == [40]
+    assert completions == [40] and len(builds) == 1
+    # nor builds a circuit: it checks the channel of the stored numbers
     assert main(["verify", "--circuit", circuit]) == 0
-    assert completions == [40]
+    assert completions == [40] and len(builds) == 1
 
 
 def _dense_amplifier_check(profile, v, kappa, r):
@@ -690,7 +726,9 @@ def _dense_amplifier_check(profile, v, kappa, r):
     reflectance r, checked through the padded 2M x 2M channel."""
     g, t = gain_and_transmittance(profile)
     m, n = profile.m_out, profile.n_in
-    s = g * t * v[:, m - 1] + r * v[:, 0]
+    s_chan = np.zeros((2 * m, 2))
+    s_chan[:m, 0] = s_chan[m:, 1] = s = g * t * v[:, m - 1] + r * v[:, 0]
+    mean_resid = float(np.max(np.abs(np.sqrt(n) * s_chan - np.kron(np.eye(2), np.ones((m, 1))))))
     b = kappa @ kappa.T + (g * g - 1.0) * np.outer(v[:, m - 1], v[:, m - 1])
     g_chan = np.zeros((2 * m, 2 * m))
     g_chan[:m, :m] = g_chan[m:, m:] = b
@@ -706,12 +744,14 @@ def _dense_amplifier_check(profile, v, kappa, r):
         "kappa_gram_residual": kappa_resid,
         "g_opt_residual": g_resid,
         "cp_min_eigenvalue": cp_eig,
+        "mean_residual": mean_resid,
         "transmittance": t,
         "passed": bool(
             within(unitarity)
             and within(kappa_resid, float(np.max(np.abs(target))))
             and within(g_resid, g_max)
             and within(min(0.0, cp_eig), g_max)
+            and within(mean_resid)
             and t <= 1.0
         ),
     }
@@ -720,14 +760,15 @@ def _dense_amplifier_check(profile, v, kappa, r):
 def test_amplifier_check_matches_dense_path_at_rounding_level():
     rng = np.random.default_rng(35)
     profiles = [random_optimal_profile(rng, m_max=60)[0] for _ in range(100)]
-    # symmetric designs take v_1 from the canonical basis, not from lack
+    # symmetric designs, where nothing is lacking and v_1 carries no light
     profiles += [symmetric_profile(n, m) for m, n in ((2, 1), (3, 2), (13, 1), (40, 3))]
     profiles += [load_circuit(str(path))[1] for path in sorted(FIXTURES.glob("*.amplifier.json"))]
-    moved = ("g_opt_residual", "cp_min_eigenvalue")
+    moved = ("g_opt_residual", "cp_min_eigenvalue", "mean_residual")
     for profile in profiles:
         circ, report = verify_circuit(profile, "amplifier")
         dense = _dense_amplifier_check(profile, circ.V, circ.kappa, circ.r)
-        # the residuals of V^T V and kappa kappa^T, t and the verdict: bit for bit
+        # the residuals of V^T V and kappa kappa^T, t and the verdict: bit for
+        # bit.  The check reads r off kappa_1, so its clone means round apart
         assert {k: report[k] for k in report if k not in moved} == {
             k: dense[k] for k in dense if k not in moved
         }

@@ -378,22 +378,35 @@ def test_earlier_circuit_documents_still_verify(capsys, name):
         assert code == 0
 
 
-def test_near_symmetric_amplifier_document_from_before_the_lacking_amplitude_fails(
-    capsys, tmp_path
-):
+def test_near_symmetric_amplifier_document_from_before_the_lacking_amplitude_verifies(capsys):
     # written, with its design, by a release that left out the amplitude each
-    # clone lacks after the amplifier when t rounded to 1; the README's remedy
-    # is to run synth on the design again
-    stale = FIXTURES / "stale" / "near_symmetric_1to2"
-    code, stdout, _ = run_cli(capsys, "verify", "--circuit", f"{stale}.amplifier.json")
+    # clone lacks after the amplifier when t rounded to 1.  Here that is
+    # 2.5e-13 of the input amplitude: the channel its numbers make is the
+    # design's to rounding, though its v_1 is another than synth now writes
+    stale = FIXTURES / "stale" / "near_symmetric_1to2.amplifier.json"
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(stale))
     report = json.loads(stdout)
-    assert code == 3 and not report["parameters_match"]
-    assert report["parameter_residual"] == pytest.approx(math.sqrt(2), abs=1e-9)
-    circuit = str(tmp_path / "circuit.json")
-    argv = ["synth", "--design", f"{stale}.design.json", "--scheme", "amplifier", "--out", circuit]
+    assert code == 0 and report["passed"] and report["parameter_residual"] == 0.0
+    assert report["mean_residual"] == pytest.approx(2.5e-13, rel=0.01)
+
+
+def test_amplifier_document_that_leaves_out_the_lacking_amplitude_fails(capsys, tmp_path):
+    # the same release's document of a design where each clone lacks about
+    # 1.4e-8 of the input amplitude after the amplifier: kappa_1 = t v_1,
+    # without the tap's -g r v_M, and the clone means miss by r v_1
+    design, circuit = tmp_path / "design.json", tmp_path / "amp.json"
+    run_cli(capsys, "design", "--weights", "1,1.00000004", "--n-in", "1", "--m-out", "2",
+            "--out", str(design))
+    argv = ["synth", "--design", str(design), "--scheme", "amplifier", "--out", str(circuit)]
     assert run_cli(capsys, *argv)[0] == 0
-    code, stdout, _ = run_cli(capsys, "verify", "--circuit", circuit)
-    assert code == 0 and json.loads(stdout)["parameters_match"]
+    doc = json.loads(circuit.read_text())
+    params = doc["parameters"]
+    params["kappa"] = [params["t"] * params["V"][0], params["t"] * params["V"][2]]
+    circuit.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(capsys, "verify", "--circuit", str(circuit))
+    report = json.loads(stdout)
+    assert code == 3 and stderr == "" and not report["passed"] and report["parameters_match"]
+    assert report["mean_residual"] == pytest.approx(1e-8, rel=0.05)
 
 
 def test_synth_rejects_missing_file(capsys, tmp_path):
@@ -577,6 +590,22 @@ def test_verify_checks_the_stored_v_for_orthogonality(capsys, tmp_path):
     assert report["unitarity_residual"] == unitarity and unitarity > 1e-9
 
 
+def test_verify_holds_kappa_to_the_stored_v(capsys, tmp_path):
+    # kappa's columns 2 and 3 turned alone: kappa kappa^T and V are as they
+    # were, but kappa no longer repeats V's columns
+    circuit = six_clone_amplifier(capsys, tmp_path)
+    doc = json.loads(circuit.read_text())
+    kappa = np.array(doc["parameters"]["kappa"]).reshape(6, 5)
+    c, s = np.cos(0.7), np.sin(0.7)
+    kappa[:, 1:3] = kappa[:, 1:3] @ np.array([[c, -s], [s, c]])
+    doc["parameters"]["kappa"] = kappa.ravel().tolist()
+    circuit.write_text(json.dumps(doc))
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+    report = json.loads(stdout)
+    assert code == 3 and report["parameters_match"] and report["unitarity_residual"] < 1e-14
+    assert report["kappa_gram_residual"] > 0.1
+
+
 def v_one_short(params):
     params["V"] = params["V"][:-1]
 
@@ -589,13 +618,19 @@ def nan_in_v(params):
     params["V"][4] = math.nan
 
 
-@pytest.mark.parametrize("edit", [v_one_short, kappa_one_long, nan_in_v])
+def infinite_t(params):
+    params["t"] = math.inf
+
+
+@pytest.mark.parametrize("edit", [v_one_short, kappa_one_long, nan_in_v, infinite_t])
 def test_verify_fails_malformed_amplifier_arrays(capsys, tmp_path, edit):
     circuit = make_circuit(capsys, tmp_path, "amplifier")
     doc = json.loads(circuit.read_text())
     edit(doc["parameters"])
     circuit.write_text(json.dumps(doc))
-    code, stdout, stderr = run_cli(capsys, "verify", "--circuit", str(circuit))
+    with warnings.catch_warnings():  # the verdicts read the stored inf and NaN silently
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(capsys, "verify", "--circuit", str(circuit))
     report = json.loads(stdout)
     assert code == 3 and stderr == "" and not report["passed"]
     assert not report["parameters_match"] and report["parameter_residual"] == math.inf

@@ -133,7 +133,7 @@ REFUSALS = {
     ),
     "circuits-transmittance": (
         lambda tmp: gain_and_transmittance(BELOW_SYMMETRIC),
-        OffSurfaceError, "transmittance 1 > 1; profile is infeasible",
+        OffSurfaceError, "transmittance exceeds 1 by 2.5e-09; profile is infeasible",
     ),
     "circuits-negative-amplitude": (
         lambda tmp: feedforward_params(OTHER_ROOT),

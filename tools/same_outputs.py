@@ -7,7 +7,8 @@ Each tree is a checkout of this repository; its `src/` is imported by one
 fresh interpreter, which runs the whole corpus in-process in a scratch
 directory of its own.  The corpus covers the CLI (design, synth, verify,
 certify, simulate, solve, tradeoff, their error and usage paths), the
-documents in `tests/fixtures` and one with V completed otherwise, designs
+documents in `tests/fixtures`, its stale amplifier documents from an
+earlier release and one with V completed otherwise, designs
 with an exact zero-noise clone, one with weights near 1e-305, one with
 subnormal weights, the stored design whose Gram-Schmidt completion of V once
 failed `synth`, a sample CSV large enough to be formatted on forked
@@ -105,8 +106,8 @@ def corpus() -> list[list[str]]:
         steps.append(["certify", "--design", f"{stem}.design.json", "--trials", "20"])
         partial = ",".join([repr((m - n) / ((m - 1) * (n - 1)))] * (m - 1))
         steps.append(["solve", "--noises", partial, "--n-in", str(n), "--m-out", str(m)])
-    for path in sorted(FIXTURES.glob("*.json")):
-        steps.append(["verify", "--circuit", f"fixtures/{path.name}"])
+    for path in sorted(FIXTURES.glob("*.json")) + sorted(FIXTURES.glob("stale/*.amplifier.json")):
+        steps.append(["verify", "--circuit", f"fixtures/{path.relative_to(FIXTURES)}"])
         if path.name.endswith(".feedforward.json"):
             steps.append(["simulate", "--circuit", f"fixtures/{path.name}", "--shots", SHOTS,
                           "--alpha", "0.3,-0.7", "--seed", "5", "--shards", "2"])
