@@ -125,17 +125,13 @@ class AmplifierCircuit:
 
 
 def gain_and_transmittance(profile: NoiseProfile) -> tuple[float, float]:
-    """Amplifier gain g = sqrt(1 + n_tot) and tap transmittance
-    t = sqrt((M - N) / (n_tot N))."""
+    """Amplifier gain g = sqrt(1 + n_tot) and tap transmittance t = sqrt((M - N) / (n_tot N)),
+    taken as sqrt((M - N) / ((M - N) + M V)) <= 1: n_tot N = (M - N) + M V on the surface."""
     if profile.m_out <= profile.n_in:
         raise ValueError("amplifier scheme requires M > N")
-    require_on_surface(profile)  # so n_tot > 0: all-zero noises miss the surface by M - N
-    n_tot = profile.n_tot
-    g = math.sqrt(1.0 + n_tot)
-    t = math.sqrt((profile.m_out - profile.n_in) / (n_tot * profile.n_in))
-    if not within(min(0.0, 1.0 - t)):
-        raise OffSurfaceError(f"transmittance exceeds 1 by {t - 1.0:.3g}; profile is infeasible")
-    return g, min(t, 1.0)
+    v = require_on_surface(profile)  # so n_tot > 0: all-zero noises miss the surface by M - N
+    excess = profile.m_out - profile.n_in
+    return math.sqrt(1.0 + profile.n_tot), math.sqrt(excess / (excess + profile.m_out * v))
 
 
 def _block_tree_completion(live: np.ndarray) -> np.ndarray:
@@ -240,14 +236,12 @@ class FeedforwardCircuit:
 def feedforward_params(profile: NoiseProfile) -> FeedforwardCircuit:
     """Tap reflectance, electronic gains g_j = sqrt(n_j), the recursive
     splitter reflectances and the splitting fractions of the feedforward
-    scheme."""
-    require_on_surface(profile)
+    scheme; the amplitudes' denominator (2 + n_tot) N - M is N + M V > 0 on the surface."""
+    v = require_on_surface(profile)
     m, n = profile.m_out, profile.n_in
     n_tot = profile.n_tot
     excess = m - n
-    denom_sq = (2.0 + n_tot) * n - m
-    if denom_sq <= 0:
-        raise ValueError("degenerate splitter recursion: (2 + n_tot) N - M <= 0")
+    denom_sq = n + m * v
     gains = np.sqrt(profile.noises)
     r_tap = math.sqrt(excess / ((1.0 + n_tot) * n))
     # closed-form amplitude reaching each clone; splitter j reflects its

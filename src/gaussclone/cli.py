@@ -50,6 +50,7 @@ from .design import (
     estimation_tradeoff,
     last_noise_roots,
     residual,
+    surface_terms,
     symmetric_profile,
 )
 
@@ -144,8 +145,8 @@ def load_design(path: str) -> tuple[NoiseProfile, CostWeights | None]:
         if key in doc and len(doc[key]) != doc["M"]:
             raise CliError(f"design document: {key!r} must have M = {doc['M']} entries")
     profile = NoiseProfile(doc["N"], doc["M"], np.array(doc["noises"], dtype=float))
-    s2 = float(np.sum(np.sqrt(profile.noises))) ** 2
-    if not within(residual(profile) - doc["residual"], s2):
+    lead, tail, _ = surface_terms(np.sqrt(profile.noises), profile.n_in)
+    if not within(lead - tail - doc["residual"], lead + tail):  # as `require_on_surface` holds R
         raise CliError("stored residual does not match recomputed value")
     if "fidelities" in doc:
         off = np.max(np.abs(np.array(doc["fidelities"]) - profile.fidelities()))

@@ -19,12 +19,11 @@ import numpy as np
 
 from .core import TOL, read_only, within
 
-# a discriminant this small is a double root's 0: its rounding gives sqrt-size root error
-ROOT_SNAP = 1e-12
 # a completion root u = sqrt(n_M) within ROOT_FLOOR max(1, sum sqrt(n_k)) of 0 is a perfect clone
 ROOT_FLOOR = 1e-14
-# the multiplier's Newton steps stop once a step is a few ulps of it
-NEWTON_STOP = 4.0 * np.finfo(float).eps
+# Newton steps this small relative to the multiplier stop, and a completion's
+# residual this small relative to its terms is a double root's 0
+FEW_ULPS = 4.0 * np.finfo(float).eps
 
 
 class InfeasibleDesignError(ValueError):
@@ -107,50 +106,54 @@ class EstimationTradeoffPoint:
     fidelity_estimate: float
 
 
+def surface_terms(f: np.ndarray, n_in: int) -> tuple[float, float, float]:
+    """N M fbar^2, (M - N)(V + 1) and V = sum (f_j - fbar)^2 of M values f_j = sqrt(n_j)
+    with mean fbar: R = (sum f)^2 - (M - N)(sum f^2 + 1) = N M fbar^2 - (M - N)(V + 1)
+    exactly, a difference of terms about M / N times smaller than (sum f)^2."""
+    fbar = float(np.mean(f))
+    v = float(np.sum((f - fbar) ** 2))
+    return n_in * f.size * fbar * fbar, (f.size - n_in) * (v + 1.0), v
+
+
 def residual(profile: NoiseProfile) -> float:
-    """(sum sqrt(n_k))^2 - (M - N)(sum n_j + 1); zero on the optimal surface."""
-    s = float(np.sum(np.sqrt(profile.noises)))
-    return s * s - (profile.m_out - profile.n_in) * (profile.n_tot + 1.0)
+    """R (`surface_terms`); zero on the optimal surface."""
+    lead, tail, _ = surface_terms(np.sqrt(profile.noises), profile.n_in)
+    return lead - tail
 
 
-def require_on_surface(profile: NoiseProfile):
-    """Raise OffSurfaceError unless the surface residual is `within` S^2.
-
-    The residual is a difference of terms of size S^2, so its rounding
-    grows with S^2.
-    """
-    s2 = float(np.sum(np.sqrt(profile.noises))) ** 2
-    r = residual(profile)
-    if not within(r, s2):
-        raise OffSurfaceError(f"profile residual {r:.3g} exceeds {TOL:.0e} max(1, S^2 = {s2:.3g})")
+def require_on_surface(profile: NoiseProfile) -> float:
+    """V of `profile` (`surface_terms`); raise OffSurfaceError unless its R
+    is `within` the size N M fbar^2 + (M - N)(V + 1) of its terms."""
+    lead, tail, v = surface_terms(np.sqrt(profile.noises), profile.n_in)
+    if not within(lead - tail, lead + tail):
+        raise OffSurfaceError(f"profile residual {lead - tail:.3g} exceeds {TOL:.0e} of "
+                              f"its terms {lead + tail:.3g}")
+    return v
 
 
 def last_noise_roots(partial, n_in: int, m_out: int) -> list[float]:
     """All non-negative values of n_M completing `partial` to the optimal surface.
 
     Sorted ascending; the smallest root gives the maximum fidelity of the
-    last clone and is the one marked optimal.
+    last clone and is the one marked optimal.  The discriminant of sqrt(n_M)'s
+    quadratic is (M - N) times the residual of `partial` on the N -> M - 1 surface.
     """
     partial = _checked_noises(partial, m_out - 1)
     if m_out <= n_in:
         raise ValueError("completion requires M > N")
     excess = m_out - n_in
-    s = float(np.sum(np.sqrt(partial)))
-    t = float(np.sum(partial))
-    # (excess - 1) u^2 - 2 s u + [excess (t + 1) - s^2] = 0 with u = sqrt(n_M)
+    f = np.sqrt(partial)
+    s = float(np.sum(f))
     a = excess - 1
-    c = excess * (t + 1.0) - s * s
     if a == 0:
         if s <= 0:
             raise InfeasibleDesignError(
                 "M - N = 1 requires at least one noisy clone among the first M - 1"
             )
-        u = c / (2.0 * s)
-        roots = [u]
+        roots = [(float(np.sum(partial)) + 1.0 - s * s) / (2.0 * s)]
     else:
-        disc = s * s - a * c
-        if abs(disc) < ROOT_SNAP * max(1.0, s * s, abs(a * c)):
-            disc = 0.0
+        lead, tail, _ = surface_terms(f, n_in)
+        disc = 0.0 if abs(lead - tail) <= FEW_ULPS * (lead + tail) else excess * (lead - tail)
         if disc < 0:
             raise InfeasibleDesignError(
                 f"requested fidelities are too high (discriminant {4 * disc:.6g} < 0)"
@@ -213,11 +216,12 @@ def design_from_weights(weights, n_in: int, m_out: int) -> tuple[NoiseProfile, C
         for _ in range(100):
             d = lam * excess - u
             step = (np.sum(lam / d) - 1.0) / np.sum(-u / d**2)
-            if not step > NEWTON_STOP * abs(lam):
+            if not step > FEW_ULPS * abs(lam):
                 break
             lam -= step
         coeff = lam / (lam * excess - u)
-        denom = 1.0 - excess * float(np.sum(coeff**2))
+        lead, _, v = surface_terms(coeff, n_in)
+        denom = lead - excess * v  # (sum c)^2 - (M - N) sum c^2
     if not denom > 0:
         raise ValueError("degenerate scale equation; multiplier solve failed")
     s = math.sqrt(excess / denom)

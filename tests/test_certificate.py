@@ -570,10 +570,10 @@ def test_certificate_at_large_m():
             if m_out == 10**4:
                 assert peak < 2 * 2**20
             # largest seen, as a fraction of each verdict's scale (TOL is
-            # 1e-9): Z A_opt 4.2e-17 of the size of its terms at M = 10^3,
-            # N = 3; min_eig_z 3.4e-13 of max|Z| at M = 10^4, N = 3;
-            # the duality gap 3.6e-17, the normalization 1.5e-16 and the
-            # surface residual 3.8e-16
+            # 1e-9): Z A_opt 8.3e-18 of the size of its terms at M = 10^4,
+            # N = 3; min_eig_z 3.6e-12 of max|Z| at M = 10^5, N = 1;
+            # the duality gap 3.6e-17, the normalization 4.9e-17 and the
+            # surface residual 2.2e-16 of its centered terms
             s2 = float(np.sum(np.sqrt(profile.noises))) ** 2
             eps_scale = max(1.0, s2 / (m_out - n_in))
             x, v, eta = cert.x, cert.v, cert.eta
@@ -583,4 +583,6 @@ def test_certificate_at_large_m():
             assert -report["min_eig_z"] < 1e-15 * m_out * z_scale
             assert report["duality_gap"] < 1e-15 * abs(report["matrix_cost"]) * eps_scale
             assert report["normalization_residual"] < 1e-15 * eps_scale
-            assert abs(residual(profile)) < 1e-15 * max(1.0, s2)
+            f = np.sqrt(profile.noises)
+            centered = n_in * m_out * f.mean() ** 2 + (m_out - n_in) * (np.var(f) * m_out + 1)
+            assert abs(residual(profile)) < 1e-15 * centered

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gaussclone
-from gaussclone import design_from_weights, residual, symmetric_profile
+from gaussclone import NoiseProfile, design_from_weights, residual, symmetric_profile
 from gaussclone.circuits import verify_circuit
 from gaussclone.cli import (
     SCHEMA_VERSION,
@@ -19,6 +19,7 @@ from gaussclone.cli import (
     circuit_parameters,
     circuit_text,
     design_block,
+    design_document,
     design_hash,
     load_circuit,
     load_design,
@@ -780,6 +781,19 @@ def test_design_and_certify_with_one_huge_weight(capsys, tmp_path):
             assert code == 0, (weights[0], scheme)
             code, _, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
             assert code == 0
+
+
+def test_commands_refuse_a_profile_that_beats_the_cloning_bound(capsys, tmp_path):
+    # every noise 1e-7 below the symmetric 1 -> 1000 point: 5e-8 of the
+    # centered terms, but 1e-10 of S^2, at which certify once certified it
+    design = tmp_path / "design.json"
+    below = NoiseProfile(1, 1000, symmetric_profile(1, 1000).noises * (1 - 1e-7))
+    design.write_text(json.dumps(design_document(below)))
+    for argv in (["certify", "--trials", "10"], ["synth", "--scheme", "amplifier"],
+                 ["synth", "--scheme", "feedforward"]):
+        code, stdout, stderr = run_cli(capsys, *argv, "--design", str(design))
+        assert code == 2 and stdout == ""
+        assert stderr == "error: profile residual -9.99e-05 exceeds 1e-09 of its terms 2e+03\n"
 
 
 def test_synth_failed_invariant_exits_3_with_report(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import importlib
 import inspect
 import pkgutil
@@ -233,8 +234,8 @@ def test_design_at_extreme_weight_ratio(n_in, m_out, index, log_ratio):
     assert np.sum(lam / (lam * (m_out - n_in) - x)) == pytest.approx(1.0, abs=1e-12)
 
 
-# the widest weight ratio that solves at N = 1 (see the README): one weight
-# at 1e30 fails first at M = 20 and 200, and at 1e33 at M = 2
+# the widest ratio whose accuracy the README states: 1.3e-2 off the surface
+# in 60-digit arithmetic; wider ones solve or are refused by name, below
 @pytest.mark.parametrize("m_out", (2, 20, 200))
 @pytest.mark.parametrize("index", (0, -1))
 def test_design_solves_one_weight_at_1e29(m_out, index):
@@ -245,6 +246,79 @@ def test_design_solves_one_weight_at_1e29(m_out, index):
     assert np.sum(lam / (lam * (m_out - 1) - x)) == pytest.approx(1.0, abs=1e-12)
     # the heavy clone is the least noisy
     assert np.argmin(profile.noises) == index % m_out
+
+
+@pytest.mark.parametrize("m_out", (2, 20, 200))
+@pytest.mark.parametrize("index", (0, -1))
+@pytest.mark.parametrize("log_ratio", (29, 30, 33, 40, 60, 100, 200, 300,
+                                       -30, -33, -40, -60, -100, -200, -300))
+def test_design_at_a_weight_ratio_beyond_1e29_solves_or_is_refused_by_name(
+    m_out, index, log_ratio
+):
+    # 1e30 and 1e33 solve at every M; 1e40 and beyond at M = 2, and as the
+    # first weight at M = 20, are refused, as is 1e-33 at M = 2.  No bare
+    # ZeroDivisionError, OverflowError or math domain error escapes
+    x = np.ones(m_out)
+    x[index] = 10.0**log_ratio
+    try:
+        profile, _ = design_from_weights(x, 1, m_out)
+    except ValueError as err:
+        assert log_ratio not in (30, 33)
+        assert str(err) == "degenerate scale equation; multiplier solve failed"
+    else:
+        require_on_surface(profile)
+
+
+def surface_term_size(profile):
+    """N M fbar^2 + (M - N)(V + 1) with f = sqrt(n) and V = sum (f - fbar)^2."""
+    f = np.sqrt(profile.noises)
+    v = float(np.sum((f - f.mean()) ** 2))
+    return profile.n_in * profile.m_out * f.mean() ** 2 + (profile.m_out - profile.n_in) * (v + 1)
+
+
+def decimal_residual(profile):
+    """(sum sqrt(n))^2 - (M - N)(sum n + 1) of the float noises, in 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        n = [decimal.Decimal(x) for x in profile.noises.tolist()]
+        s = sum(x.sqrt() for x in n)
+        return float(s * s - (profile.m_out - profile.n_in) * (sum(n) + 1))
+
+
+def test_residual_matches_a_60_digit_oracle():
+    # the centered residual is good to a few eps of its terms; the S^2 form
+    # was 4.3e4 eps off at 1 -> 10^5.  The last profile beats the cloning
+    # bound, with every noise 2e-5 below (M - N) / (M N)
+    rng = np.random.default_rng(3)
+    heavy = np.ones(200)
+    heavy[0] = 1e12
+    profiles = [
+        symmetric_profile(1, 10**5),
+        design_from_weights(rng.uniform(0.1, 10.0, 50), 3, 50)[0],
+        design_from_weights(heavy, 1, 200)[0],
+        NoiseProfile(1, 10**5, np.full(10**5, (1 - 1e-5) * (1 - 2e-5))),
+    ]
+    eps = np.finfo(float).eps
+    for profile in profiles:
+        exact, size = decimal_residual(profile), surface_term_size(profile)
+        assert abs(residual(profile) - exact) <= 4 * eps * size
+    assert exact / size == pytest.approx(-1.0e-5, rel=1e-4)
+    with pytest.raises(OffSurfaceError, match="profile residual -2 exceeds"):
+        require_on_surface(profiles[-1])
+
+
+def test_designs_and_completions_at_large_m():
+    # the S^2 forms left designs 6e-11 to 1.2e-10 of their terms off the
+    # surface here, and their completions 1.5e-5 to 3.9e-5 off n_M
+    for seed in range(3):
+        x = np.random.default_rng(seed).uniform(0.1, 10.0, 10**6)
+        profile, _ = design_from_weights(x, 1, 10**6)
+        assert abs(residual(profile)) <= 1e-15 * surface_term_size(profile)
+        n_m = last_noise_roots(profile.noises[:-1], 1, 10**6)[0]
+        assert n_m == pytest.approx(profile.noises[-1], rel=1e-8)
+    profile = symmetric_profile(7, 10**5)
+    n_m = last_noise_roots(profile.noises[:-1], 7, 10**5)[0]
+    assert n_m == pytest.approx(profile.noises[-1], rel=1e-10)
 
 
 def test_design_is_exact_under_a_power_of_two_scale_of_the_weights():
@@ -266,8 +340,8 @@ def test_design_is_exact_under_a_power_of_two_scale_of_the_weights():
 
 
 def test_surface_checks_reject_criterion_7_perturbations():
-    """The bound scaled by S^2 still rejects the profiles that criterion 7
-    moves off the surface by a residual of +-0.05."""
+    """The bound scaled by the centered terms rejects the profiles that
+    criterion 7 moves off the surface by a residual of +-0.05."""
     rng = np.random.default_rng(16)
     checks = (
         lambda p, w: require_on_surface(p),

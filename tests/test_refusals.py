@@ -26,11 +26,12 @@ from gaussclone.simulate import SimConfig
 # the suboptimal root of `solve --noises 1,1 --n-in 1 --m-out 3`: on the
 # surface, but its last clone is too noisy for positive weights or amplitudes
 OTHER_ROOT = NoiseProfile(1, 3, np.array([1.0, 1.0, 11.65685424949238]))
-# a symmetric 1 -> 20 profile with its noises 5e-9 low: on the surface to
-# 2.5e-10 of S^2, but its tap transmittance is 1 + 2.5e-9
+# a symmetric 1 -> 20 profile with its noises 5e-9 low: it beats the cloning
+# bound by 2.5e-9 of its centered terms (2.5e-10 of S^2), and its tap
+# transmittance would be 1 + 2.5e-9
 BELOW_SYMMETRIC = NoiseProfile(1, 20, np.full(20, 0.95 * (1 - 5e-9)))
-# the same at 1 -> 10^5 with its noises 2e-5 low: on the surface to 2.0e-10
-# of S^2, and (2 + n_tot) N - M is about -1
+# the same at 1 -> 10^5 with its noises 2e-5 low: 1.0e-5 of its centered
+# terms (2.0e-10 of S^2), and (2 + n_tot) N - M would be about -1
 FAR_BELOW_SYMMETRIC = NoiseProfile(1, 10**5, np.full(10**5, (1 - 1e-5) * (1 - 2e-5)))
 
 
@@ -133,7 +134,7 @@ REFUSALS = {
     ),
     "circuits-transmittance": (
         lambda tmp: gain_and_transmittance(BELOW_SYMMETRIC),
-        OffSurfaceError, "transmittance exceeds 1 by 2.5e-09; profile is infeasible",
+        OffSurfaceError, "profile residual -9.5e-08 exceeds 1e-09 of its terms 38",
     ),
     "circuits-negative-amplitude": (
         lambda tmp: feedforward_params(OTHER_ROOT),
@@ -141,7 +142,7 @@ REFUSALS = {
     ),
     "circuits-splitter-recursion": (
         lambda tmp: feedforward_params(FAR_BELOW_SYMMETRIC),
-        ValueError, "degenerate splitter recursion: (2 + n_tot) N - M <= 0",
+        OffSurfaceError, "profile residual -2 exceeds 1e-09 of its terms 2e+05",
     ),
     "simulate-shards": (
         lambda tmp: SimConfig(symmetric_profile(1, 2), 1.0, 10, 0, shards=0),

@@ -10,9 +10,10 @@ certify, simulate, solve, tradeoff, their error and usage paths), the
 documents in `tests/fixtures`, its stale amplifier documents from an
 earlier release and one with V completed otherwise, designs
 with an exact zero-noise clone, one with weights near 1e-305, one with
-subnormal weights, the stored design whose Gram-Schmidt completion of V once
-failed `synth`, a sample CSV large enough to be formatted on forked
-processes, and the demos of each tree.  For every command the exit code,
+subnormal weights, designs with one weight at 1e30 and 1e33, a symmetric
+profile that beats the cloning bound, the stored design whose Gram-Schmidt
+completion of V once failed `synth`, a sample CSV large enough to be
+formatted on forked processes, and the demos of each tree.  For every command the exit code,
 stdout, stderr and every file it wrote are recorded.  The inputs (fixtures
 and hand-written or edited documents) come from the checkout that holds
 this script, so both trees read the same bytes.
@@ -175,7 +176,17 @@ def corpus() -> list[list[str]]:
         ["synth", "--design", "fixtures/designs/seed116_1to50.design.json", "--scheme",
          "amplifier", "--out", "seed116.amp.json"],
         ["verify", "--circuit", "seed116.amp.json"],
+        # a symmetric 1 -> 1000 profile with its noises 1e-7 low, which beats
+        # the cloning bound by 5e-8 of its centered terms
+        ["certify", "--design", "bad/below-1-1000.design.json", "--trials", "20"],
+        ["synth", "--design", "bad/below-1-1000.design.json", "--scheme", "amplifier"],
+        ["synth", "--design", "bad/below-1-1000.design.json", "--scheme", "feedforward"],
     ]
+    # one weight 1e30 and 1e33 off the others
+    for weight in ("1e30", "1e33"):
+        for m in (2, 20):
+            steps.append(["design", "--weights", ",".join([weight] + ["1"] * (m - 1)),
+                          "--n-in", "1", "--m-out", str(m)])
     steps += [["@demo", name] for name in DEMOS]
     return steps
 
@@ -186,9 +197,12 @@ def _write_inputs(work: Path) -> None:
     bad = work / "bad"
     bad.mkdir()
     design = {"schema_version": 1, "N": 1, "M": 2, "noises": [0.5, 0.5], "residual": 0.0}
+    f = math.sqrt(0.999 * (1.0 - 1e-7))
     docs = {
         "lambda-without-weights.json": {**design, "lambda": -5.0},
         "schema-2.json": {**design, "schema_version": 2},
+        "below-1-1000.design.json": {**design, "M": 1000, "noises": [f * f] * 1000,
+                                     "residual": 1000.0 * f * f - 999.0},
     }
     circuit = json.loads((FIXTURES / "random_1to4.feedforward.json").read_text())
     docs["parameters-list.json"] = {**circuit, "parameters": [1.0, 2.0]}
