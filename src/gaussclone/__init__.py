@@ -17,6 +17,7 @@ from .design import (
     CostWeights,
     InfeasibleDesignError,
     NoiseProfile,
+    OffSurfaceError,
     design_from_weights,
     estimation_tradeoff,
     last_noise_roots,
@@ -27,7 +28,6 @@ from .design import (
 from .circuits import (
     AmplifierCircuit,
     FeedforwardCircuit,
-    OffSurfaceError,
     amplifier_output_state,
     build_interferometer,
     channel_from_amplifier,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import (GaussianChannel, GaussianState, frozen, quadrature_mean, read_only, within,
                    xp_matrix)
-from .design import NoiseProfile, OffSurfaceError, require_on_surface
+from .design import NoiseProfile, require_on_surface
 
 # input amplitude at which scheme_equivalence_check compares the two schemes
 EQUIVALENCE_ALPHA = 0.8 - 0.3j
@@ -234,23 +234,18 @@ class FeedforwardCircuit:
 
 
 def feedforward_params(profile: NoiseProfile) -> FeedforwardCircuit:
-    """Tap reflectance, electronic gains g_j = sqrt(n_j), the recursive
-    splitter reflectances and the splitting fractions of the feedforward
-    scheme; the amplitudes' denominator (2 + n_tot) N - M is N + M V > 0 on the surface."""
+    """Tap reflectance, electronic gains g_j = sqrt(n_j), the recursive splitter
+    reflectances and the splitting fractions of the feedforward scheme; on the optimal
+    sheet (`require_on_surface`) the amplitudes are >= 0, their denominator N + M V > 0."""
     v = require_on_surface(profile)
-    m, n = profile.m_out, profile.n_in
-    n_tot = profile.n_tot
+    m, n, n_tot = profile.m_out, profile.n_in, profile.n_tot
     excess = m - n
-    denom_sq = n + m * v
     gains = np.sqrt(profile.noises)
     r_tap = math.sqrt(excess / ((1.0 + n_tot) * n))
     # closed-form amplitude reaching each clone; splitter j reflects its
     # share of the amplitude still in the beam, so a clone whose amplitude is
     # exactly zero gets exactly zero rather than sqrt of a rounding error
-    amps = (math.sqrt(1.0 + n_tot) - np.sqrt(excess * profile.noises)) / math.sqrt(denom_sq)
-    # amps is a difference of terms of size sqrt((1 + n_tot) / denom_sq)
-    if not within(min(0.0, np.min(amps)), math.sqrt((1.0 + n_tot) / denom_sq)):
-        raise OffSurfaceError(f"negative clone amplitude {np.min(amps):.6g}; profile is infeasible")
+    amps = (math.sqrt(1.0 + n_tot) - np.sqrt(excess * profile.noises)) / math.sqrt(n + m * v)
     amps = np.maximum(amps, 0.0)
     beam = np.sqrt(np.cumsum(amps[::-1] ** 2)[::-1])[:-1]
     refl = np.divide(amps[:-1], beam, out=np.zeros(m - 1), where=beam > 0)

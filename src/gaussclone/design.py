@@ -19,10 +19,8 @@ import numpy as np
 
 from .core import TOL, read_only, within
 
-# a completion root u = sqrt(n_M) within ROOT_FLOOR max(1, sum sqrt(n_k)) of 0 is a perfect clone
-ROOT_FLOOR = 1e-14
 # Newton steps this small relative to the multiplier stop, and a completion's
-# residual this small relative to its terms is a double root's 0
+# residual this small relative to its terms is 0
 FEW_ULPS = 4.0 * np.finfo(float).eps
 
 
@@ -123,52 +121,59 @@ def residual(profile: NoiseProfile) -> float:
 
 def require_on_surface(profile: NoiseProfile) -> float:
     """V of `profile` (`surface_terms`); raise OffSurfaceError unless its R
-    is `within` the size N M fbar^2 + (M - N)(V + 1) of its terms."""
-    lead, tail, v = surface_terms(np.sqrt(profile.noises), profile.n_in)
+    is `within` the size N M fbar^2 + (M - N)(V + 1) of its terms and it lies
+    on the optimal sheet: its least clone amplitude S - (M - N) f_j, centered
+    N fbar - (M - N)(max f - fbar), is not below 0 beyond its terms."""
+    f = np.sqrt(profile.noises)
+    lead, tail, v = surface_terms(f, profile.n_in)
     if not within(lead - tail, lead + tail):
         raise OffSurfaceError(f"profile residual {lead - tail:.3g} exceeds {TOL:.0e} of "
                               f"its terms {lead + tail:.3g}")
+    fbar = float(np.mean(f))
+    base, spread = profile.n_in * fbar, (profile.m_out - profile.n_in) * (np.max(f) - fbar)
+    if not within(min(0.0, base - spread), base + spread):
+        raise OffSurfaceError(f"clone amplitude {base - spread:.3g} is below 0 by more than "
+                              f"{TOL:.0e} of its terms {base + spread:.3g}; off the optimal sheet")
     return v
 
 
 def last_noise_roots(partial, n_in: int, m_out: int) -> list[float]:
-    """All non-negative values of n_M completing `partial` to the optimal surface.
-
-    Sorted ascending; the smallest root gives the maximum fidelity of the
-    last clone and is the one marked optimal.  The discriminant of sqrt(n_M)'s
-    quadratic is (M - N) times the residual of `partial` on the N -> M - 1 surface.
-    """
+    """The optimal n_M completing `partial` to the optimal surface, then the
+    other root if any: u = sqrt(n_M) solves (M - N - 1) u^2 - 2 s u + c = 0,
+    s = sum sqrt(partial), with c and the discriminant -1 and M - N times the
+    residuals of `partial` on the N - 1 -> M - 1 and N -> M - 1 surfaces, each
+    0 within FEW_ULPS of its terms.  The optimal root c / (s + sqrt(disc))
+    leaves the last clone the amplitude sqrt(disc), the other -sqrt(disc); it
+    is returned only on the optimal sheet, so c < 0 has no completion."""
     partial = _checked_noises(partial, m_out - 1)
     if m_out <= n_in:
         raise ValueError("completion requires M > N")
     excess = m_out - n_in
     f = np.sqrt(partial)
     s = float(np.sum(f))
-    a = excess - 1
-    if a == 0:
-        if s <= 0:
-            raise InfeasibleDesignError(
-                "M - N = 1 requires at least one noisy clone among the first M - 1"
-            )
-        roots = [(float(np.sum(partial)) + 1.0 - s * s) / (2.0 * s)]
-    else:
-        lead, tail, _ = surface_terms(f, n_in)
-        disc = 0.0 if abs(lead - tail) <= FEW_ULPS * (lead + tail) else excess * (lead - tail)
-        if disc < 0:
-            raise InfeasibleDesignError(
-                f"requested fidelities are too high (discriminant {4 * disc:.6g} < 0)"
-            )
-        sq = math.sqrt(disc)
-        roots = [(s - sq) / a, (s + sq) / a]
-    floor = ROOT_FLOOR * max(1.0, s)
-    roots = sorted({0.0 if abs(u) <= floor else u * u for u in roots if u >= -floor})
-    if not roots:
+    if excess == 1 and s <= 0:
+        raise InfeasibleDesignError(
+            "M - N = 1 requires at least one noisy clone among the first M - 1")
+    lead, tail, _ = surface_terms(f, n_in)
+    disc = 0.0 if abs(lead - tail) <= FEW_ULPS * (lead + tail) else excess * (lead - tail)
+    if disc < 0:
+        raise InfeasibleDesignError(
+            f"requested fidelities are too high (discriminant {4 * disc:.6g} < 0)")
+    lead, tail, _ = surface_terms(f, n_in - 1)
+    c = 0.0 if abs(lead - tail) <= FEW_ULPS * (lead + tail) else tail - lead
+    if c < 0:
         raise InfeasibleDesignError("no non-negative completion exists")
-    return roots
+    sq = math.sqrt(disc)
+    n_m = (c / (s + sq)) ** 2
+    try:
+        require_on_surface(NoiseProfile(n_in, m_out, np.append(partial, n_m)))
+    except OffSurfaceError as exc:
+        raise InfeasibleDesignError(str(exc)) from exc
+    return [n_m, ((s + sq) / (excess - 1)) ** 2] if excess > 1 and disc > 0 else [n_m]
 
 
 def solve_last_noise(partial, n_in: int, m_out: int) -> float:
-    """Smallest n_M completing the partial noise assignment (max fidelity)."""
+    """The optimal n_M completing the partial noise assignment (max fidelity)."""
     return last_noise_roots(partial, n_in, m_out)[0]
 
 

@@ -200,14 +200,59 @@ def test_solve_command(capsys):
 
 
 def test_solve_prints_the_suboptimal_root(capsys):
-    # (1, 1, 11.657) is on the surface too; tests/test_refusals.py shows
-    # that it has no positive weights and a negative feedforward amplitude
+    # (1, 1, 11.657) is on the surface too, but off the optimal sheet: its
+    # last clone's amplitude S - (M - N) sqrt(n_3) is -sqrt(2)
     code, stdout, _ = run_cli(capsys, "solve", "--noises", "1,1", "--n-in", "1", "--m-out", "3")
     assert code == 0
     assert stdout == (
         "optimal n_M = 0.343145750508\n"
         "other root  = 11.6568542495  (on-surface but suboptimal)\n"
     )
+
+
+# on the surface but off its optimal sheet, where a clone's amplitude
+# S - (M - N) sqrt(n_j) is negative: the completion that
+# `solve --noises 12.9086,0.1548 --n-in 1 --m-out 3` once printed as optimal,
+# which `design --weights 0.43,8.3,0.36` beats on every clone, and the other
+# root of `solve --noises 1,1 --n-in 1 --m-out 3`
+OFF_SHEET = {
+    "dominated": [12.9086, 0.1548, 4.3042012083344074],
+    "other-root": [1.0, 1.0, 11.65685424949238],
+}
+
+
+@pytest.mark.parametrize("name", [*OFF_SHEET, "dominating"])
+def test_both_schemes_and_certify_refuse_the_same_profiles(capsys, tmp_path, name):
+    # the amplifier scheme once built the off-sheet profiles, which the
+    # feedforward scheme and `certify` refused with messages of their own
+    design = tmp_path / "design.json"
+    if name in OFF_SHEET:
+        profile = NoiseProfile(1, 3, np.array(OFF_SHEET[name]))
+        design.write_text(json.dumps(design_document(profile)))
+    else:
+        argv = ["--weights", "0.43,8.3,0.36", "--n-in", "1", "--m-out", "3", "--out", str(design)]
+        assert run_cli(capsys, "design", *argv)[0] == 0
+        assert np.all(json.loads(design.read_text())["noises"] < np.array(OFF_SHEET["dominated"]))
+    want = 2 if name in OFF_SHEET else 0
+    errors = []
+    for scheme in ("amplifier", "feedforward"):
+        code, _, stderr = run_cli(capsys, "synth", "--design", str(design), "--scheme", scheme)
+        assert code == want, (scheme, stderr)
+        errors.append(stderr)
+    if want:
+        assert errors[0] == errors[1]
+        assert re.fullmatch(r"error: clone amplitude .* off the optimal sheet\n", errors[0])
+    assert run_cli(capsys, "certify", "--design", str(design), "--trials", "5")[0] == want
+
+
+@pytest.mark.parametrize("noises, n_in, m_out", [("1,1,1", 2, 4), ("12.9086,0.1548", 1, 3)])
+def test_solve_refuses_a_dominated_completion(capsys, noises, n_in, m_out):
+    # both once printed an optimal n_M (37.97 and 4.304) whose profile has a
+    # clone of negative amplitude; (1, 1, 1, 0) is reachable, one replica
+    # passing through and the other cloned 1 -> 3 with n = 2/3 <= 1
+    code, stdout, _ = run_cli(capsys, "solve", "--noises", noises, "--n-in", str(n_in),
+                              "--m-out", str(m_out))
+    assert code == 2 and stdout.startswith("infeasible: ")
 
 
 def test_solve_infeasible(capsys):

@@ -6,6 +6,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 
 import gaussclone
@@ -25,6 +27,7 @@ from gaussclone import (
     symmetric_profile,
 )
 from gaussclone.circuits import gain_and_transmittance
+from gaussclone.cli import main
 from gaussclone.core import TOL
 from gaussclone.design import require_on_surface
 
@@ -129,6 +132,49 @@ def test_solve_last_noise_returns_smaller_root():
             full = NoiseProfile(n, m, np.append(partial, r))
             assert abs(residual(full)) < 1e-8
         assert roots == sorted(roots)
+
+
+def test_one_to_two_completion_over_the_whole_range(capsys):
+    # n_1 n_2 = 1/4; the uncentered M - N = 1 form cancelled at large n_1 and
+    # a floor on the root then read n_2 = 0 from n_1 = 1e15 on
+    eps = np.finfo(float).eps
+    for k in range(-300, 301):
+        n_1 = 10.0**k
+        (n_2,) = last_noise_roots([n_1], 1, 2)
+        assert abs(n_1 * n_2 - 0.25) <= 4 * eps * 0.25, k
+    assert main(["solve", "--noises", "1e15", "--n-in", "1", "--m-out", "2"]) == 0
+    assert capsys.readouterr().out == "optimal n_M = 2.5e-16\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n_in=st.integers(1, 3),
+    excess=st.integers(1, 5),
+    logs=st.lists(st.floats(-2.0, 1.7), min_size=7, max_size=7),
+)
+def test_optimal_completions_lie_on_the_optimal_sheet(n_in, excess, logs):
+    # the optimal root once left some clone a negative amplitude
+    # S - (M - N) sqrt(n_j): on the surface, but dominated, and refused by
+    # the feedforward circuit and the certificate
+    m_out = n_in + excess
+    partial = 10.0 ** np.array(logs[: m_out - 1])
+    try:
+        roots = last_noise_roots(partial, n_in, m_out)
+    except InfeasibleDesignError:
+        return
+    profile = NoiseProfile(n_in, m_out, np.append(partial, roots[0]))
+    require_on_surface(profile)
+    feedforward_params(profile)
+
+
+@pytest.mark.parametrize("n_in, m_out", [(2, 3), (3, 4), (2, 4), (2, 6), (3, 7), (4, 9)])
+def test_a_completion_to_a_perfect_clone_is_exactly_zero(n_in, m_out):
+    # c = 0: the other noises lie on the N - 1 -> M - 1 surface, as the
+    # symmetric design does ((1/2, 1/2) at 2 -> 3) and a weighted one
+    x = np.random.default_rng(m_out).uniform(0.1, 10.0, m_out - 1)
+    for partial in (symmetric_profile(n_in - 1, m_out - 1).noises,
+                    design_from_weights(x, n_in - 1, m_out - 1)[0].noises):
+        assert last_noise_roots(partial, n_in, m_out)[0] == 0.0
 
 
 def test_symmetric_profile_values():

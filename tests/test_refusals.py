@@ -138,7 +138,9 @@ REFUSALS = {
     ),
     "circuits-negative-amplitude": (
         lambda tmp: feedforward_params(OTHER_ROOT),
-        OffSurfaceError, "negative clone amplitude -0.281085; profile is infeasible",
+        OffSurfaceError,
+        "clone amplitude -1.41 is below 0 by more than 1e-09 of its terms 5.02; "
+        "off the optimal sheet",
     ),
     "circuits-splitter-recursion": (
         lambda tmp: feedforward_params(FAR_BELOW_SYMMETRIC),

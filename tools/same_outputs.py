@@ -3,20 +3,22 @@ report every output that differs.
 
     python tools/same_outputs.py TREE_A TREE_B
 
-Each tree is a checkout of this repository; its `src/` is imported by one
-fresh interpreter, which runs the whole corpus in-process in a scratch
-directory of its own.  The corpus covers the CLI (design, synth, verify,
-certify, simulate, solve, tradeoff, their error and usage paths), the
-documents in `tests/fixtures`, its stale amplifier documents from an
-earlier release and one with V completed otherwise, designs
-with an exact zero-noise clone, one with weights near 1e-305, one with
+Each tree is a checkout of this repository; its `src/` is imported by
+one fresh interpreter, which runs the whole corpus in-process in a
+scratch directory of its own.  The corpus covers the CLI (design, synth,
+verify, certify, simulate, solve, tradeoff, their error and usage
+paths), the documents in `tests/fixtures`, its stale amplifier documents
+from an earlier release and one with V completed otherwise, designs with
+an exact zero-noise clone, one with weights near 1e-305, one with
 subnormal weights, designs with one weight at 1e30 and 1e33, a symmetric
-profile that beats the cloning bound, the stored design whose Gram-Schmidt
-completion of V once failed `synth`, a sample CSV large enough to be
-formatted on forked processes, and the demos of each tree.  For every command the exit code,
-stdout, stderr and every file it wrote are recorded.  The inputs (fixtures
-and hand-written or edited documents) come from the checkout that holds
-this script, so both trees read the same bytes.
+profile that beats the cloning bound, one on the surface but off its
+optimal sheet, completions off that sheet and at large noises, the
+stored design whose Gram-Schmidt completion of V once failed `synth`, a
+sample CSV large enough to be formatted on forked processes, and the
+demos of each tree.  For every command the exit code, stdout, stderr and
+every file it wrote are recorded.  The inputs (fixtures and hand-written
+or edited documents) come from the checkout that holds this script, so
+both trees read the same bytes.
 
 The report lists each command whose outputs differ.  For JSON outputs it
 gives each differing key, with list indices folded into `[]`, and its
@@ -181,6 +183,17 @@ def corpus() -> list[list[str]]:
         ["certify", "--design", "bad/below-1-1000.design.json", "--trials", "20"],
         ["synth", "--design", "bad/below-1-1000.design.json", "--scheme", "amplifier"],
         ["synth", "--design", "bad/below-1-1000.design.json", "--scheme", "feedforward"],
+        # completions whose optimal root leaves a clone a negative amplitude
+        # S - (M - N) sqrt(n_j): on the surface, off its optimal sheet
+        ["solve", "--noises", "1,1,1", "--n-in", "2", "--m-out", "4"],
+        ["solve", "--noises", "12.9086,0.1548", "--n-in", "1", "--m-out", "3"],
+        # 1 -> 2 at large n_1, where n_2 = 1 / (4 n_1)
+        ["solve", "--noises", "1e15", "--n-in", "1", "--m-out", "2"],
+        ["solve", "--noises", "1e300", "--n-in", "1", "--m-out", "2"],
+        # the second completion written as a design document
+        ["synth", "--design", "bad/off-sheet-1-3.design.json", "--scheme", "amplifier"],
+        ["synth", "--design", "bad/off-sheet-1-3.design.json", "--scheme", "feedforward"],
+        ["certify", "--design", "bad/off-sheet-1-3.design.json", "--trials", "20"],
     ]
     # one weight 1e30 and 1e33 off the others
     for weight in ("1e30", "1e33"):
@@ -203,6 +216,8 @@ def _write_inputs(work: Path) -> None:
         "schema-2.json": {**design, "schema_version": 2},
         "below-1-1000.design.json": {**design, "M": 1000, "noises": [f * f] * 1000,
                                      "residual": 1000.0 * f * f - 999.0},
+        "off-sheet-1-3.design.json": {**design, "M": 3,
+                                      "noises": [12.9086, 0.1548, 4.3042012083344074]},
     }
     circuit = json.loads((FIXTURES / "random_1to4.feedforward.json").read_text())
     docs["parameters-list.json"] = {**circuit, "parameters": [1.0, 2.0]}
