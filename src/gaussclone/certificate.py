@@ -71,11 +71,12 @@ def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def weights_from_profile(profile: NoiseProfile) -> CostWeights:
-    """Cost weights for which the given on-surface profile is extremal.
+    """Cost weights for which a profile on the optimal sheet is extremal.
 
     Inverts the extremal equations x_j = -lam (S / sqrt(n_j) - (M - N)) at
     the multiplier lam = PROFILE_LAGRANGE.  Requires every n_j > 0.
     """
+    require_on_surface(profile)
     if np.any(profile.noises <= 0):
         raise ValueError("weights are only defined for strictly noisy clones")
     s = float(np.sum(np.sqrt(profile.noises)))

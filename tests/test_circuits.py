@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -187,6 +188,7 @@ CHAIN_FAILURES = [
 
 @pytest.mark.parametrize("n_in, m_out, log_weight", CHAIN_FAILURES)
 def test_feedforward_passes_with_a_reflectance_near_one(n_in, m_out, log_weight):
+    # the circuit's own clone means, and its comparison with the amplifier:
     # the absolute 1e-12 holds at M <= 20, where the discrepancy's terms have
     # size about 2 n_tot; test_verify_circuit_accuracy_at_large_m checks it
     # against that size at M = 10^4 and 10^5
@@ -195,7 +197,24 @@ def test_feedforward_passes_with_a_reflectance_near_one(n_in, m_out, log_weight)
     profile, _ = design_from_weights(weights, n_in, m_out)
     assert not _dense_scheme_equivalence(profile)["passed"]
     _, report = verify_circuit(profile, "feedforward")
-    assert report["passed"] and report["scheme_discrepancy"] < 1e-12
+    assert report["passed"] and report["mean_residual"] < 1e-12
+    assert scheme_equivalence_check(profile)["discrepancy"] < 1e-12
+
+
+def test_feedforward_clone_means_on_the_one_extreme_weight_grid():
+    # the grid of CHAIN_FAILURES: the largest residual, 2.0e-15 (9 eps), is at
+    # N = 1, M = 200 with the last weight at 10^1.5; at M = 3 to 51 it is at
+    # most 4 eps
+    worst = 0.0
+    for n_in, m_out, log_weight, last in itertools.product(
+        (1, 2), (3, 5, 20, 51, 200), np.arange(-12.0, 12.5, 0.5), (0, -1)
+    ):
+        weights = np.ones(m_out)
+        weights[last] = 10.0**log_weight
+        _, report = verify_circuit(design_from_weights(weights, n_in, m_out)[0], "feedforward")
+        assert report["passed"], (n_in, m_out, log_weight, last)
+        worst = max(worst, report["mean_residual"])
+    assert worst < 1e-14
 
 
 def test_scheme_equivalence_symmetric_and_random():
@@ -221,9 +240,9 @@ def test_verify_circuit_reports_each_scheme():
     circ, report = verify_circuit(profile, "feedforward")
     assert np.array_equal(circ.gains, feedforward_params(profile).gains)
     assert set(report) == {
-        "reflectances_in_range", "gain_noise_residual", "scheme_discrepancy", "passed",
+        "reflectances_in_range", "gain_noise_residual", "mean_residual", "passed",
     }
-    assert report["passed"] and report["scheme_discrepancy"] < 1e-9
+    assert report["passed"] and report["mean_residual"] < 1e-12
     with pytest.raises(ValueError, match="unknown scheme"):
         verify_circuit(profile, "teleporter")
     with pytest.raises(OffSurfaceError):
@@ -536,22 +555,26 @@ def test_verify_circuit_accuracy_at_large_m():
             # M = 1000, N = 3; the scheme discrepancy 1.6e-15 at M = 1000,
             # N = 1; the CP margin 4.6e-16 at M = 500, N = 3.  With t taken
             # from n_tot N, they read up to 1.5e-13, 7.6e-14, 7.2e-14 and
-            # 9.0e-14
+            # 9.0e-14.  The feedforward clone means read at most 5.6e-16
             g_opt, cp, scheme = _verdict_scales(profile)
             assert max(amp["unitarity_residual"], amp["kappa_gram_residual"]) < 1e-11
             assert amp["g_opt_residual"] < 1e-12 * g_opt
-            assert ff["scheme_discrepancy"] < 1e-12 * scheme
+            assert ff["mean_residual"] < 1e-15
+            assert scheme_equivalence_check(profile)["discrepancy"] < 1e-12 * scheme
             assert abs(amp["cp_min_eigenvalue"]) < 1e-12 * cp
-    # the feedforward check is O(M): at M = 10^4 and 10^5 the scheme
-    # discrepancy reads at most 8.9e-16 of the size of its terms.  With the
-    # splitter denominator taken as (2 + n_tot) N - M it grew by about M eps,
-    # to 5.3e-13 at M = 10^4, N = 1 and 2.0e-12 at M = 10^5, N = 3
+    # the feedforward check is O(M): at M = 10^4 and 10^5 its clone means
+    # read at most 6.7e-16, and the scheme discrepancy at most 8.9e-16 of the
+    # size of its terms.  With the splitter denominator taken as
+    # (2 + n_tot) N - M that grew by about M eps, to 5.3e-13 at M = 10^4,
+    # N = 1 and 2.0e-12 at M = 10^5, N = 3
     for m in (10**4, 10**5):
         for n in (1, 3):
             profile, _ = random_optimal_profile(rng, n_in=n, m_out=m)
             _, ff = verify_circuit(profile, "feedforward")
             assert ff["passed"] and ff["gain_noise_residual"] < 1e-12
-            assert ff["scheme_discrepancy"] < 1e-15 * m * _verdict_scales(profile)[2]
+            assert ff["mean_residual"] <= 1e-15
+            discrepancy = scheme_equivalence_check(profile)["discrepancy"]
+            assert discrepancy < 1e-15 * m * _verdict_scales(profile)[2]
 
 
 @pytest.mark.parametrize("dip, passed", [(1e-10, True), (1e-6, False)])
@@ -673,16 +696,46 @@ def _count_completions(monkeypatch):
     return completions
 
 
-def test_feedforward_verification_builds_no_interferometer(monkeypatch):
+def test_feedforward_verification_builds_no_interferometer(monkeypatch, tmp_path):
     completions, params = _count_completions(monkeypatch), []
-    feedforward = circuits.feedforward_params
-    monkeypatch.setattr(circuits, "feedforward_params", lambda p: params.append(p) or feedforward(p))
     profile, _ = random_optimal_profile(np.random.default_rng(34), n_in=2, m_out=7)
-    _, report = verify_circuit(profile, "feedforward")
-    # the scheme check reuses the feedforward circuit that was verified
-    assert report["passed"] and completions == [] and len(params) == 1
     verify_circuit(profile, "amplifier")
     assert completions == [7]
+
+    # a feedforward circuit is checked by its own clone means and gains: the
+    # check and the feedforward commands build it once and no amplifier
+    def refuse(profile):
+        raise AssertionError("the feedforward check built an amplifier")
+
+    monkeypatch.setattr(circuits, "build_interferometer", refuse)
+    feedforward = circuits.feedforward_params
+    monkeypatch.setattr(circuits, "feedforward_params", lambda p: params.append(p) or feedforward(p))
+    _, report = verify_circuit(profile, "feedforward")
+    assert report["passed"] and len(params) == 1 and set(report) == {
+        "reflectances_in_range", "gain_noise_residual", "mean_residual", "passed",
+    }
+    design, circuit = str(tmp_path / "design.json"), str(tmp_path / "ff.json")
+    assert main(["design", "--weights", "1,2,3,4,5", "--n-in", "2", "--m-out", "5",
+                 "--out", design]) == 0
+    assert main(["synth", "--design", design, "--scheme", "feedforward", "--out", circuit]) == 0
+    assert main(["verify", "--circuit", circuit]) == 0
+    assert main(["simulate", "--circuit", circuit, "--shots", "100"]) == 0
+    assert completions == [7]
+
+
+def test_feedforward_verdict_fails_on_clone_means_alone(monkeypatch):
+    # splitting fractions 1e-8 short with the gains as they are: the gains
+    # still make the block I + 2F, so only the clone means fail.  At the
+    # symmetric 1 -> 3 point each clone takes t_tap d_j = 1/3 of its mean
+    # through the splitters, so the means are 1e-8 / 3 short
+    profile = symmetric_profile(1, 3)
+    clean = feedforward_params(profile)
+    short = dataclasses.replace(clean, splitting=clean.splitting * (1.0 - 1e-8))
+    monkeypatch.setattr(circuits, "feedforward_params", lambda _: short)
+    circ, report = verify_circuit(profile, "feedforward")
+    assert circ is short and not report["passed"]
+    assert report["mean_residual"] == pytest.approx(1e-8 / 3.0, rel=1e-6)
+    assert report["gain_noise_residual"] == 0.0 and report["reflectances_in_range"]
 
 
 def test_only_the_document_and_its_checks_complete_v(monkeypatch, tmp_path):

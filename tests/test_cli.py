@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import gaussclone
 from gaussclone import NoiseProfile, design_from_weights, residual, symmetric_profile
-from gaussclone.circuits import verify_circuit
+from gaussclone.circuits import feedforward_params, verify_circuit
 from gaussclone.cli import (
     SCHEMA_VERSION,
     _dump_json,
@@ -224,7 +225,8 @@ OFF_SHEET = {
 @pytest.mark.parametrize("name", [*OFF_SHEET, "dominating"])
 def test_both_schemes_and_certify_refuse_the_same_profiles(capsys, tmp_path, name):
     # the amplifier scheme once built the off-sheet profiles, which the
-    # feedforward scheme and `certify` refused with messages of their own
+    # feedforward scheme and `certify` refused with messages of their own;
+    # the design documents store no weights, so `certify` derives them
     design = tmp_path / "design.json"
     if name in OFF_SHEET:
         profile = NoiseProfile(1, 3, np.array(OFF_SHEET[name]))
@@ -239,10 +241,11 @@ def test_both_schemes_and_certify_refuse_the_same_profiles(capsys, tmp_path, nam
         code, _, stderr = run_cli(capsys, "synth", "--design", str(design), "--scheme", scheme)
         assert code == want, (scheme, stderr)
         errors.append(stderr)
+    code, _, stderr = run_cli(capsys, "certify", "--design", str(design), "--trials", "5")
+    assert code == want, stderr
     if want:
-        assert errors[0] == errors[1]
+        assert errors[0] == errors[1] == stderr
         assert re.fullmatch(r"error: clone amplitude .* off the optimal sheet\n", errors[0])
-    assert run_cli(capsys, "certify", "--design", str(design), "--trials", "5")[0] == want
 
 
 @pytest.mark.parametrize("noises, n_in, m_out", [("1,1,1", 2, 4), ("12.9086,0.1548", 1, 3)])
@@ -526,13 +529,20 @@ def test_verify_and_simulate_reject_edited_feedforward_circuit(capsys, tmp_path,
     assert stdout == "" and "does not match its design" in stderr
 
 
+def short_splitting(monkeypatch, fraction):
+    """Build every feedforward circuit with its splitting fractions, which no
+    document stores, `fraction` short: only its clone means are wrong."""
+    def build(profile):
+        circ = feedforward_params(profile)
+        return dataclasses.replace(circ, splitting=circ.splitting * (1.0 - fraction))
+
+    monkeypatch.setattr("gaussclone.circuits.feedforward_params", build)
+
+
 def test_simulate_refuses_every_document_that_verify_refuses(capsys, tmp_path, monkeypatch):
     # the stored parameters match the rebuild; only the circuit's own check fails
     circuit = str(make_circuit(capsys, tmp_path, "feedforward"))
-    monkeypatch.setattr(
-        "gaussclone.circuits.scheme_equivalence_check",
-        lambda profile, **_: {"discrepancy": 1.0, "passed": False},
-    )
+    short_splitting(monkeypatch, 1e-6)
     code, stdout, _ = run_cli(capsys, "verify", "--circuit", circuit)
     report = json.loads(stdout)
     assert code == 3 and not report["passed"] and report["parameters_match"]
@@ -845,15 +855,14 @@ def test_synth_failed_invariant_exits_3_with_report(capsys, tmp_path, monkeypatc
     design = tmp_path / "design.json"
     circuit = tmp_path / "circ.json"
     run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2", "--out", str(design))
-    monkeypatch.setattr(
-        "gaussclone.circuits.scheme_equivalence_check",
-        lambda profile, **_: {"discrepancy": 1.0, "passed": False},
-    )
+    # at the symmetric 1 -> 2 point each clone takes t_tap d_j = 1/2 of its
+    # mean through the splitters
+    short_splitting(monkeypatch, 1e-6)
     code, stdout, stderr = run_cli(
         capsys, "synth", "--design", str(design), "--scheme", "feedforward", "--out", str(circuit)
     )
     assert code == 3
-    assert json.loads(stderr)["invariants"]["scheme_discrepancy"] == 1.0
+    assert json.loads(stderr)["invariants"]["mean_residual"] == pytest.approx(5e-7, rel=1e-6)
     assert stdout == "" and not circuit.exists()
 
 

@@ -26,6 +26,9 @@ from gaussclone.simulate import SimConfig
 # the suboptimal root of `solve --noises 1,1 --n-in 1 --m-out 3`: on the
 # surface, but its last clone is too noisy for positive weights or amplitudes
 OTHER_ROOT = NoiseProfile(1, 3, np.array([1.0, 1.0, 11.65685424949238]))
+# on the optimal sheet, but its last clone's amplitude S - (M - N) sqrt(n_3)
+# and so its extremal weight x_3 are exactly 0
+ZERO_AMPLITUDE = NoiseProfile(1, 3, np.array([0.5, 0.5, 2.0]))
 # a symmetric 1 -> 20 profile with its noises 5e-9 low: it beats the cloning
 # bound by 2.5e-9 of its centered terms (2.5e-10 of S^2), and its tap
 # transmittance would be 1 + 2.5e-9
@@ -125,7 +128,7 @@ REFUSALS = {
         ValueError, "weight vector length must equal the clone count",
     ),
     "certificate-no-positive-weights": (
-        lambda tmp: weights_from_profile(OTHER_ROOT),
+        lambda tmp: weights_from_profile(ZERO_AMPLITUDE),
         ValueError, "profile admits no strictly positive extremal weights",
     ),
     "circuits-amplifier-m-equals-n": (
