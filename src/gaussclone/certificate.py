@@ -95,9 +95,9 @@ def extremal_equation_residual(profile: NoiseProfile, weights: CostWeights) -> f
 
 
 def _g_opt_diagonal(profile: NoiseProfile) -> np.ndarray:
-    """Diagonal of each block I + 2F - H/N of G_opt."""
-    f = np.sqrt(profile.noises)
-    return 1.0 + 2.0 * f * f - 1.0 / profile.n_in
+    """Diagonal of each block I + 2F - H/N of G_opt, (1 - 1/N) + 2 n: nothing
+    cancels, where 1 + 2n - 1/N loses any n below eps at N = 1."""
+    return (1.0 - 1.0 / profile.n_in) + 2.0 * profile.noises
 
 
 def build_problem(profile: NoiseProfile, weights: CostWeights) -> CertifiedProblem:

@@ -19,9 +19,9 @@ interferometer carry light, the signal column v_1 and the amplifier-noise
 column v_M of V, so s and B follow from those two columns alone.
 `AmplifierCircuit` holds t, g, r and those two columns; on first use it
 completes V by batched 4 x 2 QRs on a tree of row blocks.  `verify_circuit`
-checks each circuit on its own: an amplifier by the channel that t, g, V and
-kappa make, whether built or stored, a feedforward circuit by its clone means
-and gains.  Every block that it or `scheme_equivalence_check` reads, B, B +- P,
+checks each circuit, built or stored, by its own numbers: an amplifier by the
+channel that t, g, V and kappa make, a feedforward circuit by its clone means,
+gains and splitter chain.  Every block that it or `scheme_equivalence_check` reads, B, B +- P,
 the target I + 2F - H/N and the feedforward I + 2 gamma gamma^T, is the
 identity plus at most six rank-one terms in s, v_1, kappa_1, v_M, f = sqrt(n)
 and 1, so each verdict is the exact spectrum of a small core (`low_rank_spectra`).
@@ -260,7 +260,7 @@ def _feedforward_amplitudes(circ: FeedforwardCircuit, amp_in: complex) -> np.nda
     """Clone amplitudes of the feedforward scheme on the collected amplitude
     `amp_in`; each quadrature's covariance block is I + 2 gamma gamma^T, with
     gamma the gains: vacuum plus the shared heterodyne outcome's noise."""
-    t_tap = math.sqrt(1.0 - circ.r_tap**2)
+    t_tap = np.sqrt(1.0 - circ.r_tap**2)  # NaN, not an error, for a stored r_tap > 1
     return circ.splitting * t_tap * amp_in + circ.gains * (circ.r_tap * amp_in)
 
 
@@ -299,17 +299,22 @@ def scheme_equivalence_check(profile: NoiseProfile) -> dict:
 def verify_circuit(
     profile: NoiseProfile, scheme: str, stored=None
 ) -> tuple[AmplifierCircuit | FeedforwardCircuit, dict]:
-    """Check the `scheme` circuit of `profile`: the one built from it or, for
-    an amplifier, the one whose t, g, V and kappa are `stored`, which builds
-    nothing.  An amplifier is checked by the channel those numbers make, with
-    v_1 and v_M V's first and last columns and r = -kappa_1 . v_M / g.  A feedforward
-    circuit is checked by its own clone means and by gains gamma = sqrt(n), which
-    make its block I + 2 gamma gamma^T the optimal I + 2F; no amplifier is built.
+    """Check the `scheme` circuit of on-surface `profile`, built from it or
+    `stored`: an amplifier's t, g, V and kappa or a feedforward circuit's r_tap,
+    gains, reflectances and splitting fractions d.  An amplifier is checked by
+    the channel its numbers make, with v_1 and v_M V's first and last columns and
+    r = -kappa_1 . v_M / g.  A feedforward circuit is checked by its own clone
+    means, by gains gamma = sqrt(n), which make its block I + 2 gamma gamma^T the
+    optimal I + 2F, and by the lossless chain d makes: |d| = 1 enters, splitter j
+    reflects r_j of the |d_{j:}| reaching it and the last clone takes the rest.
 
     Returns the circuit and a report of every residual and margin with an
     overall `passed` flag, each value `within` its scale (see the README).
     """
+    require_on_surface(profile)
     if scheme == "amplifier":
+        if profile.m_out <= profile.n_in:
+            raise ValueError("amplifier scheme requires M > N")
         built = build_interferometer(profile) if stored is None else None
         t, g, v, kappa = stored or (built.t, built.g, built.V, built.kappa)
         r = -float(kappa[:, 0] @ v[:, -1]) / g if g else math.nan
@@ -345,17 +350,20 @@ def verify_circuit(
             and within(mean_resid),
         }
     if scheme == "feedforward":
-        circ = feedforward_params(profile)
-        refl = circ.reflectances
+        circ = feedforward_params(profile) if stored is None else FeedforwardCircuit(*stored)
+        refl, d = circ.reflectances, circ.splitting
         in_range = bool(np.all((refl >= 0.0) & (refl <= 1.0)) and 0.0 <= circ.r_tap <= 1.0)
         gain_resid = float(np.max(np.abs(circ.gains**2 - profile.noises)))
         amps = _feedforward_amplitudes(circ, math.sqrt(profile.n_in))  # per unit input amplitude
         mean_resid = float(np.max(np.abs(amps - 1.0)))
+        beam = np.sqrt(np.cumsum(d[::-1] ** 2)[::-1])  # |d_{j:}|, with no sqrt(1 - r^2)
+        refl_resid = float(np.max(np.abs(np.append(refl, 1) * beam - d), initial=abs(beam[0] - 1)))
         return circ, {
             "reflectances_in_range": in_range,
             "gain_noise_residual": gain_resid,
             "mean_residual": mean_resid,
+            "reflectance_residual": refl_resid,
             "passed": in_range and within(gain_resid, np.max(profile.noises))
-            and within(mean_resid),
+            and within(mean_resid) and within(refl_resid),
         }
     raise ValueError(f"unknown scheme {scheme!r}")

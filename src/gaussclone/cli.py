@@ -13,11 +13,10 @@ verification or certification (reports are still written).
 One parser is built per process, on the first `main` call; command X runs
 the module-level `cmd_X`, looked up when the command runs.
 
-Circuits are checked by `circuits.verify_circuit`, an amplifier by the
-channel that the t, g, V and kappa `synth` writes or a document stores make;
-`load_circuit` also checks stored parameters against the design's, so
-`simulate` refuses what `verify` refuses.  A feedforward document may name
-its displacement convention only as "outcome", the one the circuit uses.
+Circuits are checked by `circuits.verify_circuit` on the numbers `synth`
+writes or a document stores, which `simulate` runs: nothing is rebuilt from
+the design.  A feedforward document may name its displacement convention
+only as "outcome", the one the circuit uses.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .certificate import (
     verify_certificate,
     weights_from_profile,
 )
-from .circuits import gain_and_transmittance, verify_circuit
+from .circuits import verify_circuit
 from .core import within
 from .design import (
     CostWeights,
@@ -171,7 +170,7 @@ def circuit_parameters(scheme: str, circ) -> dict:
     if scheme == "amplifier":
         return {"t": circ.t, "g": circ.g}
     return {"r_tap": circ.r_tap, "gains": circ.gains.tolist(),
-            "reflectances": circ.reflectances.tolist()}
+            "reflectances": circ.reflectances.tolist(), "splitting": circ.splitting.tolist()}
 
 
 def circuit_text(profile: NoiseProfile, scheme: str, circ) -> str:
@@ -202,17 +201,18 @@ def circuit_text(profile: NoiseProfile, scheme: str, circ) -> str:
 
 @np.errstate(all="ignore")  # a stored inf or NaN reads as a failed verdict, not a warning
 def load_circuit(path: str):
-    """Read the circuit document at `path` and check it: `verify_circuit`, an
-    amplifier's on the t, g, V and kappa it stores, then each stored parameter
-    `within` its max|value| for the design (an amplifier's t and g; its V and
-    kappa need only be M x M and M x (M - 1) numbers) and the design hash.
-    The parameter residual, the largest difference, is inf when a key or a
-    shape differs or a value is NaN.  Returns the document, its design, the
-    circuit (an amplifier's as its stored numbers make it) and the report."""
+    """Read the circuit document at `path` and check the circuit its stored
+    numbers make: `verify_circuit` on them and the design hash; nothing is
+    built from the design.  Each parameter is read at its fixed shape, and a
+    missing key, a value of another size or an unknown extra key reads as
+    NaN, so the verdict fails.  A feedforward document without splitting
+    fractions, as earlier releases wrote, takes the splitter chain of its
+    reflectances.  Returns the document, its design, the circuit its numbers
+    make and the report."""
     fields = {"scheme": (str,), "design": (dict,), "parameters": (dict,)}
     doc = _read_document(path, "circuit", fields)
     _check_shape(doc["design"], "circuit design", DESIGN_FIELDS)
-    scheme, stored = doc["scheme"], doc["parameters"]
+    scheme, stored = doc["scheme"], dict(doc["parameters"])
     if scheme == "feedforward":
         # older documents name the displacement convention
         convention = stored.pop("phase_convention", "outcome")
@@ -222,30 +222,22 @@ def load_circuit(path: str):
         raise CliError("circuit parameters must be numbers or arrays of numbers")
     d = doc["design"]
     profile = NoiseProfile(d["N"], d["M"], np.array(d["noises"], dtype=float))
-    if scheme == "amplifier":  # V and kappa as matrices, all NaN if of another size
-        m = profile.m_out
-        for key, cols in (("V", m), ("kappa", m - 1)):
-            a = np.asarray(stored.get(key), dtype=float)
-            stored[key] = a.reshape(m, cols) if a.size == m * cols else np.full((m, cols), math.nan)
-        g, t = gain_and_transmittance(profile)
-        # the verdict checks V and kappa: held to themselves here, only a NaN counts
-        want = {"t": t, "g": g, "V": stored["V"], "kappa": stored["kappa"]}
-        numbers = [float(stored[k]) if _is(stored.get(k), NUMBER) else math.nan for k in ("t", "g")]
-        circ, report = verify_circuit(profile, scheme, (*numbers, stored["V"], stored["kappa"]))
-    else:
-        circ, report = verify_circuit(profile, scheme)
-        want = circuit_parameters(scheme, circ)
+    m, params = profile.m_out, {}
+    shapes = {"amplifier": {"t": (), "g": (), "V": (m, m), "kappa": (m, m - 1)},
+              "feedforward": {"r_tap": (), "gains": (m,), "reflectances": (m - 1,),
+                              "splitting": (m,)}}.get(scheme, {})
+    known = stored.keys() <= shapes.keys()
+    for key, shape in shapes.items():  # () a number, else a flat list of that many
+        a = np.asarray(stored.get(key, math.nan), dtype=float)
+        fits = known and a.ndim == min(len(shape), 1) and a.size == math.prod(shape)
+        params[key] = a.reshape(shape) if fits else np.full(shape, math.nan)
+    if scheme == "feedforward" and "splitting" not in stored:  # its reflectances' splitter chain
+        r = params["reflectances"]
+        params["splitting"] = np.append(r, 1.0) * np.cumprod(np.append(1.0, np.sqrt(1.0 - r * r)))
+    circ, report = verify_circuit(profile, scheme, [params[key][()] for key in shapes])
     hash_ok = doc.get("provenance") == {"design_sha256": design_hash(profile)}
-    keys_ok = stored.keys() == want.keys()
-    resid, match = (0.0 if keys_ok else math.inf), keys_ok and hash_ok
-    for key, value in want.items():
-        got = np.asarray(stored.get(key), dtype=float)
-        diff = float(np.max(np.abs(got - value))) if got.shape == np.shape(value) else math.inf
-        resid = max(resid, math.inf if math.isnan(diff) else diff)
-        match = match and within(diff, np.max(np.abs(value)))
-    report = {"scheme": scheme, **report, "passed": report["passed"] and match,
-              "parameter_residual": resid, "design_hash_matches": hash_ok,
-              "parameters_match": match}
+    report = {"scheme": scheme, **report, "passed": report["passed"] and hash_ok,
+              "design_hash_matches": hash_ok}
     return doc, profile, circ, report
 
 

@@ -208,8 +208,8 @@ def run(
     samples_path: str | None = None,
 ) -> SimResult:
     """Simulate the feedforward scheme shot by shot and estimate clone
-    statistics; `circuit` is `feedforward_params(config.profile)` when the
-    caller has built it already.
+    statistics of `circuit`, a circuit document's, or else the one
+    `feedforward_params(config.profile)` builds.
 
     If `samples_path` is given, every per-shot sample is streamed to CSV with
     columns (shot, clone, x, p, o_re, o_im), one CRLF-terminated row per

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,10 +33,19 @@ def matrix_cost(g, weights):
     return float(weights.weights @ (diag[:m] + diag[m:]))
 
 
+def exact_matrix_cost(profile, weights):
+    """The matrix cost 2 sum_j x_j ((1 - 1/N) + 2 n_j) of the same floats,
+    in exact rational arithmetic, rounded once."""
+    base = 1 - Fraction(1, profile.n_in)
+    x, n = weights.weights, profile.noises
+    return float(2 * sum(Fraction(x_j) * (base + 2 * Fraction(n_j)) for x_j, n_j in zip(x, n)))
+
+
 def _dense_report(profile, weights):
     """The certificate of `weights`, optimal or not, built and checked with
     dense 2M x 2M complex algebra: the reference for the closed forms.
-    Returns the report values and max|Z|."""
+    Returns the report values and max|Z|.  The cost is `exact_matrix_cost`:
+    G_opt's dense diagonal 1 + 2 n_j - 1/N loses n_j below eps at N = 1."""
     m, n = profile.m_out, profile.n_in
     g_opt, a_opt, k = g_opt_matrix(profile), a_opt_matrix(profile), k_matrix(n, m)
     f_mat = noise_gram_matrix(profile)
@@ -43,7 +54,7 @@ def _dense_report(profile, weights):
     y = -x - 2.0 * eta * (x @ f_mat @ x)
     z = np.block([[x, 1j * y], [-1j * y, x]])
     dual_bound = float(np.real(-1j * np.trace(z @ k)))
-    cost = matrix_cost(g_opt, weights)
+    cost, dense_cost = exact_matrix_cost(profile, weights), matrix_cost(g_opt, weights)
     z_scale = float(np.max(np.abs(z)))
     za = float(np.max(np.abs(z @ a_opt)))
     x_half = np.sqrt(weights.weights)
@@ -54,7 +65,7 @@ def _dense_report(profile, weights):
     c = s / (m - n)
     za_size = c + (s + m * c) / n + 2.0 * float(np.max(f)) * (1.0 + profile.n_tot + c * s)
     return {
-        "trace_cost_discrepancy": abs(float(np.real(np.trace(z @ g_opt))) - cost),
+        "trace_cost_discrepancy": abs(float(np.real(np.trace(z @ g_opt))) - dense_cost),
         "z_annihilates_a_rel": za / (2.0 * float(np.max(weights.weights * f)) * za_size),
         "min_eig_z": float(np.linalg.eigvalsh(z)[0]),
         "duality_gap": abs(cost - dual_bound),
@@ -502,6 +513,25 @@ def assert_matches_dense_oracle(problem, min_eig_rel=0.0):
     assert dense["trace_cost_discrepancy"] <= 1e-12 * max(1.0, abs(cost))
     assert report["trace_cost_discrepancy"] == 0.0
     return report
+
+
+def test_matrix_cost_is_exact_at_extreme_weight_ratios():
+    # the diagonal of G_opt taken as 1 + 2 n_j - 1/N lost the light clones'
+    # noises at N = 1: 3.7e-11 of the cost at 1 -> 2 with one weight at 1e12
+    worst = 0.0
+    for n_in, m_out, log_ratio, last in itertools.product(
+        (1, 3), (2, 20, 200), (12.0, 20.0, -12.0, -20.0), (0, -1)
+    ):
+        if m_out <= n_in:
+            continue
+        x = np.ones(m_out)
+        x[last] = 10.0**log_ratio
+        problem = build_problem(*design_from_weights(x, n_in, m_out))
+        report = verify_certificate(problem, build_certificate(problem))
+        exact = exact_matrix_cost(problem.profile, problem.weights)
+        worst = max(worst, abs(report["matrix_cost"] - exact) / exact)
+        assert report["passed"], (n_in, m_out, log_ratio, last)
+    assert worst <= 1e-15
 
 
 def test_closed_forms_match_dense_oracle():

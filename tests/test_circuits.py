@@ -240,9 +240,14 @@ def test_verify_circuit_reports_each_scheme():
     circ, report = verify_circuit(profile, "feedforward")
     assert np.array_equal(circ.gains, feedforward_params(profile).gains)
     assert set(report) == {
-        "reflectances_in_range", "gain_noise_residual", "mean_residual", "passed",
+        "reflectances_in_range", "gain_noise_residual", "mean_residual",
+        "reflectance_residual", "passed",
     }
     assert report["passed"] and report["mean_residual"] < 1e-12
+    assert report["reflectance_residual"] < 1e-15
+    # the same numbers, stored, get the same verdict
+    stored = (circ.r_tap, circ.gains, circ.reflectances, circ.splitting)
+    assert verify_circuit(profile, "feedforward", stored)[1] == report
     with pytest.raises(ValueError, match="unknown scheme"):
         verify_circuit(profile, "teleporter")
     with pytest.raises(OffSurfaceError):
@@ -712,7 +717,8 @@ def test_feedforward_verification_builds_no_interferometer(monkeypatch, tmp_path
     monkeypatch.setattr(circuits, "feedforward_params", lambda p: params.append(p) or feedforward(p))
     _, report = verify_circuit(profile, "feedforward")
     assert report["passed"] and len(params) == 1 and set(report) == {
-        "reflectances_in_range", "gain_noise_residual", "mean_residual", "passed",
+        "reflectances_in_range", "gain_noise_residual", "mean_residual",
+        "reflectance_residual", "passed",
     }
     design, circuit = str(tmp_path / "design.json"), str(tmp_path / "ff.json")
     assert main(["design", "--weights", "1,2,3,4,5", "--n-in", "2", "--m-out", "5",
@@ -725,9 +731,10 @@ def test_feedforward_verification_builds_no_interferometer(monkeypatch, tmp_path
 
 def test_feedforward_verdict_fails_on_clone_means_alone(monkeypatch):
     # splitting fractions 1e-8 short with the gains as they are: the gains
-    # still make the block I + 2F, so only the clone means fail.  At the
-    # symmetric 1 -> 3 point each clone takes t_tap d_j = 1/3 of its mean
-    # through the splitters, so the means are 1e-8 / 3 short
+    # still make the block I + 2F, so only the clone means fail, and the
+    # chain, whose beam enters with |d| = 1 - 1e-8.  At the symmetric
+    # 1 -> 3 point each clone takes t_tap d_j = 1/3 of its mean through the
+    # splitters, so the means are 1e-8 / 3 short
     profile = symmetric_profile(1, 3)
     clean = feedforward_params(profile)
     short = dataclasses.replace(clean, splitting=clean.splitting * (1.0 - 1e-8))
@@ -735,6 +742,7 @@ def test_feedforward_verdict_fails_on_clone_means_alone(monkeypatch):
     circ, report = verify_circuit(profile, "feedforward")
     assert circ is short and not report["passed"]
     assert report["mean_residual"] == pytest.approx(1e-8 / 3.0, rel=1e-6)
+    assert report["reflectance_residual"] == pytest.approx(1e-8, rel=1e-6)
     assert report["gain_noise_residual"] == 0.0 and report["reflectances_in_range"]
 
 
@@ -750,10 +758,8 @@ def test_only_the_document_and_its_checks_complete_v(monkeypatch, tmp_path):
     # synth checks and writes the document; verify checks the stored numbers
     path = tmp_path / "amp.json"
     path.write_text(circuit_text(profile, "amplifier", circ))
-    doc, _, _, loaded = load_circuit(str(path))
-    stored = [doc["parameters"][key] for key in ("t", "g", "V", "kappa")]
-    assert verify_circuit(profile, "amplifier", stored)[1] == report
-    assert loaded["parameter_residual"] == 0.0
+    loaded = load_circuit(str(path))[3]
+    assert {key: loaded[key] for key in report} == report
     assert report["passed"] and completions == [40]
     for array in (circ.V, circ.kappa, circ.v_sig, circ.v_noise):
         assert not array.flags.writeable

@@ -27,7 +27,7 @@ from gaussclone.cli import (
     main,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, splitting_amplitudes
 
 
 def run_cli(capsys, *argv):
@@ -395,7 +395,7 @@ def test_amplifier_document_stores_exact_zeros_off_the_tree_blocks(capsys, tmp_p
     assert circuit.stat().st_size < 0.6e6
     code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
     report = json.loads(stdout)
-    assert code == 0 and report["passed"] and report["parameter_residual"] == 0.0
+    assert code == 0 and report["passed"] and report["unitarity_residual"] <= 1e-14
 
 
 def test_synth_and_verify_pass_the_design_whose_gram_schmidt_completion_failed(capsys, tmp_path):
@@ -421,8 +421,15 @@ def test_earlier_circuit_documents_still_verify(capsys, name):
     code, stdout, _ = run_cli(capsys, "verify", "--circuit", circuit)
     report = json.loads(stdout)
     assert code == 0 and report["passed"]
-    assert report["parameter_residual"] <= 1e-12
+    assert report["mean_residual"] <= 1e-12
     if name.endswith(".feedforward.json"):
+        # written before documents stored the splitting fractions: they are
+        # the splitter chain of the stored reflectances, the rebuilt ones to
+        # an ulp, and the chain matches itself exactly
+        _, profile, circ, _ = load_circuit(circuit)
+        assert np.array_equal(circ.splitting, splitting_amplitudes(circ))
+        assert np.max(np.abs(circ.splitting - feedforward_params(profile).splitting)) <= 2.3e-16
+        assert report["reflectance_residual"] <= 2.3e-16
         code, _, _ = run_cli(capsys, "simulate", "--circuit", circuit, "--shots", "1000")
         assert code == 0
 
@@ -435,7 +442,7 @@ def test_near_symmetric_amplifier_document_from_before_the_lacking_amplitude_ver
     stale = FIXTURES / "stale" / "near_symmetric_1to2.amplifier.json"
     code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(stale))
     report = json.loads(stdout)
-    assert code == 0 and report["passed"] and report["parameter_residual"] == 0.0
+    assert code == 0 and report["passed"] and report["design_hash_matches"]
     assert report["mean_residual"] == pytest.approx(2.5e-13, rel=0.01)
 
 
@@ -454,7 +461,7 @@ def test_amplifier_document_that_leaves_out_the_lacking_amplitude_fails(capsys, 
     circuit.write_text(json.dumps(doc))
     code, stdout, stderr = run_cli(capsys, "verify", "--circuit", str(circuit))
     report = json.loads(stdout)
-    assert code == 3 and stderr == "" and not report["passed"] and report["parameters_match"]
+    assert code == 3 and stderr == "" and not report["passed"] and report["design_hash_matches"]
     assert report["mean_residual"] == pytest.approx(1e-8, rel=0.05)
 
 
@@ -465,16 +472,32 @@ def test_synth_rejects_missing_file(capsys, tmp_path):
     assert code == 2
 
 
-def test_verify_fails_on_tampered_circuit(capsys, tmp_path):
+@pytest.mark.parametrize("scheme", ["amplifier", "feedforward"])
+def test_verify_fails_on_tampered_circuit(capsys, tmp_path, scheme):
     design = tmp_path / "design.json"
     circuit = tmp_path / "circ.json"
     run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2", "--out", str(design))
-    run_cli(capsys, "synth", "--design", str(design), "--scheme", "feedforward", "--out", str(circuit))
+    run_cli(capsys, "synth", "--design", str(design), "--scheme", scheme, "--out", str(circuit))
     doc = json.loads(circuit.read_text())
     doc["design"]["noises"] = [0.5, 1.0]  # off the optimal surface
     circuit.write_text(json.dumps(doc))
-    code, _, stderr = run_cli(capsys, "verify", "--circuit", str(circuit))
-    assert code == 2  # precondition failure: profile off-surface
+    for command in ("verify", "simulate --shots 10"):
+        code, stdout, stderr = run_cli(capsys, *command.split(), "--circuit", str(circuit))
+        # precondition failure: profile off-surface, whatever the stored numbers
+        assert (code, stdout) == (2, "") and "profile residual" in stderr
+
+
+def test_amplifier_document_at_m_equal_n_exits_2(capsys, tmp_path):
+    # its kappa would have no column; the verdict refuses the size, as synth does
+    profile = NoiseProfile(1, 1, np.zeros(1))
+    circuit = tmp_path / "circ.json"
+    circuit.write_text(json.dumps({
+        "schema_version": SCHEMA_VERSION, "scheme": "amplifier", "design": design_block(profile),
+        "provenance": {"design_sha256": design_hash(profile)},
+        "parameters": {"t": 1.0, "g": 1.0, "V": [1.0], "kappa": []},
+    }))
+    code, stdout, stderr = run_cli(capsys, "verify", "--circuit", str(circuit))
+    assert (code, stdout, stderr) == (2, "", "error: amplifier scheme requires M > N\n")
 
 
 def make_circuit(capsys, tmp_path, scheme):
@@ -490,65 +513,128 @@ def make_circuit(capsys, tmp_path, scheme):
 
 
 def test_verify_reports_stored_parameter_margins(capsys, tmp_path):
+    # the report is the verdict on the stored numbers, and the design hash
     for scheme in ("amplifier", "feedforward"):
         circuit = make_circuit(capsys, tmp_path, scheme)
         code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
         report = json.loads(stdout)
-        assert code == 0 and report["passed"]
-        assert report["parameter_residual"] == 0.0
-        assert report["design_hash_matches"] and report["parameters_match"]
+        assert code == 0 and report["passed"] and report["design_hash_matches"]
+        profile = load_design(str(tmp_path / "design.json"))[0]
+        checks = verify_circuit(profile, scheme)[1]
+        assert report == {"scheme": scheme, **checks, "design_hash_matches": True}
+        assert report["mean_residual"] <= 1e-15
+        assert report.get("reflectance_residual", 0.0) <= 1e-15
 
 
+# each edit returns the report key of the check that sees it
 def edit_gains_and_tap(doc):
     doc["parameters"]["gains"] = [9.0] * len(doc["parameters"]["gains"])
     doc["parameters"]["r_tap"] = 0.01
+    return "gain_noise_residual"
 
 
 def edit_hash(doc):
     doc["provenance"]["design_sha256"] = "0" * 64
+    return "design_hash_matches"
 
 
 def drop_reflectance(doc):
     doc["parameters"]["reflectances"] = doc["parameters"]["reflectances"][:-1]
+    return "reflectance_residual"
 
 
-@pytest.mark.parametrize("edit", [edit_gains_and_tap, edit_hash, drop_reflectance])
+def splitting_off_chain(doc):
+    # splitters that reflect 1e-6 more than make the stored fractions: the
+    # fractions, and so the clone means, are the design's, the splitters not
+    params = doc["parameters"]
+    params["reflectances"] = [r * (1.0 + 1e-6) for r in params["reflectances"]]
+    return "reflectance_residual"
+
+
+def extra_key(doc):
+    doc["parameters"]["offset"] = 0.0
+    return "mean_residual"
+
+
+@pytest.mark.parametrize(
+    "edit", [edit_gains_and_tap, edit_hash, drop_reflectance, splitting_off_chain, extra_key]
+)
 def test_verify_and_simulate_reject_edited_feedforward_circuit(capsys, tmp_path, edit):
     circuit = make_circuit(capsys, tmp_path, "feedforward")
     doc = json.loads(circuit.read_text())
-    edit(doc)
+    key = edit(doc)
     circuit.write_text(json.dumps(doc))
     code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
     report = json.loads(stdout)
-    assert code == 3
-    assert not report["passed"] and not report["parameters_match"]
+    assert code == 3 and not report["passed"]
+    # the check that sees the edit fails: a flag reads false, a residual
+    # exceeds TOL = 1e-9 of its scale (at most max n_j = 2.6 here) or is NaN
+    assert report[key] is False or not report[key] <= 3e-9
     code, stdout, stderr = run_cli(
         capsys, "simulate", "--circuit", str(circuit), "--shots", "10", "--seed", "0"
     )
     assert code == 3
     assert stdout == "" and "does not match its design" in stderr
+    assert json.loads(stderr.split(": ", 2)[2]) == report
 
 
-def short_splitting(monkeypatch, fraction):
-    """Build every feedforward circuit with its splitting fractions, which no
-    document stores, `fraction` short: only its clone means are wrong."""
-    def build(profile):
-        circ = feedforward_params(profile)
-        return dataclasses.replace(circ, splitting=circ.splitting * (1.0 - fraction))
-
-    monkeypatch.setattr("gaussclone.circuits.feedforward_params", build)
-
-
-def test_simulate_refuses_every_document_that_verify_refuses(capsys, tmp_path, monkeypatch):
-    # the stored parameters match the rebuild; only the circuit's own check fails
-    circuit = str(make_circuit(capsys, tmp_path, "feedforward"))
-    short_splitting(monkeypatch, 1e-6)
-    code, stdout, _ = run_cli(capsys, "verify", "--circuit", circuit)
+def test_simulate_refuses_every_document_that_verify_refuses(capsys, tmp_path):
+    # the stored splitting fractions 1e-6 short: the design hash, the gains
+    # and the reflectances are the design's, the clone means are not
+    circuit = make_circuit(capsys, tmp_path, "feedforward")
+    doc = json.loads(circuit.read_text())
+    doc["parameters"]["splitting"] = [d * (1.0 - 1e-6) for d in doc["parameters"]["splitting"]]
+    circuit.write_text(json.dumps(doc))
+    code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
     report = json.loads(stdout)
-    assert code == 3 and not report["passed"] and report["parameters_match"]
-    code, stdout, stderr = run_cli(capsys, "simulate", "--circuit", circuit, "--shots", "10")
+    assert code == 3 and not report["passed"] and report["design_hash_matches"]
+    assert report["mean_residual"] > 1e-7 and report["gain_noise_residual"] <= 1e-15
+    code, stdout, stderr = run_cli(capsys, "simulate", "--circuit", str(circuit), "--shots", "10")
     assert (code, stdout) == (3, "")
     assert json.loads(stderr.split(": ", 2)[2]) == report
+
+
+# designs (N, M, weights): the last three have a splitter reflectance within
+# 5e-13 of 1, where fractions multiplied down the chain lose half their digits
+ROUND_TRIP_DESIGNS = [
+    (1, 3, [1.0, 2.0, 5.0]), (2, 6, [1.0, 2.0, 5.0, 3.0, 4.0, 6.0]),
+    (1, 5, [1.0, 1.0, 1.0, 1.0, 1e-8]), (1, 20, [1.0] * 19 + [1e-12]), (1, 20, [1e12] + [1.0] * 19),
+]
+
+
+@pytest.mark.parametrize("n_in, m_out, weights", ROUND_TRIP_DESIGNS)
+def test_feedforward_document_loads_as_the_circuit_synth_built(capsys, tmp_path, n_in, m_out,
+                                                              weights):
+    # bit for bit, so simulate runs a new document as it ran the rebuilt circuit
+    profile = design_from_weights(weights, n_in, m_out)[0]
+    built, checks = verify_circuit(profile, "feedforward")
+    path = tmp_path / "ff.json"
+    path.write_text(circuit_text(profile, "feedforward", built))
+    _, loaded_profile, circ, report = load_circuit(str(path))
+    assert loaded_profile.noises.tobytes() == profile.noises.tobytes()
+    assert circ.r_tap == feedforward_params(profile).r_tap
+    for key in ("gains", "reflectances", "splitting"):
+        assert getattr(circ, key).tobytes() == getattr(feedforward_params(profile), key).tobytes()
+    assert report == {"scheme": "feedforward", **checks, "design_hash_matches": True}
+    assert report["passed"] and report["reflectance_residual"] <= 4.5e-16
+
+
+def test_verify_and_simulate_build_no_circuit_from_the_design(capsys, tmp_path, monkeypatch):
+    circuits = [make_circuit(capsys, tmp_path, scheme) for scheme in ("amplifier", "feedforward")]
+    circuits += [FIXTURES / "random_1to4.amplifier.json", FIXTURES / "random_1to4.feedforward.json"]
+
+    def refuse(*_):
+        raise AssertionError("a circuit was built from the document's design")
+
+    for name in ("feedforward_params", "build_interferometer", "gain_and_transmittance"):
+        monkeypatch.setattr(f"gaussclone.circuits.{name}", refuse)
+    monkeypatch.setattr("gaussclone.simulate.feedforward_params", refuse)
+    for circuit in circuits:
+        code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
+        assert code == 0 and json.loads(stdout)["passed"], circuit
+        if circuit.name.endswith("feedforward.json"):
+            code, _, _ = run_cli(capsys, "simulate", "--circuit", str(circuit), "--shots", "100")
+            assert code == 0, circuit
 
 
 def test_feedforward_document_phase_convention(capsys, tmp_path):
@@ -560,7 +646,7 @@ def test_feedforward_document_phase_convention(capsys, tmp_path):
     doc["parameters"]["phase_convention"] = "outcome"
     circuit.write_text(json.dumps(doc))
     code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
-    assert code == 0 and json.loads(stdout)["parameters_match"]
+    assert code == 0 and json.loads(stdout)["passed"]
     code, stdout, _ = run_cli(capsys, *simulate)
     assert code == 0 and json.loads(stdout)["shots_used"] == 10
     doc["parameters"]["phase_convention"] = "conjugate"
@@ -581,7 +667,7 @@ def test_verify_rejects_edited_amplifier_circuit(capsys, tmp_path):
     report = json.loads(stdout)
     assert code == 3
     assert out.read_text() == stdout and not report["passed"]
-    assert report["parameter_residual"] > 1e-7 and report["design_hash_matches"]
+    assert report["g_opt_residual"] > 1e-7 and report["design_hash_matches"]
 
 
 def edit_completion(circuit, change):
@@ -623,7 +709,7 @@ def test_verify_accepts_any_orthogonal_completion_of_v(capsys, tmp_path):
     edit_completion(circuit, turn)
     code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
     report = json.loads(stdout)
-    assert code == 0 and report["passed"] and report["parameters_match"]
+    assert code == 0 and report["passed"]
     assert report["unitarity_residual"] < 1e-14 and report["kappa_gram_residual"] < 1e-14
     # the channel and its CP margin come from the two live columns alone
     for key in ("g_opt_residual", "cp_min_eigenvalue", "transmittance"):
@@ -640,8 +726,8 @@ def test_verify_checks_the_stored_v_for_orthogonality(capsys, tmp_path):
     code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
     report = json.loads(stdout)
     assert code == 3 and not report["passed"]
-    # kappa still repeats V and the live columns are the rebuilt ones
-    assert report["parameters_match"] and report["parameter_residual"] == 0.0
+    # kappa still repeats V, and the live columns make the design's channel
+    assert report["mean_residual"] < 1e-14 and report["g_opt_residual"] < 1e-14
     unitarity = float(np.max(np.abs(v.T @ v - np.eye(6))))
     assert report["unitarity_residual"] == unitarity and unitarity > 1e-9
 
@@ -658,7 +744,7 @@ def test_verify_holds_kappa_to_the_stored_v(capsys, tmp_path):
     circuit.write_text(json.dumps(doc))
     code, stdout, _ = run_cli(capsys, "verify", "--circuit", str(circuit))
     report = json.loads(stdout)
-    assert code == 3 and report["parameters_match"] and report["unitarity_residual"] < 1e-14
+    assert code == 3 and report["mean_residual"] < 1e-14 and report["unitarity_residual"] < 1e-14
     assert report["kappa_gram_residual"] > 0.1
 
 
@@ -689,7 +775,8 @@ def test_verify_fails_malformed_amplifier_arrays(capsys, tmp_path, edit):
         code, stdout, stderr = run_cli(capsys, "verify", "--circuit", str(circuit))
     report = json.loads(stdout)
     assert code == 3 and stderr == "" and not report["passed"]
-    assert not report["parameters_match"] and report["parameter_residual"] == math.inf
+    # the malformed array reads as NaN, or t as inf: a residual is not finite
+    assert not all(math.isfinite(v) for k, v in report.items() if k.endswith("_residual"))
 
 
 def params_as_list(doc):
@@ -855,9 +942,14 @@ def test_synth_failed_invariant_exits_3_with_report(capsys, tmp_path, monkeypatc
     design = tmp_path / "design.json"
     circuit = tmp_path / "circ.json"
     run_cli(capsys, "design", "--symmetric", "--n-in", "1", "--m-out", "2", "--out", str(design))
-    # at the symmetric 1 -> 2 point each clone takes t_tap d_j = 1/2 of its
-    # mean through the splitters
-    short_splitting(monkeypatch, 1e-6)
+    # synth's own circuit built with its splitting fractions 1e-6 short; at
+    # the symmetric 1 -> 2 point each clone takes t_tap d_j = 1/2 of its mean
+    # through the splitters
+    def build(profile):
+        circ = feedforward_params(profile)
+        return dataclasses.replace(circ, splitting=circ.splitting * (1.0 - 1e-6))
+
+    monkeypatch.setattr("gaussclone.circuits.feedforward_params", build)
     code, stdout, stderr = run_cli(
         capsys, "synth", "--design", str(design), "--scheme", "feedforward", "--out", str(circuit)
     )

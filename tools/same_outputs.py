@@ -8,9 +8,10 @@ one fresh interpreter, which runs the whole corpus in-process in a
 scratch directory of its own.  The corpus covers the CLI (design, synth,
 verify, certify, simulate, solve, tradeoff, their error and usage
 paths), the documents in `tests/fixtures`, its stale amplifier documents
-from an earlier release and one with V completed otherwise, designs with
-an exact zero-noise clone, one with weights near 1e-305, one with
-subnormal weights, designs with one weight at 1e30 and 1e33, a symmetric
+from an earlier release and one with V completed otherwise, a feedforward
+document with edited splitting fractions, designs with an exact
+zero-noise clone, one with weights near 1e-305, one with subnormal
+weights, designs with one weight at 1e30 and 1e33, a symmetric
 profile that beats the cloning bound, one on the surface but off its
 optimal sheet, completions off that sheet and at large noises, the
 stored design whose Gram-Schmidt completion of V once failed `synth`, a
@@ -147,6 +148,8 @@ def corpus() -> list[list[str]]:
         ["verify", "--circuit", "bad/parameters-list.json"],
         ["verify", "--circuit", "bad/tampered.feedforward.json"],
         ["simulate", "--circuit", "bad/tampered.feedforward.json", "--shots", "10"],
+        ["verify", "--circuit", "bad/splitting.feedforward.json"],
+        ["simulate", "--circuit", "bad/splitting.feedforward.json", "--shots", "10"],
         ["simulate", "--circuit", "sym-1-2.amp.json", "--shots", "10"],
         ["simulate", "--circuit", "sym-1-2.ff.json", "--shots", "0"],
         ["simulate", "--circuit", "sym-1-2.ff.json", "--shots", "10", "--shards", "0"],
@@ -225,6 +228,14 @@ def _write_inputs(work: Path) -> None:
     tampered = [gains[0] * (1.0 + 1e-6), *gains[1:]]
     docs["tampered.feedforward.json"] = {
         **circuit, "parameters": {**circuit["parameters"], "gains": tampered}}
+    # the splitting fractions of its splitter chain, stored 1e-6 short
+    splitting, beam = [], 1.0
+    for r in circuit["parameters"]["reflectances"]:
+        splitting.append(r * beam)
+        beam *= math.sqrt(1.0 - r * r)
+    splitting = [d * (1.0 - 1e-6) for d in splitting + [beam]]
+    docs["splitting.feedforward.json"] = {
+        **circuit, "parameters": {**circuit["parameters"], "splitting": splitting}}
     for name, doc in docs.items():
         (bad / name).write_text(json.dumps(doc) + "\n")
     (bad / "not-json.json").write_text("{not json\n")
